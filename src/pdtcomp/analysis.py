@@ -22,10 +22,10 @@ prefix carries fewer bits' worth of symbols than the plain one.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .codec import Compressor
+from .codec import Compressor, mirror_half
 from .engine import POP, PUSH, RunTrace
 from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments
 
@@ -47,13 +47,24 @@ def block_stats(word: Sequence[int]) -> BlockStats:
     """Scan ``word`` into maximal equal-symbol runs.
 
     ``singletons`` counts runs of length exactly 1; the histogram maps run
-    length to the number of runs of that length.
+    length to the number of runs of that length.  An even palindrome
+    ``w + w[::-1]`` is folded: its runs are those of ``w`` twice over,
+    except that the last run of ``w`` meets its mirror image at the seam
+    and the two form one run of twice the length, so only ``w`` is scanned.
     """
     if len(word) == 0:
         raise ValueError("word must be non-empty")
-    histogram: Counter[int] = Counter()
-    for _, group in groupby(word):
-        histogram[sum(1 for _ in group)] += 1
+    half = mirror_half(word)
+    if not half:
+        histogram = Counter(len(list(group)) for _, group in groupby(word))
+    else:
+        histogram = Counter(len(list(group)) for _, group in groupby(islice(word, half)))
+        histogram += histogram
+        seam = word[half - 1]
+        last = next((j for j in range(1, half) if word[half - 1 - j] != seam), half)
+        histogram[last] -= 2
+        histogram[2 * last] += 1
+        histogram = +histogram
     return BlockStats(
         total=sum(histogram.values()),
         histogram=dict(histogram),

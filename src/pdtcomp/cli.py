@@ -110,9 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_stream(path: str) -> streamio.DecodedStream:
+def _read_stream(path: str) -> tuple[streamio.DecodedStream, str]:
+    """Decode the file at ``path``; also return its format."""
     with open(path, "rb") as fh:
-        return streamio.decode_stream(fh.read())
+        data = fh.read()
+    fmt = streamio.detect_format(data)
+    return streamio.decode_stream(data, fmt), fmt
 
 
 def _write_stream(path: str, symbols, role: int, k: int, fmt: str) -> None:
@@ -143,21 +146,17 @@ def _check_header(args, decoded: streamio.DecodedStream, role: int, what: str) -
 
 
 def _cmd_compress(args) -> int:
-    decoded = _read_stream(args.inp)
+    decoded, in_fmt = _read_stream(args.inp)
     _check_header(args, decoded, streamio.ROLE_PLAIN, "compress")
     out = codec.compress(decoded.symbols, decoded.k, flush=not args.no_flush)
-    with open(args.inp, "rb") as fh:
-        in_fmt = streamio.detect_format(fh.read(4))
     _write_stream(args.out, out, streamio.ROLE_CODED, decoded.k, args.format or in_fmt)
     return 0
 
 
 def _cmd_decompress(args) -> int:
-    decoded = _read_stream(args.inp)
+    decoded, in_fmt = _read_stream(args.inp)
     _check_header(args, decoded, streamio.ROLE_CODED, "decompress")
     out = codec.decompress(decoded.symbols, decoded.k)
-    with open(args.inp, "rb") as fh:
-        in_fmt = streamio.detect_format(fh.read(4))
     _write_stream(args.out, out, streamio.ROLE_PLAIN, decoded.k, args.format or in_fmt)
     return 0
 

@@ -17,9 +17,21 @@ Both directions exist twice: as explicit transducer tables executed by
 :mod:`pdtcomp.engine` (the reference semantics, with traces), and as the
 streaming sessions :class:`Compressor` / :class:`Decompressor` used on hot
 paths.  The test suite pins the two routes to each other.
+
+Mirrored input is folded.  The compressor's stack always holds the reduced
+form of what it has read (adjacent equal symbols cancel), so on an
+even-length palindrome ``w + w[::-1]`` the stack states of the second half
+retrace those of ``w`` backwards: every push of ``w`` becomes a pop and
+every pop a push, and the runs on either side of the seam never merge.
+:meth:`Compressor.consume` therefore reads only ``w`` of such an input and
+derives every counter of the second half from the census of ``w``'s push
+and pop runs; :func:`pdtcomp.analysis.block_stats` folds its symbol-run
+census the same way.
 """
 
 from functools import lru_cache
+from itertools import compress as select, count, islice
+from operator import eq
 from typing import NamedTuple
 
 from . import engine
@@ -132,10 +144,34 @@ def _prepared(word, limit: int, what: str):
         if word and (min(word) < 0 or max(word) >= limit):
             bad = next(a for a in word if not 0 <= a < limit)
             raise AlphabetError(f"{what} symbol {bad} outside [0, {limit})")
-    elif word and max(word) >= limit:
-        bad = next(a for a in word if a >= limit)
-        raise AlphabetError(f"{what} symbol {bad} outside [0, {limit})")
+    elif limit < 256:
+        stray = word.translate(None, bytes(range(limit)))
+        if stray:
+            raise AlphabetError(f"{what} symbol {stray[0]} outside [0, {limit})")
     return word
+
+
+_MIRROR_CHUNK = 1 << 15
+
+
+def mirror_half(word) -> int:
+    """Length of ``w`` when ``word`` is ``w + w[::-1]`` with ``w`` non-empty, else 0.
+
+    Compares chunks of the first half with reversed chunks of the second,
+    from the ends inwards, so a mismatch near the ends is found at once and
+    neither the input nor its half is copied whole.
+    """
+    end = len(word)
+    half = end // 2
+    if end % 2:
+        return 0
+    i = 0
+    while i < half:
+        j = min(i + _MIRROR_CHUNK, half)
+        if word[i:j] != word[end - j : end - i][::-1]:
+            return 0
+        i = j
+    return half
 
 
 class Compressor:
@@ -208,8 +244,19 @@ class Compressor:
         return out
 
     def consume(self, word) -> None:
-        """Like ``feed`` but only the counters are updated."""
+        """Like ``feed`` but only the counters are updated.
+
+        An even palindrome ``w + w[::-1]`` is folded: only ``w`` is read,
+        and the second half's counters follow from the run census of ``w``
+        (see :meth:`_consume_mirrored`).  Every other input takes the
+        per-symbol loop.  Both routes leave the same counters, state and
+        stack.
+        """
         word = self._start_feed(word)
+        half = mirror_half(word)
+        if half:
+            self._consume_mirrored(word, half)
+            return
         stack = self._stack
         push = stack.append
         pop = stack.pop
@@ -240,6 +287,81 @@ class Compressor:
         self._open_run = run
         self._read += len(word)
         self._written += written + pairs
+
+    def _consume_mirrored(self, word, half: int) -> None:
+        """Consume ``w + w[::-1]`` (``w = word[:half]``) by reading ``w`` once.
+
+        The second half pops what ``w`` pushed and pushes what it popped,
+        in reverse order, so every run of ``w`` (push or pop) is read back
+        as exactly one pop run of the whole input.  The pop run open on
+        entry, of length ``R``, merges with the first run of ``w`` when that
+        run pops and otherwise closes before it; the census seeds its
+        current run with ``R`` to cover both.  Over the resulting run
+        lengths (summing to ``R + half``) a closed pop run of length ``m``
+        codes to ``m // 2`` pair markers, one odd marker when ``m`` is odd,
+        and adds ``m`` clustered pops when ``m >= 2``.  The exceptions are
+        the ``R // 2`` pairs already counted before entry and, when ``w``
+        starts with a push run of length ``r``, that run: it comes back as
+        the last pop run of the input and stays open.  Pushes number
+        ``half``, as many as pops, since the stack ends where it started.
+        """
+        stack = self._stack
+        entry = stack.copy()
+        starts_popping = stack[-1] == word[0]
+        open_run = self._open_run
+        push = stack.append
+        pop = stack.pop
+        run = open_run
+        popping = run > 0
+        singles = 0
+        odd_long = 0
+        for a in islice(word, half):
+            if stack[-1] == a:
+                pop()
+                if popping:
+                    run += 1
+                else:
+                    if run == 1:
+                        singles += 1
+                    elif run & 1:
+                        odd_long += 1
+                    run = 1
+                    popping = True
+            else:
+                push(a)
+                if popping:
+                    if run == 1:
+                        singles += 1
+                    elif run & 1:
+                        odd_long += 1
+                    run = 1
+                    popping = False
+                else:
+                    run += 1
+        if run == 1:
+            singles += 1
+        elif run & 1:
+            odd_long += 1
+        stack.clear()
+        stack.extend(entry)
+        total = open_run + half
+        odd = singles + odd_long
+        pairs = (total - odd) // 2 - open_run // 2
+        clustered = total - singles
+        if starts_popping:
+            open_run = 0
+        else:
+            # first i >= 1 with word[i] == word[i-1]: where the leading push run ends
+            open_run = next(select(count(1), map(eq, islice(word, 1, half), word)), half)
+            odd -= open_run & 1
+            if open_run >= 2:
+                clustered -= open_run
+        self._pending = bool(open_run & 1)
+        self._open_run = open_run
+        self._pairs += pairs
+        self._clustered += clustered
+        self._read += 2 * half
+        self._written += half + pairs + odd
 
     def flush(self) -> list[int]:
         """End the session; emit the pending odd marker if there is one."""

@@ -16,7 +16,7 @@ import sys
 from array import array
 from typing import Iterable, NamedTuple
 
-from .codec import K_MAX, K_MIN
+from .codec import check_alphabet_size
 
 MAGIC = b"PDT1"
 VERSION = 1
@@ -64,17 +64,25 @@ def code_limit(role: int, k: int) -> int:
     return k if role == ROLE_PLAIN else k + 2
 
 
-def _check_k(k: int) -> int:
-    if not K_MIN <= k <= K_MAX:
-        raise ValueError(f"alphabet size must lie in [{K_MIN}, {K_MAX}], got {k}")
-    return k
+def _header_k(k: int) -> int:
+    try:
+        return check_alphabet_size(k)
+    except ValueError as exc:
+        raise StreamFormatError(f"header: {exc}") from None
 
 
 def encode_stream(symbols: Iterable[int], role: int, k: int, fmt: str = "binary") -> bytes:
-    """Serialize symbols into the requested format."""
-    _check_k(k)
+    """Serialize symbols into the requested format.
+
+    ``bytes`` and ``bytearray`` arguments are read as one symbol per byte,
+    the form :mod:`pdtcomp.seqgen` produces for alphabets of up to 256
+    symbols.
+    """
+    check_alphabet_size(k)
     limit = code_limit(role, k)
     if fmt == "binary":
+        if isinstance(symbols, (bytes, bytearray)):
+            symbols = iter(symbols)  # array() would take the bytes as raw 16-bit codes
         try:
             body = array("H", symbols)
         except OverflowError as exc:
@@ -131,7 +139,7 @@ def _decode_binary(data: bytes) -> DecodedStream:
         raise BadVersionError(f"unsupported version {version}")
     if role not in (ROLE_PLAIN, ROLE_CODED):
         raise StreamFormatError(f"unknown role byte {role}")
-    _check_k(k)
+    _header_k(k)
     body = data[HEADER.size :]
     if len(body) < 2 * count:
         raise TruncatedStreamError(f"body holds {len(body) // 2} codes, header declares {count}")
@@ -166,7 +174,7 @@ def _decode_text(data: bytes) -> DecodedStream:
         raise BadMagicError(f"malformed text header {head!r}") from None
     if role not in (ROLE_PLAIN, ROLE_CODED):
         raise StreamFormatError(f"unknown role {role}")
-    _check_k(k)
+    _header_k(k)
     if k > TEXT_K_MAX:
         raise StreamFormatError(f"text alphabet size {k} above the limit of {TEXT_K_MAX}")
     if rest.endswith("\n"):

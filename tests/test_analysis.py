@@ -57,6 +57,15 @@ def test_block_stats_against_brute_force(word):
     assert block_stats(bytes(word)) == brute_block_stats(word)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=60))
+def test_block_stats_folds_mirrored_words(w):
+    # the fold scans w only; the unfolded census scans the whole word
+    x = w + w[::-1]
+    assert block_stats(x) == brute_block_stats(x)
+    assert block_stats(bytes(x)) == brute_block_stats(x)
+
+
 def test_block_stats_histogram_weighted_sum_is_length():
     for k, n in [(2, 4), (3, 3), (5, 2)]:
         seg = mirrored_segment(k, n)

@@ -1,5 +1,7 @@
 """The concrete codec: table construction, round trips, coding accounting."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from pdtcomp.codec import (
     compress,
     compress_run,
     decompress,
+    mirror_half,
     odd_marker,
     pair_marker,
     pop_run_decomposition,
@@ -107,6 +110,17 @@ def test_alphabet_errors():
         compress([-1], 2)
     with pytest.raises(AlphabetError):
         decompress([stack_bottom(2)], 2)
+
+
+def test_byte_input_range_check_names_the_first_bad_symbol():
+    for word in (bytes([0, 1, 7, 2, 9]), bytearray([0, 1, 7, 2, 9])):
+        with pytest.raises(AlphabetError, match="input symbol 7 outside"):
+            Compressor(3).consume(word)
+        with pytest.raises(AlphabetError, match="input symbol 7 outside"):
+            compress(word, 3)
+    with pytest.raises(AlphabetError, match="coded symbol 200 outside"):
+        decompress(bytes([0, 200, 255]), 3)
+    assert compress(bytes([255, 255]), 256) == [255, odd_marker(256)]
 
 
 def test_k_range():
@@ -264,3 +278,96 @@ def test_flushed_savings_identity(k, data):
     session.feed(w)
     session.flush()
     assert session.symbols_read - session.symbols_written == session.savings
+
+
+SESSION_ATTRS = ("symbols_read", "symbols_written", "savings", "clustered_pops", "state", "stack")
+
+
+def snapshot(session):
+    return tuple(getattr(session, attr) for attr in SESSION_ATTRS)
+
+
+def test_mirror_half():
+    assert mirror_half([0, 1, 1, 0]) == 2
+    assert mirror_half(bytes([2, 2])) == 1
+    assert mirror_half(array("H", [300, 5, 5, 300])) == 2
+    assert mirror_half([]) == 0
+    assert mirror_half([0, 1, 0]) == 0  # odd palindrome
+    assert mirror_half([0, 1, 1, 1]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.sampled_from([list, bytes, bytearray]), st.data())
+def test_consume_folds_mirrored_input_like_feed(k, kind, data):
+    # the prefix sets the entry state: stack, pending odd marker, open pop run
+    prefix = data.draw(words(k, 40))
+    w = data.draw(words(k, 80))
+    suffix = data.draw(words(k, 20))
+    fed = Compressor(k)
+    counted = Compressor(k)
+    for part in (prefix, w + w[::-1], suffix):
+        fed.feed(part)
+        counted.consume(kind(part))
+        assert snapshot(counted) == snapshot(fed)
+    fed.flush()
+    counted.flush()
+    assert snapshot(counted) == snapshot(fed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_consume_folds_wide_alphabet_arrays(data):
+    k = 300
+    symbols = st.lists(st.sampled_from([0, 1, 2, 298, 299]), max_size=60)
+    prefix, w = data.draw(symbols), data.draw(symbols)
+    fed = Compressor(k)
+    counted = Compressor(k)
+    for part in (prefix, w + w[::-1]):
+        fed.feed(part)
+        counted.consume(array("H", part))
+        assert snapshot(counted) == snapshot(fed)
+
+
+def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
+    calls = []
+    fold = Compressor._consume_mirrored
+    monkeypatch.setattr(
+        Compressor, "_consume_mirrored", lambda self, *a: calls.append(a) or fold(self, *a)
+    )
+    session = Compressor(3)
+    session.consume([0, 1, 2, 2, 1, 0])
+    session.consume([0, 1, 2, 2, 1, 1])
+    session.consume([0, 1, 0])
+    assert [half for _, half in calls] == [3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_consume_near_palindrome_matches_feed(k, data):
+    prefix = data.draw(words(k, 20))
+    w = data.draw(words(k, 60).filter(bool))
+    x = w + w[::-1]
+    i = data.draw(st.integers(len(w), len(x) - 1))
+    x[i] = (x[i] + data.draw(st.integers(1, k - 1))) % k  # one symbol flipped in the second half
+    assert mirror_half(x) == 0
+    fed = Compressor(k)
+    counted = Compressor(k)
+    for part in (prefix, x):
+        fed.feed(part)
+        counted.consume(part)
+    assert snapshot(counted) == snapshot(fed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.sampled_from([list, bytes]), st.data())
+def test_consume_rejects_out_of_range_symbol_inside_a_palindrome(k, kind, data):
+    prefix = data.draw(words(k, 20))
+    w = data.draw(words(k, 40))
+    bad = data.draw(st.integers(k, 255))
+    x = w + [bad, bad] + w[::-1]
+    session = Compressor(k)
+    session.consume(prefix)
+    before = snapshot(session)
+    with pytest.raises(AlphabetError, match=f"input symbol {bad} outside"):
+        session.consume(kind(x))
+    assert snapshot(session) == before

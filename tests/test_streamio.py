@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcomp.seqgen import mirrored_segment
 from pdtcomp.streamio import (
     HEADER,
     MAGIC,
@@ -11,6 +12,7 @@ from pdtcomp.streamio import (
     ROLE_PLAIN,
     BadMagicError,
     BadVersionError,
+    VERSION,
     CodeOutOfRangeError,
     StreamFormatError,
     TruncatedStreamError,
@@ -173,3 +175,34 @@ def test_maximal_codes_roundtrip():
     symbols = [0, k - 1, k, k + 1]  # top plain symbol and both markers
     encoded = encode_stream(symbols, ROLE_CODED, k, "binary")
     assert decode_stream(encoded).symbols == symbols
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_encode_reads_bytes_as_symbols(fmt):
+    for symbols in ([3, 0, 1, 0], [1, 2, 3]):
+        for buffer in (bytes(symbols), bytearray(symbols)):
+            assert decode_stream(encode_stream(buffer, ROLE_PLAIN, 5, fmt)).symbols == symbols
+    assert encode_stream(bytes([3, 0, 1, 0]), ROLE_PLAIN, 5, fmt) == encode_stream(
+        [3, 0, 1, 0], ROLE_PLAIN, 5, fmt
+    )
+    with pytest.raises(CodeOutOfRangeError, match="code 5 outside"):
+        encode_stream(bytes([0, 5, 9]), ROLE_PLAIN, 5, fmt)
+
+
+def test_encode_takes_a_generated_segment_directly():
+    segment = mirrored_segment(5, 4)
+    assert isinstance(segment, bytes)
+    encoded = encode_stream(segment, ROLE_PLAIN, 5, "binary")
+    assert decode_stream(encoded) == (list(segment), ROLE_PLAIN, 5)
+
+
+@pytest.mark.parametrize("k", [0, 1, 65535])
+def test_binary_header_alphabet_size_out_of_range(k):
+    with pytest.raises(StreamFormatError, match="alphabet size"):
+        decode_stream(HEADER.pack(MAGIC, VERSION, ROLE_PLAIN, k, 0))
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 65535])
+def test_text_header_alphabet_size_out_of_range(k):
+    with pytest.raises(StreamFormatError, match="alphabet size"):
+        decode_stream(f"k={k} role=0\n\n".encode("ascii"))
