@@ -49,13 +49,7 @@ from .engine import (
     validate,
 )
 from .rewrite import equivalent, normal_form, reduce_once
-from .seqgen import (
-    SequenceSpec,
-    cyclic_occurrences,
-    lex_concat,
-    mirrored_segment,
-    sequence_prefix,
-)
+from .seqgen import cyclic_occurrences, lex_concat, mirrored_segment
 from .streamio import decode_stream, encode_stream
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half
 from .engine import POP, PUSH, RunTrace
-from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments
+from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments, window_counts
 
 
 class UnbalancedSegmentError(ValueError):
@@ -353,15 +353,7 @@ def normality_deviation(prefix: Sequence[int], k: int, max_len: int) -> Normalit
     counts: dict[int, list[int]] = {}
     deviations: dict[int, float] = {}
     for length in range(1, max_len + 1):
-        row = [0] * k**length
-        modulus = k ** (length - 1)
-        value = 0
-        seen = 0
-        for a in prefix:
-            value = (value % modulus) * k + a
-            seen += 1
-            if seen >= length:
-                row[value] += 1
+        row = window_counts(prefix, k, length)
         windows = len(prefix) - length + 1
         target = k**-length
         counts[length] = row

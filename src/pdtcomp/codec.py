@@ -26,7 +26,9 @@ every pop a push, and the runs on either side of the seam never merge.
 :meth:`Compressor.consume` therefore reads only ``w`` of such an input and
 derives every counter of the second half from the census of ``w``'s push
 and pop runs; :func:`pdtcomp.analysis.block_stats` folds its symbol-run
-census the same way.
+census the same way.  Other input takes the same census over the whole
+word, and only its pop runs are accounted, so the compressor has two
+per-symbol loops: the census, and ``feed``, the only one that emits output.
 """
 
 from functools import lru_cache
@@ -50,7 +52,7 @@ class AlphabetError(CodecError):
 
 
 class MalformedStreamError(CodecError):
-    """A coded stream asks for more matched symbols than are pending."""
+    """A coded stream that :func:`compress` cannot have produced."""
 
 
 def check_alphabet_size(k: int) -> int:
@@ -246,122 +248,93 @@ class Compressor:
     def consume(self, word) -> None:
         """Like ``feed`` but only the counters are updated.
 
-        An even palindrome ``w + w[::-1]`` is folded: only ``w`` is read,
-        and the second half's counters follow from the run census of ``w``
-        (see :meth:`_consume_mirrored`).  Every other input takes the
-        per-symbol loop.  Both routes leave the same counters, state and
-        stack.
+        One run census (:meth:`_census`), accounted two ways.  An even
+        palindrome ``w + w[::-1]`` is folded: only ``w`` is walked, and each
+        run of ``w``, push or pop, counts as one pop run of the whole input,
+        except a leading push run of ``w``, which comes back last and stays
+        open.  Any other input is walked whole; its pop runs count as they
+        are, and its pushes follow from the change in stack depth.  A closed
+        run of ``m`` pops codes to ``m // 2`` pair markers plus an odd marker
+        when ``m`` is odd; ``R // 2`` pairs of the run ``R`` open on entry
+        were counted before it.  Both routes leave the same counters, state
+        and stack as ``feed``.
         """
         word = self._start_feed(word)
+        stack = self._stack
+        entry_run = self._open_run
+        length = len(word)
         half = mirror_half(word)
         if half:
-            self._consume_mirrored(word, half)
-            return
-        stack = self._stack
-        push = stack.append
-        pop = stack.pop
-        pending = self._pending
-        written = 0
-        pairs = 0
-        clustered = self._clustered
-        run = self._open_run
-        for a in word:
-            if stack[-1] == a:
-                pop()
-                run += 1
-                if pending:
-                    pairs += 1
-                    pending = False
-                else:
-                    pending = True
+            entry = stack.copy()
+            starts_popping = stack[-1] == word[0]
+            pop_singles, pop_odd, push_singles, push_odd, last, _ = self._census(word, half)
+            stack.clear()
+            stack.extend(entry)
+            singles = pop_singles + push_singles + (last == 1)
+            odd = pop_singles + pop_odd + push_singles + push_odd + (last & 1)
+            total = entry_run + half
+            pushes = half
+            if starts_popping:
+                open_run = 0
             else:
-                push(a)
-                if run >= 2:
-                    clustered += run
-                run = 0
-                written += 2 if pending else 1
-                pending = False
-        self._pending = pending
-        self._pairs += pairs
-        self._clustered = clustered
-        self._open_run = run
-        self._read += len(word)
-        self._written += written + pairs
-
-    def _consume_mirrored(self, word, half: int) -> None:
-        """Consume ``w + w[::-1]`` (``w = word[:half]``) by reading ``w`` once.
-
-        The second half pops what ``w`` pushed and pushes what it popped,
-        in reverse order, so every run of ``w`` (push or pop) is read back
-        as exactly one pop run of the whole input.  The pop run open on
-        entry, of length ``R``, merges with the first run of ``w`` when that
-        run pops and otherwise closes before it; the census seeds its
-        current run with ``R`` to cover both.  Over the resulting run
-        lengths (summing to ``R + half``) a closed pop run of length ``m``
-        codes to ``m // 2`` pair markers, one odd marker when ``m`` is odd,
-        and adds ``m`` clustered pops when ``m >= 2``.  The exceptions are
-        the ``R // 2`` pairs already counted before entry and, when ``w``
-        starts with a push run of length ``r``, that run: it comes back as
-        the last pop run of the input and stays open.  Pushes number
-        ``half``, as many as pops, since the stack ends where it started.
-        """
-        stack = self._stack
-        entry = stack.copy()
-        starts_popping = stack[-1] == word[0]
-        open_run = self._open_run
-        push = stack.append
-        pop = stack.pop
-        run = open_run
-        popping = run > 0
-        singles = 0
-        odd_long = 0
-        for a in islice(word, half):
-            if stack[-1] == a:
-                pop()
-                if popping:
-                    run += 1
-                else:
-                    if run == 1:
-                        singles += 1
-                    elif run & 1:
-                        odd_long += 1
-                    run = 1
-                    popping = True
-            else:
-                push(a)
-                if popping:
-                    if run == 1:
-                        singles += 1
-                    elif run & 1:
-                        odd_long += 1
-                    run = 1
-                    popping = False
-                else:
-                    run += 1
-        if run == 1:
-            singles += 1
-        elif run & 1:
-            odd_long += 1
-        stack.clear()
-        stack.extend(entry)
-        total = open_run + half
-        odd = singles + odd_long
-        pairs = (total - odd) // 2 - open_run // 2
-        clustered = total - singles
-        if starts_popping:
-            open_run = 0
+                # first i >= 1 with word[i] == word[i-1]: where the leading push run ends
+                open_run = next(select(count(1), map(eq, islice(word, 1, half), word)), half)
+                odd -= open_run & 1
+                singles -= open_run == 1
         else:
-            # first i >= 1 with word[i] == word[i-1]: where the leading push run ends
-            open_run = next(select(count(1), map(eq, islice(word, 1, half), word)), half)
-            odd -= open_run & 1
-            if open_run >= 2:
-                clustered -= open_run
+            depth = len(stack)
+            singles, pop_odd, _, _, last, popping = self._census(word, length)
+            odd = singles + pop_odd
+            pushes = (length + len(stack) - depth) // 2
+            total = entry_run + length - pushes
+            open_run = last if popping else 0
+        closed = total - open_run
+        pairs = (closed - odd) // 2 + open_run // 2 - entry_run // 2
         self._pending = bool(open_run & 1)
         self._open_run = open_run
         self._pairs += pairs
-        self._clustered += clustered
-        self._read += 2 * half
-        self._written += half + pairs + odd
+        self._clustered += closed - singles
+        self._read += length
+        self._written += pushes + pairs + odd
+
+    def _census(self, word, end: int) -> tuple[int, int, int, int, int, bool]:
+        """Walk ``word[:end]`` on the stack and tally its maximal runs.
+
+        The walk starts inside the pop run open on entry, so a first pop
+        extends it.  Returns ``(pop_singles, pop_odd, push_singles,
+        push_odd, last, popping)``: the closed pop runs and closed push runs
+        of length 1 and of odd length >= 3, then the length of the last run
+        and whether it pops.
+        """
+        stack = self._stack
+        push = stack.append
+        pop = stack.pop
+        run = self._open_run
+        popping = run > 0
+        pop_singles = pop_odd = push_singles = push_odd = 0
+        for a in islice(word, end):
+            if stack[-1] == a:
+                pop()
+                if popping:
+                    run += 1
+                    continue
+                if run == 1:
+                    push_singles += 1
+                elif run & 1:
+                    push_odd += 1
+                popping = True
+            else:
+                push(a)
+                if not popping:
+                    run += 1
+                    continue
+                if run == 1:
+                    pop_singles += 1
+                elif run & 1:
+                    pop_odd += 1
+                popping = False
+            run = 1
+        return pop_singles, pop_odd, push_singles, push_odd, run, popping
 
     def flush(self) -> list[int]:
         """End the session; emit the pending odd marker if there is one."""
@@ -412,13 +385,19 @@ class Compressor:
 
 
 class Decompressor:
-    """Single-owner streaming decompressor session."""
+    """Single-owner streaming decompressor session.
+
+    Accepts exactly the streams :class:`Compressor` emits: a plain symbol
+    equal to the stack top would have popped it, and an odd marker closes
+    its pop run, so a plain symbol or the end of the stream follows it.
+    """
 
     def __init__(self, k: int):
         self.k = check_alphabet_size(k)
         self._stack: list[int] = [stack_bottom(k)]
         self._read = 0
         self._written = 0
+        self._odd_at = -1  # position of the last odd marker read
 
     def feed(self, word) -> list[int]:
         word = _prepared(word, self.k + 2, "coded")
@@ -429,16 +408,26 @@ class Decompressor:
         pop = stack.pop
         k = self.k
         position = self._read
+        odd_at = self._odd_at
         for b in word:
             position += 1
             if b < k:
+                if stack[-1] == b:
+                    raise MalformedStreamError(
+                        f"plain symbol {b} at position {position} equals the stack top"
+                    )
                 push(b)
                 emit(b)
+            elif odd_at == position - 1:
+                raise MalformedStreamError(
+                    f"marker at position {position} directly after an odd marker"
+                )
             elif b == k:
                 if len(stack) < 2:
                     raise MalformedStreamError(
                         f"odd marker at position {position} with no matched symbol pending"
                     )
+                odd_at = position
                 emit(pop())
             else:
                 if len(stack) < 3:
@@ -448,6 +437,7 @@ class Decompressor:
                 emit(pop())
                 emit(pop())
         self._read = position
+        self._odd_at = odd_at
         self._written += len(out)
         return out
 
@@ -479,10 +469,13 @@ def compress(word, k: int, *, flush: bool = True) -> list[int]:
 
 
 def decompress(word, k: int) -> list[int]:
-    """Invert :func:`compress`.  Total on well-formed coded streams.
+    """Invert :func:`compress`.  Accepts exactly the flushed ``compress`` image.
 
+    So ``compress(decompress(c), k) == c`` for every ``c`` it returns on.
     Raises ``MalformedStreamError`` when a marker requests a pop that has
-    no pending pushed symbol, and ``AlphabetError`` on codes >= k + 2.
+    no pending pushed symbol, when a plain symbol equals the stack top, or
+    when a marker directly follows an odd marker; ``AlphabetError`` on
+    codes >= k + 2.
     """
     return Decompressor(k).feed(word)
 

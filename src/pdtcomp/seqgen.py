@@ -10,12 +10,13 @@ the words or, with no seed, lexicographic order.
 
 Words are represented as sequences of small non-negative integers; the
 materialized forms are ``bytes`` for alphabets of up to 256 symbols and
-``array('H')`` beyond.  Streaming forms keep O(n) state per segment.
+``array('H')`` beyond; :func:`iter_mirrored_segments` holds one segment at
+a time.
 """
 
 import random
 from array import array
-from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .codec import check_alphabet_size
@@ -30,35 +31,6 @@ VARIANTS = (PAIRED_LEX, PAIRED_ENUM)
 
 class HorizonError(ValueError):
     """A requested segment exceeds the configured size budget."""
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Reproducible description of a generated sequence prefix.
-
-    Exactly one of ``n_max`` (whole segments through index n_max) or
-    ``target_length`` (truncate after that many symbols) fixes the horizon.
-    ``seed`` selects the word order of the paired-enum variant; ``None``
-    keeps lexicographic order.
-    """
-
-    k: int
-    variant: str = PAIRED_LEX
-    n_max: int | None = None
-    target_length: int | None = None
-    seed: int | None = None
-    block_cap: int = DEFAULT_BLOCK_CAP
-
-    def __post_init__(self):
-        check_alphabet_size(self.k)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if (self.n_max is None) == (self.target_length is None):
-            raise ValueError("exactly one of n_max and target_length must be set")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.target_length is not None and self.target_length < 0:
-            raise ValueError("target_length must be non-negative")
 
 
 def _check_block(k: int, n: int, cap: int) -> int:
@@ -162,75 +134,6 @@ def iter_mirrored_segments(
             yield n, _enum_segment(k, n, seed, block_cap)
 
 
-def _stream_lex_symbols(k: int, n: int) -> Iterator[int]:
-    digits = [0] * n
-    last = n - 1
-    for _ in range(k**n):
-        yield from digits
-        i = last
-        while i >= 0:
-            d = digits[i] + 1
-            if d == k:
-                digits[i] = 0
-                i -= 1
-            else:
-                digits[i] = d
-                break
-
-
-def _stream_lex_symbols_reversed(k: int, n: int) -> Iterator[int]:
-    digits = [k - 1] * n
-    last = n - 1
-    for _ in range(k**n):
-        yield from reversed(digits)
-        i = last
-        while i >= 0:
-            d = digits[i] - 1
-            if d < 0:
-                digits[i] = k - 1
-                i -= 1
-            else:
-                digits[i] = d
-                break
-
-
-def _stream_segment(spec: SequenceSpec, n: int) -> Iterator[int]:
-    if spec.variant == PAIRED_LEX:
-        yield from _stream_lex_symbols(spec.k, n)
-        yield from _stream_lex_symbols_reversed(spec.k, n)
-    else:
-        word = [0] * n
-        for index in _enum_order(spec.k, n, spec.seed):
-            for j in range(n - 1, -1, -1):
-                index, word[j] = divmod(index, spec.k)
-            yield from word
-            yield from reversed(word)
-
-
-def sequence_prefix(spec: SequenceSpec) -> Iterator[int]:
-    """Lazily yield the sequence prefix described by ``spec``.
-
-    Segments are streamed symbol by symbol with O(n) working state (the
-    paired-enum variant with a seed additionally holds its k**n-entry word
-    order).  Stops after segment ``n_max`` or after ``target_length``
-    symbols, whichever the spec fixes.
-    """
-    produced = 0
-    n = 0
-    while True:
-        n += 1
-        if spec.n_max is not None and n > spec.n_max:
-            return
-        _check_block(spec.k, n, spec.block_cap)
-        for a in _stream_segment(spec, n):
-            if spec.target_length is not None and produced >= spec.target_length:
-                return
-            yield a
-            produced += 1
-        if spec.target_length is not None and produced >= spec.target_length:
-            return
-
-
 def cyclic_occurrences(word: Sequence[int], pattern: Sequence[int]) -> int:
     """Occurrences of ``pattern`` in ``word`` read cyclically.
 
@@ -261,24 +164,35 @@ def cyclic_occurrences(word: Sequence[int], pattern: Sequence[int]) -> int:
     return sum(1 for i in range(len(word)) if list(extended[i : i + m]) == pattern)
 
 
+def window_counts(word: Sequence[int], k: int, n: int) -> list[int]:
+    """Overlapping occurrence counts of every length-n word over ``{0..k-1}``.
+
+    Entry ``i`` counts the word whose big-endian base-k digits encode
+    ``i``.  Windows do not wrap around the end of ``word``.  One rolling
+    pass, after a bulk range check of the symbols.
+    """
+    if n < 1:
+        raise ValueError(f"window length must be at least 1, got {n}")
+    if word and (min(word) < 0 or max(word) >= k):
+        bad = next(a for a in word if not 0 <= a < k)
+        raise ValueError(f"symbol {bad} outside [0, {k})")
+    counts = [0] * k**n
+    modulus = k ** (n - 1)
+    value = 0
+    for a in islice(word, n - 1):
+        value = value * k + a
+    for a in islice(word, n - 1, None):
+        value = (value % modulus) * k + a
+        counts[value] += 1
+    return counts
+
+
 def cyclic_pattern_counts(word: Sequence[int], k: int, n: int) -> list[int]:
     """Cyclic occurrence counts of every length-n word over ``{0..k-1}``.
 
     Entry ``i`` counts the word whose big-endian base-k digits encode
-    ``i``.  One rolling pass over ``word`` extended by its first ``n - 1``
-    symbols.
+    ``i``: the windows of ``word`` extended by its first ``n - 1`` symbols.
     """
     if len(word) < n:
         raise ValueError("word shorter than the pattern length")
-    counts = [0] * k**n
-    modulus = k ** (n - 1)
-    value = 0
-    length = 0
-    for a in word + word[: n - 1]:
-        if not 0 <= a < k:
-            raise ValueError(f"symbol {a} outside [0, {k})")
-        value = (value % modulus) * k + a
-        length += 1
-        if length >= n:
-            counts[value] += 1
-    return counts
+    return window_counts(word + word[: n - 1], k, n)

@@ -106,10 +106,12 @@ def test_missing_input_file(tmp_path, capsys):
 
 def test_malformed_stream_is_a_data_error(tmp_path, capsys):
     coded = tmp_path / "coded.pdt"
-    write_stream(coded, [3], streamio.ROLE_CODED, 2)
     out = tmp_path / "out.pdt"
-    assert dispatch("decompress", "--in", str(coded), "--out", str(out)) == 2
-    assert "pair marker" in capsys.readouterr().err
+    # [0, 0] at k=3 decodes to a word that compresses to [0, 3]
+    for symbols, k, message in (([3], 2, "pair marker"), ([0, 0], 3, "stack top")):
+        write_stream(coded, symbols, streamio.ROLE_CODED, k)
+        assert dispatch("decompress", "--in", str(coded), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

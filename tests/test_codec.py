@@ -99,6 +99,11 @@ def test_decompress_examples():
         decompress([odd_marker(2)], 2)
     with pytest.raises(MalformedStreamError):
         decompress([0, pair_marker(2)], 2)
+    # not in the image of compress: [0, 0] and [0, 1, 1, 0] code to [0, 3] and [0, 1, 4]
+    with pytest.raises(MalformedStreamError, match="equals the stack top"):
+        decompress([0, 0], 3)
+    with pytest.raises(MalformedStreamError, match="directly after an odd marker"):
+        decompress([0, 1, odd_marker(3), odd_marker(3)], 3)
 
 
 def test_alphabet_errors():
@@ -160,6 +165,31 @@ def test_fast_path_matches_engine(k, data):
     raw = run(build_compressor(k), w)
     assert compress(w, k, flush=False) == list(raw.output)
     assert Compressor(k).feed(w) == list(raw.output)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_decompress_accepts_only_the_compress_image(k, data):
+    # compress images, some with random edits that leave the image
+    c = compress(data.draw(words(k, 30)), k)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(c)))
+        c[i:i] = [data.draw(st.integers(0, k + 1))]
+        del c[data.draw(st.integers(0, len(c) - 1))]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(c)), max_size=3)))
+    session = Decompressor(k)
+    try:
+        w = decompress(c, k)
+    except MalformedStreamError:
+        with pytest.raises(MalformedStreamError):
+            for start, end in zip([0] + cuts, cuts + [len(c)]):
+                session.feed(c[start:end])
+        return
+    assert compress(w, k) == c
+    chunked = []
+    for start, end in zip([0] + cuts, cuts + [len(c)]):
+        chunked += session.feed(c[start:end])
+    assert chunked == w
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,10 +332,11 @@ def test_consume_folds_mirrored_input_like_feed(k, kind, data):
     # the prefix sets the entry state: stack, pending odd marker, open pop run
     prefix = data.draw(words(k, 40))
     w = data.draw(words(k, 80))
+    other = data.draw(words(k, 40))  # mostly not a palindrome, sometimes empty
     suffix = data.draw(words(k, 20))
     fed = Compressor(k)
     counted = Compressor(k)
-    for part in (prefix, w + w[::-1], suffix):
+    for part in (prefix, w + w[::-1], [], other, w + w[::-1], suffix):
         fed.feed(part)
         counted.consume(kind(part))
         assert snapshot(counted) == snapshot(fed)
@@ -330,15 +361,15 @@ def test_consume_folds_wide_alphabet_arrays(data):
 
 def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
     calls = []
-    fold = Compressor._consume_mirrored
+    census = Compressor._census
     monkeypatch.setattr(
-        Compressor, "_consume_mirrored", lambda self, *a: calls.append(a) or fold(self, *a)
+        Compressor, "_census", lambda self, *a: calls.append(a) or census(self, *a)
     )
     session = Compressor(3)
     session.consume([0, 1, 2, 2, 1, 0])
     session.consume([0, 1, 2, 2, 1, 1])
     session.consume([0, 1, 0])
-    assert [half for _, half in calls] == [3]
+    assert [end for _, end in calls] == [3, 6, 3]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,6 @@
-"""Sequence generation: enumeration segments, streaming, cyclic counts."""
+"""Sequence generation: enumeration segments, cyclic counts."""
 
-from itertools import islice, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +11,11 @@ from pdtcomp.seqgen import (
     PAIRED_ENUM,
     PAIRED_LEX,
     HorizonError,
-    SequenceSpec,
     cyclic_occurrences,
     cyclic_pattern_counts,
     iter_mirrored_segments,
     lex_concat,
     mirrored_segment,
-    sequence_prefix,
     word_at,
 )
 
@@ -87,55 +85,19 @@ def test_large_alphabet_uses_wide_buffer():
     assert len(seg) == 600 and normal_form(seg) == []
 
 
-def test_sequence_prefix_paired_lex_start():
-    spec = SequenceSpec(k=2, n_max=3)
-    first4 = list(islice(sequence_prefix(spec), 4))
-    assert first4 == [0, 1, 1, 0]
-
-
-def test_sequence_prefix_matches_segments():
-    for variant, seed in [(PAIRED_LEX, None), (PAIRED_ENUM, None), (PAIRED_ENUM, 11)]:
-        spec = SequenceSpec(k=3, variant=variant, n_max=4, seed=seed)
-        streamed = list(sequence_prefix(spec))
-        chunked = []
-        for _, seg in iter_mirrored_segments(3, 4, variant=variant, seed=seed):
-            chunked.extend(seg)
-        assert streamed == chunked
-
-
-def test_sequence_prefix_total_length():
-    k, n_max = 3, 5
-    spec = SequenceSpec(k=k, n_max=n_max)
-    expected = sum(2 * n * k**n for n in range(1, n_max + 1))
-    assert sum(1 for _ in sequence_prefix(spec)) == expected
-
-
-def test_sequence_prefix_enum_identity_order():
-    spec = SequenceSpec(k=2, variant=PAIRED_ENUM, n_max=1)
-    assert list(sequence_prefix(spec)) == [0, 0, 1, 1]
-
-
-def test_sequence_prefix_is_reproducible():
-    spec = SequenceSpec(k=4, variant=PAIRED_ENUM, n_max=3, seed=99)
-    assert list(sequence_prefix(spec)) == list(sequence_prefix(spec))
-
-
-def test_sequence_prefix_target_length():
-    spec = SequenceSpec(k=2, target_length=11)
-    assert len(list(sequence_prefix(spec))) == 11
-    spec = SequenceSpec(k=2, target_length=0)
-    assert list(sequence_prefix(spec)) == []
-
-
-def test_sequence_spec_validation():
+@pytest.mark.parametrize(
+    "variant,seed,first",
+    [(PAIRED_LEX, None, [0, 1, 1, 0]), (PAIRED_ENUM, None, [0, 0, 1, 1]), (PAIRED_ENUM, 99, None)],
+)
+def test_iter_mirrored_segments(variant, seed, first):
+    k, n_max = 3, 4
+    segments = list(iter_mirrored_segments(k, n_max, variant=variant, seed=seed))
+    assert [(n, len(seg)) for n, seg in segments] == [(n, 2 * n * k**n) for n in range(1, n_max + 1)]
+    assert segments == list(iter_mirrored_segments(k, n_max, variant=variant, seed=seed))
+    if first is not None:  # k=2, n=1: the unseeded orders are lexicographic
+        assert list(next(iter_mirrored_segments(2, 1, variant=variant, seed=seed))[1]) == first
     with pytest.raises(ValueError):
-        SequenceSpec(k=2)
-    with pytest.raises(ValueError):
-        SequenceSpec(k=2, n_max=3, target_length=5)
-    with pytest.raises(ValueError):
-        SequenceSpec(k=2, n_max=0)
-    with pytest.raises(ValueError):
-        SequenceSpec(k=2, n_max=3, variant="zigzag")
+        next(iter_mirrored_segments(k, n_max, variant="zigzag", seed=seed))
 
 
 def test_enum_variant_differs_from_lex_but_same_material():
@@ -159,6 +121,10 @@ def test_cyclic_occurrences_argument_checks():
         cyclic_occurrences([0, 1], [])
     with pytest.raises(ValueError):
         cyclic_occurrences([0], [0, 1])
+    with pytest.raises(ValueError, match="symbol 3 outside"):
+        cyclic_pattern_counts([0, 1, 3, 2], 3, 2)
+    with pytest.raises(ValueError, match="symbol -1 outside"):
+        cyclic_pattern_counts([0, -1, 1], 2, 1)
 
 
 @settings(max_examples=120, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcomp.codec import CodecError, decompress
 from pdtcomp.seqgen import mirrored_segment
 from pdtcomp.streamio import (
     HEADER,
@@ -206,3 +207,24 @@ def test_binary_header_alphabet_size_out_of_range(k):
 def test_text_header_alphabet_size_out_of_range(k):
     with pytest.raises(StreamFormatError, match="alphabet size"):
         decode_stream(f"k={k} role=0\n\n".encode("ascii"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decoders_raise_only_format_and_codec_errors(data):
+    k = data.draw(st.integers(2, 6))
+    role = data.draw(st.sampled_from([ROLE_PLAIN, ROLE_CODED]))
+    fmt = data.draw(st.sampled_from(["binary", "text"]))
+    body = data.draw(st.lists(st.integers(0, code_limit(role, k) - 1), max_size=20))
+    raw = bytearray(encode_stream(body, role, k, fmt))
+    for _ in range(data.draw(st.integers(0, 3))):  # overwrite, insert or drop bytes
+        i = data.draw(st.integers(0, len(raw)))
+        raw[i : i + data.draw(st.integers(0, 1))] = data.draw(st.binary(max_size=2))
+    try:
+        decoded = decode_stream(bytes(raw))
+    except StreamFormatError:
+        return
+    try:
+        decompress(decoded.symbols, decoded.k)
+    except CodecError:
+        pass
