@@ -226,6 +226,16 @@ def _rho(k: int, read: int, written: int) -> float:
     return written * math.log(k + 2) / (read * math.log(k))
 
 
+def _consumed_segments(k: int, n_max: int, variant: str, seed: int | None, block_cap: int):
+    """Yield ``(n, segment, session)`` once one unflushed session has consumed each segment."""
+    session = Compressor(k)
+    for n, segment in iter_mirrored_segments(
+        k, n_max, variant=variant, seed=seed, block_cap=block_cap
+    ):
+        session.consume(segment)
+        yield n, segment, session
+
+
 def segment_reports(
     k: int,
     n_max: int,
@@ -242,14 +252,10 @@ def segment_reports(
     marker costs one symbol wherever it is eventually emitted; they are
     read off the pair-marker counter, whose runs never span a boundary.
     """
-    session = Compressor(k)
     reports: list[SegmentReport] = []
     prev_savings = 0
     prev_clustered = 0
-    for n, segment in iter_mirrored_segments(
-        k, n_max, variant=variant, seed=seed, block_cap=block_cap
-    ):
-        session.consume(segment)
+    for n, segment, session in _consumed_segments(k, n_max, variant, seed, block_cap):
         stats = block_stats(segment)
         expected = None
         if variant == PAIRED_LEX and n >= 3:
@@ -285,21 +291,10 @@ def ratio_series(
     Counter-only variant of :func:`segment_reports`: same session, same
     checkpoints, none of the per-segment census work.
     """
-    session = Compressor(k)
-    points: list[RatioPoint] = []
-    for n, segment in iter_mirrored_segments(
-        k, n_max, variant=variant, seed=seed, block_cap=block_cap
-    ):
-        session.consume(segment)
-        points.append(
-            RatioPoint(
-                n,
-                session.symbols_read,
-                session.symbols_written,
-                _rho(k, session.symbols_read, session.symbols_written),
-            )
-        )
-    return points
+    return [
+        RatioPoint(n, s.symbols_read, s.symbols_written, _rho(k, s.symbols_read, s.symbols_written))
+        for n, _, s in _consumed_segments(k, n_max, variant, seed, block_cap)
+    ]
 
 
 def min_checkpoint_rho(points: Iterable[RatioPoint], *, burn_in: int = 3) -> float:

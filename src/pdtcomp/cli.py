@@ -14,9 +14,8 @@ import io
 import random
 import sys
 from array import array
-from itertools import product
 
-from . import analysis, codec, rewrite, seqgen, streamio
+from . import analysis, codec, properties, seqgen, streamio
 
 CSV_COLUMNS = [
     "k",
@@ -229,85 +228,22 @@ def _cmd_verify(args) -> int:
 def _verification_results(k_range, n_max: int, words: int, seed: int):
     """Yield (property, scope, passed, detail) rows for the verify command."""
     for k in k_range:
+        scope = f"k={k}"
         rng = random.Random(seed * 1_000_003 + k)
-        yield _check_roundtrip(k, words, rng)
-        yield _check_stack_contents(k, words, rng)
+        bad = properties.roundtrip_failures(k, properties.random_words(k, words, rng, 2000))
+        yield "round-trip", scope, bad == 0, f"{words} random words, {bad} failed"
+        bad = properties.stack_failures(k, properties.random_words(k, words, rng, 2000))
+        yield "stack-content", scope, bad == 0, f"{words} random words, {bad} failed"
         ns = [n for n in range(3, n_max + 1) if n * k**n <= seqgen.DEFAULT_BLOCK_CAP]
         if ns:
-            yield _check_segment_census(k, ns)
-            yield _check_savings_bounds(k, ns)
-        yield _check_cyclic(k)
-    yield _check_confluence()
-
-
-def _random_word(k: int, rng: random.Random, max_len: int = 2000) -> list[int]:
-    return [rng.randrange(k) for _ in range(rng.randrange(max_len + 1))]
-
-
-def _check_roundtrip(k, words, rng):
-    bad = 0
-    for _ in range(words):
-        w = _random_word(k, rng)
-        if codec.decompress(codec.compress(w, k), k) != w:
-            bad += 1
-    return ("round-trip", f"k={k}", bad == 0, f"{words} random words, {bad} failed")
-
-
-def _check_stack_contents(k, words, rng):
-    bottom = codec.stack_bottom(k)
-    bad = 0
-    for _ in range(words):
-        w = _random_word(k, rng)
-        session = codec.Compressor(k)
-        session.feed(w)
-        if list(session.stack) != [bottom] + rewrite.normal_form(w):
-            bad += 1
-    return ("stack-content", f"k={k}", bad == 0, f"{words} random words, {bad} failed")
-
-
-def _check_segment_census(k, ns):
-    bad = []
-    for n in ns:
-        seg = seqgen.mirrored_segment(k, n)
-        if analysis.block_stats(seg).singletons != analysis.expected_singletons(k, n):
-            bad.append(n)
-    return ("segment-census", f"k={k}", not bad, f"n={ns[0]}..{ns[-1]}, exact")
-
-
-def _check_savings_bounds(k, ns):
-    bad = []
-    for n in ns:
-        seg = seqgen.mirrored_segment(k, n)
-        _, _, trace = codec.compress_run(seg, k)
-        savings, clustered = analysis.pop_run_account(trace)
-        singles = analysis.block_stats(seg).singletons
-        if not (3 * savings >= clustered and 2 * clustered >= singles and 6 * savings >= singles):
-            bad.append(n)
-    return ("savings-bounds", f"k={k}", not bad, f"n={ns[0]}..{ns[-1]}")
-
-
-def _check_cyclic(k, cap: int = 100_000):
-    ns = [n for n in range(1, 33) if n * k**n <= cap]
-    bad = []
-    for n in ns:
-        counts = seqgen.cyclic_pattern_counts(seqgen.lex_concat(k, n), k, n)
-        if any(c != n for c in counts):
-            bad.append(n)
-    return ("cyclic-occurrences", f"k={k}", not bad, f"n={ns[0]}..{ns[-1]}, exhaustive")
-
-
-def _check_confluence(max_len: int = 6, k: int = 3):
-    bad = 0
-    for length in range(2, max_len + 1):
-        for word in product(range(k), repeat=length):
-            redexes = [i for i in range(length - 1) if word[i] == word[i + 1]]
-            for i in redexes:
-                for j in redexes:
-                    w1 = rewrite.reduce_once(word, i + 1)
-                    w2 = rewrite.reduce_once(word, j + 1)
-                    if rewrite.normal_form(w1) != rewrite.normal_form(w2):
-                        bad += 1
-    return ("pair-confluence", "-", bad == 0, f"exhaustive words of length <= {max_len}, k <= {k}")
+            censuses = [properties.segment_census(k, n) for n in ns]
+            grid = f"n={ns[0]}..{ns[-1]}"
+            yield "segment-census", scope, all(c.exact for c in censuses), f"{grid}, exact"
+            yield "savings-bounds", scope, all(c.bounds_hold for c in censuses), grid
+        ns, bad = properties.cyclic_failures(k, 100_000)
+        yield "cyclic-occurrences", scope, not bad, f"n={ns[0]}..{ns[-1]}, exhaustive"
+    checked, bad = properties.confluence_failures(3, 6)
+    yield "pair-confluence", "-", bad == 0, f"joins on {checked} reducible words, length <= 6, k <= 3"
 
 
 if __name__ == "__main__":

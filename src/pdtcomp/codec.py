@@ -390,6 +390,11 @@ class Decompressor:
     Accepts exactly the streams :class:`Compressor` emits: a plain symbol
     equal to the stack top would have popped it, and an odd marker closes
     its pop run, so a plain symbol or the end of the stream follows it.
+
+    A ``MalformedStreamError`` ends the session: it leaves the stack part
+    way through the rejected call, so every later ``feed`` raises
+    ``CodecError``.  An ``AlphabetError`` is raised before any symbol is
+    decoded and leaves the session usable.
     """
 
     def __init__(self, k: int):
@@ -398,8 +403,11 @@ class Decompressor:
         self._read = 0
         self._written = 0
         self._odd_at = -1  # position of the last odd marker read
+        self._failed = False  # set while decoding; stays set if decoding raised
 
     def feed(self, word) -> list[int]:
+        if self._failed:
+            raise CodecError("decompressor session already failed on a malformed stream")
         word = _prepared(word, self.k + 2, "coded")
         out: list[int] = []
         emit = out.append
@@ -409,6 +417,7 @@ class Decompressor:
         k = self.k
         position = self._read
         odd_at = self._odd_at
+        self._failed = True
         for b in word:
             position += 1
             if b < k:
@@ -436,6 +445,7 @@ class Decompressor:
                     )
                 emit(pop())
                 emit(pop())
+        self._failed = False
         self._read = position
         self._odd_at = odd_at
         self._written += len(out)

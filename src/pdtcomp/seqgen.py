@@ -16,7 +16,7 @@ a time.
 
 import random
 from array import array
-from itertools import islice
+from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
 from .codec import check_alphabet_size
@@ -58,22 +58,8 @@ def lex_concat(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequenc
     """
     check_alphabet_size(k)
     _check_block(k, n, block_cap)
-    out = _empty_buffer(k)
-    extend = out.extend
-    digits = bytearray(n) if k <= 256 else array("H", [0] * n)
-    last = n - 1
-    for _ in range(k**n):
-        extend(digits)
-        i = last
-        while i >= 0:
-            d = digits[i] + 1
-            if d == k:
-                digits[i] = 0
-                i -= 1
-            else:
-                digits[i] = d
-                break
-    return _freeze(out)
+    symbols = chain.from_iterable(product(range(k), repeat=n))
+    return bytes(symbols) if k <= 256 else array("H", symbols)
 
 
 def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:

@@ -10,20 +10,19 @@ Run with::
 """
 
 import random
-from itertools import product
 
 import pytest
 
-from pdtcomp.analysis import (
-    block_stats,
-    expected_singletons,
-    pop_run_account,
-    ratio_series,
-    sufficiency_exact,
+from pdtcomp.analysis import ratio_series, sufficiency_exact
+from pdtcomp.properties import (
+    confluence_failures,
+    cyclic_failures,
+    random_words,
+    roundtrip_failures,
+    segment_census,
+    stack_failures,
 )
-from pdtcomp.codec import Compressor, compress, compress_run, decompress, stack_bottom
 from pdtcomp.rewrite import normal_form
-from pdtcomp.seqgen import cyclic_pattern_counts, lex_concat, mirrored_segment
 from pdtcomp.streamio import code_limit, decode_stream, encode_stream
 
 SEGMENT_CAP = 20_000_000
@@ -44,19 +43,13 @@ def largest_segment_index(k: int, cap: int = SEGMENT_CAP) -> int:
 
 @pytest.fixture(scope="module")
 def census_grid():
-    """(k, n, singletons, expected, savings, clustered) for the exact grid."""
-    rows = []
-    for k in range(2, 10):
-        for n in (3, 4, 5):
-            if n * k**n > SEGMENT_CAP:
-                continue
-            segment = mirrored_segment(k, n)
-            _, _, trace = compress_run(segment, k)
-            savings, clustered = pop_run_account(trace)
-            rows.append(
-                (k, n, block_stats(segment).singletons, expected_singletons(k, n), savings, clustered)
-            )
-    return rows
+    """(k, n, SegmentCensus) for the exact grid."""
+    return [
+        (k, n, segment_census(k, n))
+        for k in range(2, 10)
+        for n in (3, 4, 5)
+        if n * k**n <= SEGMENT_CAP
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -71,35 +64,22 @@ def measured_rho():
 
 def test_criterion_01_round_trip():
     rng = random.Random(20260810)
-    failures = 0
-    words = 0
-    for k in (2, 3, 5, 7, 10):
-        for _ in range(1000):
-            w = [rng.randrange(k) for _ in range(rng.randrange(10_001))]
-            words += 1
-            if decompress(compress(w, k), k) != w:
-                failures += 1
+    alphabets = (2, 3, 5, 7, 10)
+    failures = sum(roundtrip_failures(k, random_words(k, 1000, rng, 10_000)) for k in alphabets)
+    words = 1000 * len(alphabets)
     report(1, failures == 0, f"{words} random words over k in {{2,3,5,7,10}}, {failures} mismatches")
 
 
 def test_criterion_02_stack_contents():
     rng = random.Random(8128)
-    failures = 0
-    words = 0
-    for k in (2, 3, 5):
-        bottom = stack_bottom(k)
-        for _ in range(1000):
-            w = [rng.randrange(k) for _ in range(rng.randrange(2001))]
-            words += 1
-            session = Compressor(k)
-            session.feed(w)
-            if list(session.stack) != [bottom] + normal_form(w):
-                failures += 1
+    alphabets = (2, 3, 5)
+    failures = sum(stack_failures(k, random_words(k, 1000, rng, 2000)) for k in alphabets)
+    words = 1000 * len(alphabets)
     report(2, failures == 0, f"{words} random words over k in {{2,3,5}}, {failures} stack mismatches")
 
 
 def test_criterion_03_exact_run_census(census_grid):
-    bad = [(k, n) for k, n, observed, expected, _, _ in census_grid if observed != expected]
+    bad = [(k, n) for k, n, census in census_grid if not census.exact]
     report(
         3,
         not bad and len(census_grid) == 24,
@@ -108,11 +88,7 @@ def test_criterion_03_exact_run_census(census_grid):
 
 
 def test_criterion_04_savings_bound_chain(census_grid):
-    bad = [
-        (k, n)
-        for k, n, singletons, _, savings, clustered in census_grid
-        if not (3 * savings >= clustered and 2 * clustered >= singletons and 6 * savings >= singletons)
-    ]
+    bad = [(k, n) for k, n, census in census_grid if not census.bounds_hold]
     report(4, not bad, f"3d>=N, 2N>=h, 6d>=h on {len(census_grid)} segments; violations: {bad}")
 
 
@@ -120,13 +96,9 @@ def test_criterion_05_cyclic_occurrences():
     checked = 0
     bad = []
     for k in range(2, 37):
-        for n in range(1, 40):
-            if n * k**n > CYCLIC_CAP:
-                break
-            counts = cyclic_pattern_counts(lex_concat(k, n), k, n)
-            checked += 1
-            if counts != [n] * k**n:
-                bad.append((k, n))
+        ns, bad_ns = cyclic_failures(k, CYCLIC_CAP)
+        checked += len(ns)
+        bad += [(k, n) for n in bad_ns]
     report(5, not bad, f"{checked} (k, n) pairs with n*k^n <= {CYCLIC_CAP}, exhaustive; bad: {bad}")
 
 
@@ -167,36 +139,7 @@ def test_criterion_08_trend_toward_three_quarters(measured_rho):
 
 def test_criterion_09_rewrite_properties():
     # exhaustive local-confluence join check, words of length <= 8 over k <= 3
-    reachable_cache: dict[tuple, frozenset] = {}
-
-    def reachable(word: tuple) -> frozenset:
-        cached = reachable_cache.get(word)
-        if cached is not None:
-            return cached
-        acc = {word}
-        for i in range(len(word) - 1):
-            if word[i] == word[i + 1]:
-                acc |= reachable(word[:i] + word[i + 2 :])
-        result = frozenset(acc)
-        reachable_cache[word] = result
-        return result
-
-    join_failures = 0
-    words_checked = 0
-    for k in (1, 2, 3):
-        for length in range(2, 9):
-            for word in product(range(k), repeat=length):
-                reducts = [
-                    word[:i] + word[i + 2 :]
-                    for i in range(length - 1)
-                    if word[i] == word[i + 1]
-                ]
-                if reducts:
-                    words_checked += 1
-                for w1 in reducts:
-                    for w2 in reducts:
-                        if not reachable(w1) & reachable(w2):
-                            join_failures += 1
+    words_checked, join_failures = confluence_failures(3, 8)
 
     rng = random.Random(424242)
     order_failures = 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pdtcomp import streamio
+from pdtcomp import analysis, codec, streamio
 from pdtcomp.cli import cli_dispatch
 from pdtcomp.codec import compress
 from pdtcomp.seqgen import iter_mirrored_segments
@@ -158,11 +158,26 @@ def test_ratio_enum_variant(tmp_path):
     assert all(r.split(",")[7] == "" for r in rows)
 
 
-def test_verify_passes_and_prints_per_property(capsys):
-    assert dispatch("verify", "--k-min", "2", "--k-max", "3", "--n-max", "3", "--words", "40") == 0
+def test_verify_passes_and_prints_per_property(capsys, monkeypatch):
+    seen = {"compress_run": [], "block_stats": []}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(word, *args, **kwargs):
+            seen[name].append(len(word))
+            return real(word, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(codec, "compress_run")
+    counting(analysis, "block_stats")
+    assert dispatch("verify", "--k-min", "2", "--k-max", "3", "--n-max", "4", "--words", "40") == 0
     out = capsys.readouterr().out
-    for name in ("round-trip", "stack-content", "segment-census", "savings-bounds",
-                 "cyclic-occurrences", "pair-confluence"):
-        assert name in out
+    per_k = ["round-trip", "stack-content", "segment-census", "savings-bounds", "cyclic-occurrences"]
+    assert [line.split()[0] for line in out.splitlines()] == per_k * 2 + ["pair-confluence"]
     assert "FAIL" not in out
-    assert out.count("PASS") >= 9
+    assert out.count("PASS") == 11
+    # each grid segment goes through the table and the run census exactly once
+    grid = [2 * n * k**n for k in (2, 3) for n in (3, 4)]
+    assert seen == {"compress_run": grid, "block_stats": grid}

@@ -299,6 +299,18 @@ def test_decompressor_counters():
     assert session.stack == (stack_bottom(2),)
 
 
+def test_decompressor_session_fails_for_good_after_a_malformed_stream():
+    session = Decompressor(3)
+    with pytest.raises(AlphabetError):
+        session.feed([0, 1, 9])  # rejected before any symbol is decoded
+    assert session.feed([0, 1, 3]) == [0, 1, 1]
+    session = Decompressor(3)
+    with pytest.raises(MalformedStreamError, match="position 5"):
+        session.feed([0, 1, 2, 4, 4, 4])
+    with pytest.raises(CodecError, match="already failed"):
+        session.feed([0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_flushed_savings_identity(k, data):
