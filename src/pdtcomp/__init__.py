@@ -9,7 +9,7 @@ quantifying why (run census, push/pop matching, savings bounds, ratio
 series, exact sufficiency arithmetic).
 """
 
-from . import analysis, cli, codec, engine, rewrite, seqgen, streamio
+from . import analysis, codec, engine, rewrite, seqgen, streamio
 from .analysis import (
     BlockStats,
     EdgeSet,

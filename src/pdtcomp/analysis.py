@@ -20,9 +20,10 @@ prefix carries fewer bits' worth of symbols than the plain one.
 """
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half
@@ -43,6 +44,54 @@ class BlockStats:
     singletons: int
 
 
+_CENSUS_CHUNK = 1 << 16
+"""Symbol pairs compared per step of the run census; bounds its temporaries."""
+
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _packed(word):
+    """``word`` as ``bytes``/``bytearray``/``array('H')``, packed like ``seqgen`` if a list."""
+    if isinstance(word, (bytes, bytearray)) or (isinstance(word, array) and word.typecode == "H"):
+        return word
+    word = list(word)
+    low, high = min(word), max(word)
+    if low < 0 or high >= 1 << 16:
+        bad = next(a for a in word if not 0 <= a < 1 << 16)
+        raise ValueError(f"symbol {bad} outside [0, 65536)")
+    return bytes(word) if high < 256 else array("H", word)
+
+
+def _run_census(data: memoryview, width: int, end: int) -> tuple[Counter, int]:
+    """Census of the runs of the first ``end`` symbols of the byte view ``data``.
+
+    Returns the closed runs as a Counter of length minus one, and the
+    length of the last, still open run.  Adjacent symbols are compared in
+    bulk, ``_CENSUS_CHUNK`` pairs at a time: XOR the chunk with itself
+    shifted by one symbol, mark each unequal pair (a nonzero byte of its
+    XOR) with ``\x01`` and split there, so each piece is a run minus one;
+    the last piece of a chunk stays open into the next.
+    """
+    closed: Counter = Counter()
+    carry = 0
+    step = _CENSUS_CHUNK
+    for i in range(0, end - 1, step):
+        size = min(step, end - 1 - i) * width
+        a = data[i * width : i * width + size]
+        b = data[(i + 1) * width : (i + 1) * width + size]
+        x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+        if width == 2:
+            x |= x >> 8
+        pieces = x.to_bytes(size, "big")[width - 1 :: width].translate(_NONZERO).split(b"\x01")
+        if len(pieces) == 1:
+            carry += len(pieces[0])
+            continue
+        closed[carry + len(pieces[0])] += 1
+        closed.update(map(len, islice(pieces, 1, len(pieces) - 1)))
+        carry = len(pieces[-1])
+    return closed, carry + 1
+
+
 def block_stats(word: Sequence[int]) -> BlockStats:
     """Scan ``word`` into maximal equal-symbol runs.
 
@@ -51,23 +100,26 @@ def block_stats(word: Sequence[int]) -> BlockStats:
     ``w + w[::-1]`` is folded: its runs are those of ``w`` twice over,
     except that the last run of ``w`` meets its mirror image at the seam
     and the two form one run of twice the length, so only ``w`` is scanned.
+
+    ``bytes``, ``bytearray`` and ``array('H')`` are read in place, through
+    a byte view at C speed (see ``_run_census``); any other sequence is
+    packed first as ``seqgen`` packs segments, and a symbol outside
+    ``[0, 65536)`` raises ``ValueError``.
     """
     if len(word) == 0:
         raise ValueError("word must be non-empty")
+    word = _packed(word)
     half = mirror_half(word)
-    if not half:
-        histogram = Counter(len(list(group)) for _, group in groupby(word))
-    else:
-        histogram = Counter(len(list(group)) for _, group in groupby(islice(word, half)))
-        histogram += histogram
-        seam = word[half - 1]
-        last = next((j for j in range(1, half) if word[half - 1 - j] != seam), half)
-        histogram[last] -= 2
-        histogram[2 * last] += 1
-        histogram = +histogram
+    with memoryview(word) as view, view.cast("B") as data:
+        closed, last = _run_census(data, view.itemsize, half or len(word))
+    if half:
+        closed += closed
+        last *= 2
+    closed[last - 1] += 1
+    histogram = {length + 1: count for length, count in sorted(closed.items())}
     return BlockStats(
         total=sum(histogram.values()),
-        histogram=dict(histogram),
+        histogram=histogram,
         singletons=histogram.get(1, 0),
     )
 

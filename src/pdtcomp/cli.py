@@ -182,6 +182,8 @@ def _csv_rows(k: int, variant: str, reports) -> list[list]:
 
 
 def _cmd_ratio(args) -> int:
+    if args.n_max < 1:
+        raise ValueError("need n-max >= 1")
     reports = analysis.segment_reports(
         args.k, args.n_max, variant=args.variant, seed=args.seed, block_cap=args.cap
     )
@@ -215,6 +217,8 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     if args.k_min < 2 or args.k_max < args.k_min:
         raise ValueError("need 2 <= k-min <= k-max")
+    if args.words < 0:
+        raise ValueError("need words >= 0")
     ok = True
     for name, scope, passed, detail in _verification_results(
         range(args.k_min, args.k_max + 1), args.n_max, args.words, args.seed

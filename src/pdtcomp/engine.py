@@ -112,14 +112,18 @@ class TransducerSpec:
         for name in ("input_alphabet", "output_alphabet", "stack_alphabet", "states"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        consume: dict[tuple[int, int, int], Transition] = {}
+        # Step table: (state, top, symbol) -> (push, output, next_state, kind).
+        steps: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
         eps: dict[tuple[int, int], Transition] = {}
         for t in self.transitions:
             if t.symbol is EPSILON:
                 eps.setdefault((t.state, t.top), t)
             else:
-                consume.setdefault((t.state, t.top, t.symbol), t)
-        object.__setattr__(self, "_consume", consume)
+                steps.setdefault(
+                    (t.state, t.top, t.symbol),
+                    (t.push, t.output, t.next_state, PUSH if t.push else POP),
+                )
+        object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_eps", eps)
 
 
@@ -230,15 +234,15 @@ def step(
         raise EmptyStackError()
     top = config.stack[-1]
     t = spec._eps.get((config.state, top))
-    consumed = False
-    if t is None:
-        if next_input is None:
-            raise NoTransitionError(config.state, top, None)
-        t = spec._consume.get((config.state, top, next_input))
-        if t is None:
-            raise NoTransitionError(config.state, top, next_input)
-        consumed = True
-    return Configuration(t.next_state, config.stack[:-1] + t.push), t.output, consumed
+    if t is not None:
+        return Configuration(t.next_state, config.stack[:-1] + t.push), t.output, False
+    if next_input is None:
+        raise NoTransitionError(config.state, top, None)
+    move = spec._steps.get((config.state, top, next_input))
+    if move is None:
+        raise NoTransitionError(config.state, top, next_input)
+    push, output, next_state, _ = move
+    return Configuration(next_state, config.stack[:-1] + push), output, True
 
 
 def run(
@@ -251,7 +255,10 @@ def run(
     """Run the transducer over ``word`` and collect output and trace.
 
     Input-free moves are drained eagerly: before the first read and after
-    every consumed symbol (hence also after the last one).  The run may
+    every consumed symbol (hence also after the last one).  Each read is one
+    lookup in the spec's precompiled step table, and the drain runs only
+    when the new (state, top) has an input-free move, so a table without
+    such moves (the compressor's) costs no drain per symbol.  The run may
     legally end in any state; reaching end of input never raises by itself.
     Raises ``NoTransitionError`` / ``EmptyStackError`` with the 1-based
     offending input position, and ``InvalidSpecError`` up front if the
@@ -265,7 +272,7 @@ def run(
         state = start.state
         stack = list(start.stack)
 
-    consume = spec._consume
+    steps = spec._steps
     eps = spec._eps
     out: list[int] = []
     tr = RunTrace() if trace else None
@@ -297,20 +304,20 @@ def run(
         position += 1
         if not stack:
             raise EmptyStackError(position)
-        t = consume.get((state, stack[-1], a))
-        if t is None:
+        move = steps.get((state, stack[-1], a))
+        if move is None:
             raise NoTransitionError(state, stack[-1], a, position)
+        push, output, state, kind = move
         del stack[-1]
-        stack.extend(t.push)
-        state = t.next_state
-        kind = PUSH if t.push else POP
-        emitted = list(t.output)
-        out.extend(emitted)
-        drained = drain()
-        out.extend(drained)
+        stack.extend(push)
+        out.extend(output)
+        if stack and (state, stack[-1]) in eps:
+            drained = drain()
+            out.extend(drained)
+            output += tuple(drained)
         if tr is not None:
             tr.kinds.append(kind)
-            tr.outputs.append(tuple(emitted + drained))
+            tr.outputs.append(output)
             tr.depths.append(len(stack))
 
     if tr is not None:

@@ -2,11 +2,13 @@
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcomp import analysis
 from pdtcomp.analysis import (
     BlockStats,
     PopRunAccount,
@@ -64,6 +66,39 @@ def test_block_stats_folds_mirrored_words(w):
     x = w + w[::-1]
     assert block_stats(x) == brute_block_stats(x)
     assert block_stats(bytes(x)) == brute_block_stats(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 255, 256, 257, 511, 65535]), min_size=1, max_size=60))
+def test_block_stats_reads_wide_symbols(w):
+    # symbols >= 256 differ from each other in either byte of their 16-bit code
+    for word in (w, w + w[::-1]):
+        assert block_stats(array("H", word)) == brute_block_stats(word)
+        assert block_stats(word) == brute_block_stats(word)
+
+
+def test_block_stats_single_long_run():
+    for word in (bytes(200_000), array("H", [300]) * 200_000, [3] * 200_000):
+        assert block_stats(word) == BlockStats(1, {200_000: 1}, 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_block_stats_runs_straddle_chunk_borders(chunk, monkeypatch):
+    monkeypatch.setattr(analysis, "_CENSUS_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(200):
+        lengths = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
+        word = [i % 3 for i, m in enumerate(lengths) for _ in range(m)]
+        if rng.random() < 0.5:
+            word += word[::-1]
+        for packed in (bytes(word), array("H", [300 + a for a in word])):
+            assert block_stats(packed) == brute_block_stats(word)
+
+
+def test_block_stats_rejects_symbols_outside_16_bits():
+    for word in ([0, 70_000, 1], [-1, 0]):
+        with pytest.raises(ValueError, match="outside"):
+            block_stats(word)
 
 
 def test_block_stats_histogram_weighted_sum_is_length():

@@ -1,7 +1,13 @@
 """Command-line behaviour: files in, files out, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pdtcomp
 from pdtcomp import analysis, codec, streamio
 from pdtcomp.cli import cli_dispatch
 from pdtcomp.codec import compress
@@ -119,6 +125,33 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch("gen", "--k", "3") == 2
     assert dispatch() == 2
     capsys.readouterr()
+
+
+def test_ratio_without_segments_is_a_usage_error(capsys):
+    assert dispatch("ratio", "--k", "5", "--n-max", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "n-max" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_negative_word_count_is_a_usage_error(capsys):
+    assert dispatch("verify", "--k-min", "2", "--k-max", "2", "--words", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "words" in captured.err
+    assert captured.out == ""
+
+
+def test_module_entry_point_prints_no_warning():
+    env = dict(os.environ)
+    src = str(Path(pdtcomp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pdtcomp.cli", "bound", "--k-min", "7", "--k-max", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[1].split()[::2] == ["7", "true"]
 
 
 def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):

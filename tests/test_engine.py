@@ -1,5 +1,7 @@
 """Runtime semantics of the generic pushdown-transducer engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from pdtcomp import engine
 from pdtcomp.codec import (
     build_compressor,
     build_decompressor,
+    compress,
     pair_marker,
     stack_bottom,
 )
@@ -304,3 +307,118 @@ def test_stack_never_empties_under_compressor(k, raw):
     word = [a % k for a in raw]
     _, _, trace = run(build_compressor(k), word)
     assert all(d >= 1 for d in trace.depths)
+
+
+def reference_run(spec, word):
+    """Oracle for ``run``: one ``step`` at a time, input-free moves drained eagerly.
+
+    Returns ``(output, config, kinds, outputs, depths, error)``, where
+    ``error`` is ``(type, position)`` of the first failure, else None.
+    """
+    config = initial_configuration(spec)
+    out, kinds, outputs, depths = [], [], [], []
+
+    def drain(config):
+        emitted = []
+        while config.stack:
+            try:
+                config, moved, consumed = step(spec, config, None)
+            except NoTransitionError:
+                break
+            assert not consumed
+            emitted.extend(moved)
+        return config, emitted
+
+    config, emitted = drain(config)
+    out.extend(emitted)
+    for position, a in enumerate(word, start=1):
+        depth = len(config.stack)
+        try:
+            config, moved, consumed = step(spec, config, a)
+        except (NoTransitionError, EmptyStackError) as exc:
+            return out, config, kinds, outputs, depths, (type(exc), position)
+        assert consumed
+        # the top is replaced by the pushed word: a non-empty one (a push) keeps the depth or grows it
+        kinds.append(PUSH if len(config.stack) >= depth else POP)
+        config, emitted = drain(config)
+        moved = tuple(moved) + tuple(emitted)
+        out.extend(moved)
+        outputs.append(moved)
+        depths.append(len(config.stack))
+    return out, config, kinds, outputs, depths, None
+
+
+def assert_run_matches_reference(spec, word):
+    out, config, kinds, outputs, depths, error = reference_run(spec, word)
+    if error is not None:
+        with pytest.raises(error[0]) as exc:
+            run(spec, word)
+        assert type(exc.value) is error[0]
+        assert exc.value.position == error[1]
+        return
+    result = run(spec, word)
+    assert result.output == tuple(out)
+    assert result.config == config
+    assert list(result.trace.kinds) == kinds
+    assert result.trace.outputs == outputs
+    assert result.trace.depths == depths
+    assert result.trace.symbols_read == len(word)
+    assert result.trace.symbols_written == len(out)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_run_matches_step_by_step_reference(k):
+    rng = random.Random(k)
+    tables = (build_compressor(k), build_decompressor(k))
+    for spec in tables:
+        codes = max(spec.input_alphabet) + 3  # two codes outside the table
+        for _ in range(300):
+            length = rng.randrange(40)
+            if rng.random() < 0.5:
+                word = [rng.randrange(codes) for _ in range(length)]
+            else:
+                word = [rng.randrange(k) for _ in range(length)]
+                if spec is tables[1]:
+                    word = compress(word, k)
+                    if word and rng.random() < 0.5:
+                        word[rng.randrange(len(word))] = rng.randrange(codes)
+            assert_run_matches_reference(spec, word)
+
+
+def chained_spec(loop: bool) -> TransducerSpec:
+    """Reading 0 pushes three 7s; input-free moves then pop them one by one.
+
+    With ``loop`` the first input-free move pushes a 7 more than it pops,
+    so the chain never ends.
+    """
+    return TransducerSpec(
+        input_alphabet={0},
+        output_alphabet={1, 2},
+        stack_alphabet={7, 9},
+        states={0, 1},
+        initial_state=0,
+        start_symbol=9,
+        transitions=(
+            Transition(0, 9, 0, (1,), 1, (9, 7, 7, 7)),
+            Transition(1, 9, 0, (1,), 1, (9, 7, 7, 7)),
+            Transition(1, 7, EPSILON, (2,), 1, (7, 7) if loop else ()),
+        ),
+    )
+
+
+def test_run_drains_chained_input_free_moves_after_each_read():
+    spec = chained_spec(loop=False)
+    assert validate(spec) == []
+    out, config, trace = run(spec, [0, 0])
+    assert out == (1, 2, 2, 2) * 2
+    assert config == Configuration(1, (9,))
+    assert trace.outputs == [(1, 2, 2, 2)] * 2
+    assert trace.depths == [1, 1]
+    assert bytes(trace.kinds) == bytes([PUSH, PUSH])
+    assert_run_matches_reference(spec, [0, 0, 0])
+
+
+def test_run_chained_input_free_moves_hit_the_drain_budget():
+    with pytest.raises(engine.EngineError, match="drain budget") as exc:
+        run(chained_spec(loop=True), [0])
+    assert type(exc.value) is engine.EngineError
