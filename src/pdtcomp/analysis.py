@@ -4,14 +4,12 @@ This module measures what the codec actually does:
 
 * symbol-run census of a word (``block_stats``) and the exact count of
   length-1 runs in a mirrored segment (``expected_singletons``);
-* the matching between pushed and popping positions of a drained run
-  (``edge_set``) and the savings attributable to clustered pops
+* the savings of a drained run and the pops clustered in its pop runs
   (``pop_run_account``);
 * the compression-ratio series of a streamed sequence, normalized by
   alphabet sizes (``ratio_series`` / ``segment_reports``), with the
   closed-form bound ``ratio_bound`` and its exact integer-arithmetic
-  version ``sufficiency_exact``;
-* an empirical word-frequency estimator (``normality_deviation``).
+  version ``sufficiency_exact``.
 
 Ratio convention: a prefix of ``n`` symbols over a k-symbol alphabet coded
 into ``m`` symbols over a (k+2)-symbol alphabet scores
@@ -27,12 +25,8 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half
-from .engine import POP, PUSH, RunTrace
-from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments, window_counts
-
-
-class UnbalancedSegmentError(ValueError):
-    """The trace does not drain its stack back to the starting depth."""
+from .engine import POP, RunTrace
+from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments
 
 
 @dataclass(frozen=True)
@@ -135,50 +129,6 @@ def expected_singletons(k: int, n: int) -> int:
     if n < 3:
         raise ValueError(f"closed form requires n >= 3, got {n}")
     return 2 * n * (k - 1) ** 2 * k ** (n - 2)
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """Push-to-pop matching of a drained run.
-
-    Each edge pairs the 1-based input position of a pushed symbol with the
-    position of the pop that removes it.  An edge is short when the pop
-    immediately follows the push, long otherwise.  Edges never cross:
-    two edges are either nested or disjoint, as forced by stack order.
-    """
-
-    edges: list[tuple[int, int]]
-    short_edges: int
-    long_edges: int
-
-
-def edge_set(trace: RunTrace) -> EdgeSet:
-    """Recover the push/pop matching from a compressor trace.
-
-    The trace must come from a run that starts and ends at the bare stack
-    bottom (e.g. a mirrored segment); otherwise
-    ``UnbalancedSegmentError`` is raised.
-    """
-    edges: list[tuple[int, int]] = []
-    pending: list[int] = []
-    push = pending.append
-    pop = pending.pop
-    short = 0
-    for i, kind in enumerate(trace.kinds, start=1):
-        if kind == PUSH:
-            push(i)
-        else:
-            if not pending:
-                raise UnbalancedSegmentError(f"pop at position {i} matches no pushed symbol")
-            j = pop()
-            edges.append((j, i))
-            if i - j == 1:
-                short += 1
-    if pending:
-        raise UnbalancedSegmentError(
-            f"{len(pending)} pushed symbols never popped (first at position {pending[0]})"
-        )
-    return EdgeSet(edges=edges, short_edges=short, long_edges=len(edges) - short)
 
 
 class PopRunAccount(NamedTuple):
@@ -355,56 +305,3 @@ def min_checkpoint_rho(points: Iterable[RatioPoint], *, burn_in: int = 3) -> flo
     if not candidates:
         raise ValueError(f"no checkpoints at or beyond segment {burn_in}")
     return min(candidates)
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    """Observed word frequencies of a prefix against the uniform target.
-
-    ``counts[length]`` maps each length-``length`` word, encoded by its
-    big-endian base-k digits, to its overlapping occurrence count.
-    ``deviations[length]`` is the largest absolute difference between an
-    observed frequency and ``k**-length``.
-    """
-
-    k: int
-    max_len: int
-    symbols: int
-    counts: dict[int, list[int]]
-    deviations: dict[int, float]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations.values())
-
-    def frequency(self, word: Sequence[int]) -> float:
-        length = len(word)
-        index = 0
-        for a in word:
-            index = index * self.k + a
-        return self.counts[length][index] / (self.symbols - length + 1)
-
-
-def normality_deviation(prefix: Sequence[int], k: int, max_len: int) -> NormalityReport:
-    """Count every word of length <= max_len in ``prefix`` (overlapping).
-
-    Requires ``len(prefix) >= k**max_len`` so each word could at least
-    appear once.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if len(prefix) < k**max_len:
-        raise ValueError(
-            f"prefix of {len(prefix)} symbols is too short for words of length {max_len}"
-        )
-    counts: dict[int, list[int]] = {}
-    deviations: dict[int, float] = {}
-    for length in range(1, max_len + 1):
-        row = window_counts(prefix, k, length)
-        windows = len(prefix) - length + 1
-        target = k**-length
-        counts[length] = row
-        deviations[length] = max(abs(c / windows - target) for c in row)
-    return NormalityReport(
-        k=k, max_len=max_len, symbols=len(prefix), counts=counts, deviations=deviations
-    )

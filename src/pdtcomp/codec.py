@@ -14,9 +14,10 @@ first).  With flushing enabled the round trip is the identity on every
 finite word.
 
 Both directions exist twice: as explicit transducer tables executed by
-:mod:`pdtcomp.engine` (the reference semantics, with traces), and as the
-streaming sessions :class:`Compressor` / :class:`Decompressor` used on hot
-paths.  The test suite pins the two routes to each other.
+:mod:`pdtcomp.engine` (the reference semantics; :func:`compress_run` keeps
+the run trace), and as the streaming sessions :class:`Compressor` /
+:class:`Decompressor` used on hot paths.  The test suite pins the two
+routes to each other.
 
 Mirrored input is folded.  The compressor's stack always holds the reduced
 form of what it has read (adjacent equal symbols cancel), so on an
@@ -34,10 +35,9 @@ per-symbol loops: the census, and ``feed``, the only one that emits output.
 from functools import lru_cache
 from itertools import compress as select, count, islice
 from operator import eq
-from typing import NamedTuple
 
 from . import engine
-from .engine import Configuration, POP, RunTrace, Transition, TransducerSpec
+from .engine import Configuration, RunTrace, Transition, TransducerSpec
 
 K_MIN = 2
 K_MAX = 65534  # pair marker k + 1 must fit a 16-bit stream code
@@ -490,8 +490,8 @@ def decompress(word, k: int) -> list[int]:
     return Decompressor(k).feed(word)
 
 
-def compress_run(word, k: int, *, flush: bool = True) -> tuple[list[int], Configuration, RunTrace]:
-    """Compress through the transducer table, keeping the run trace.
+def compress_run(word, k: int) -> tuple[list[int], Configuration, RunTrace]:
+    """Compress through the transducer table, keeping the run trace; always flushed.
 
     Slower than :func:`compress` but exposes the per-position push/pop
     record consumed by :mod:`pdtcomp.analysis`.  A flushed odd marker is
@@ -501,46 +501,9 @@ def compress_run(word, k: int, *, flush: bool = True) -> tuple[list[int], Config
     word = _prepared(word, check_alphabet_size(k), "input")
     out, config, trace = engine.run(build_compressor(k), word)
     out = list(out)
-    if flush and config.state == 1:
+    if config.state == 1:
         out.append(odd_marker(k))
         trace.outputs[-1] = trace.outputs[-1] + (odd_marker(k),)
         trace.symbols_written += 1
         config = Configuration(0, config.stack)
     return out, config, trace
-
-
-class PopRun(NamedTuple):
-    start: int
-    length: int
-    coding: tuple[int, ...]
-
-
-def pop_run_decomposition(trace: RunTrace) -> list[PopRun]:
-    """Maximal pop runs of a compressor trace, with their emitted coding.
-
-    ``start`` is the 1-based input position of the first pop of the run.
-    A run of length ``m`` codes to ``m // 2`` pair markers plus, when ``m``
-    is odd, the odd marker, found either in the following push entry
-    (which emits two symbols) or appended to the last pop by the flush.
-    An unflushed trailing odd run has its odd marker still pending and its
-    coding is reported without it.
-    """
-    runs: list[PopRun] = []
-    kinds = trace.kinds
-    outputs = trace.outputs
-    n = len(kinds)
-    i = 0
-    while i < n:
-        if kinds[i] != POP:
-            i += 1
-            continue
-        j = i
-        coding: list[int] = []
-        while j < n and kinds[j] == POP:
-            coding.extend(outputs[j])
-            j += 1
-        if j < n and len(outputs[j]) == 2:
-            coding.append(outputs[j][0])
-        runs.append(PopRun(i + 1, j - i, tuple(coding)))
-        i = j
-    return runs

@@ -16,10 +16,10 @@ from . import analysis, codec, rewrite, seqgen
 def random_words(k: int, count: int, rng, max_len: int) -> Iterator[list[int]]:
     """``count`` words over ``{0..k-1}``, each of a uniform length in ``[0, max_len]``.
 
-    Drawn lazily from ``rng``: the length first, then the symbols.
+    Drawn lazily from ``rng``: the length first, then all its symbols in one call.
     """
     for _ in range(count):
-        yield [rng.randrange(k) for _ in range(rng.randrange(max_len + 1))]
+        yield rng.choices(range(k), k=rng.randrange(max_len + 1))
 
 
 def roundtrip_failures(k: int, words: Iterable[list[int]]) -> int:

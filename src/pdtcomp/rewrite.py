@@ -3,33 +3,8 @@
 A single rewrite step deletes one pair of adjacent equal symbols.  The
 relation terminates (each step shortens the word by two) and is confluent,
 so every word has a unique fully reduced form, computed here by one
-left-to-right pass with an explicit stack.  Two words are congruent when
-they share that reduced form.
+left-to-right pass with an explicit stack.
 """
-
-from typing import Sequence
-
-
-class NotARedexError(ValueError):
-    """The addressed adjacent pair is not two equal symbols."""
-
-
-def reduce_once(word: Sequence, position: int) -> list:
-    """Delete the equal pair at 1-based ``position``, ``position + 1``.
-
-    Raises ``NotARedexError`` if the two symbols differ, ``IndexError`` if
-    the pair does not fit inside the word.
-    """
-    i = position - 1
-    if i < 0 or i + 1 >= len(word):
-        raise IndexError(f"no adjacent pair at position {position} in a word of length {len(word)}")
-    if word[i] != word[i + 1]:
-        raise NotARedexError(
-            f"symbols at positions {position} and {position + 1} differ ({word[i]} != {word[i + 1]})"
-        )
-    out = list(word)
-    del out[i : i + 2]
-    return out
 
 
 def normal_form(word) -> list:
@@ -48,13 +23,3 @@ def normal_form(word) -> list:
         else:
             push(a)
     return stack
-
-
-def is_irreducible(word) -> bool:
-    """True when no two adjacent symbols are equal."""
-    return all(a != b for a, b in zip(word, word[1:]))
-
-
-def equivalent(u, v) -> bool:
-    """Congruence test: do ``u`` and ``v`` reduce to the same word?"""
-    return normal_form(u) == normal_form(v)

@@ -72,16 +72,6 @@ def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> S
     return w + w[::-1]
 
 
-def word_at(k: int, n: int, index: int) -> list[int]:
-    """The ``index``-th length-n word in lexicographic order (big-endian)."""
-    if not 0 <= index < k**n:
-        raise ValueError(f"index {index} out of range for {k}**{n} words")
-    digits = [0] * n
-    for j in range(n - 1, -1, -1):
-        index, digits[j] = divmod(index, k)
-    return digits
-
-
 def _enum_order(k: int, n: int, seed: int | None) -> Iterator[int]:
     if seed is None:
         return iter(range(k**n))
@@ -120,46 +110,20 @@ def iter_mirrored_segments(
             yield n, _enum_segment(k, n, seed, block_cap)
 
 
-def cyclic_occurrences(word: Sequence[int], pattern: Sequence[int]) -> int:
-    """Occurrences of ``pattern`` in ``word`` read cyclically.
-
-    Counts overlapping matches in ``word`` extended by its own first
-    ``len(pattern) - 1`` symbols, so a match wrapping the border is counted
-    exactly once.  ``pattern`` must be non-empty and no longer than
-    ``word``.
-    """
-    m = len(pattern)
-    if m == 0:
-        raise ValueError("pattern must be non-empty")
-    if m > len(word):
-        raise ValueError("pattern longer than word")
-    if isinstance(word, (bytes, bytearray)) and not isinstance(pattern, (bytes, bytearray)):
-        try:
-            pattern = bytes(pattern)
-        except ValueError:
-            return 0  # pattern symbols cannot occur in a byte-valued word
-    extended = word + word[: m - 1]
-    if isinstance(extended, (bytes, bytearray)):
-        count = 0
-        i = extended.find(pattern)
-        while i != -1:
-            count += 1
-            i = extended.find(pattern, i + 1)
-        return count
-    pattern = list(pattern)
-    return sum(1 for i in range(len(word)) if list(extended[i : i + m]) == pattern)
-
-
-def window_counts(word: Sequence[int], k: int, n: int) -> list[int]:
-    """Overlapping occurrence counts of every length-n word over ``{0..k-1}``.
+def cyclic_pattern_counts(word: Sequence[int], k: int, n: int) -> list[int]:
+    """Cyclic occurrence counts of every length-n word over ``{0..k-1}``.
 
     Entry ``i`` counts the word whose big-endian base-k digits encode
-    ``i``.  Windows do not wrap around the end of ``word``.  One rolling
+    ``i``: the windows of ``word`` extended by its first ``n - 1`` symbols,
+    so a window wrapping the end is counted exactly once.  One rolling
     pass, after a bulk range check of the symbols.
     """
+    if len(word) < n:
+        raise ValueError("word shorter than the pattern length")
     if n < 1:
         raise ValueError(f"window length must be at least 1, got {n}")
-    if word and (min(word) < 0 or max(word) >= k):
+    word = word + word[: n - 1]
+    if min(word) < 0 or max(word) >= k:
         bad = next(a for a in word if not 0 <= a < k)
         raise ValueError(f"symbol {bad} outside [0, {k})")
     counts = [0] * k**n
@@ -171,14 +135,3 @@ def window_counts(word: Sequence[int], k: int, n: int) -> list[int]:
         value = (value % modulus) * k + a
         counts[value] += 1
     return counts
-
-
-def cyclic_pattern_counts(word: Sequence[int], k: int, n: int) -> list[int]:
-    """Cyclic occurrence counts of every length-n word over ``{0..k-1}``.
-
-    Entry ``i`` counts the word whose big-endian base-k digits encode
-    ``i``: the windows of ``word`` extended by its first ``n - 1`` symbols.
-    """
-    if len(word) < n:
-        raise ValueError("word shorter than the pattern length")
-    return window_counts(word + word[: n - 1], k, n)

@@ -12,12 +12,9 @@ from pdtcomp import analysis
 from pdtcomp.analysis import (
     BlockStats,
     PopRunAccount,
-    UnbalancedSegmentError,
     block_stats,
-    edge_set,
     expected_singletons,
     min_checkpoint_rho,
-    normality_deviation,
     pop_run_account,
     ratio_bound,
     ratio_series,
@@ -125,63 +122,6 @@ def test_expected_singletons_matches_census(k, n):
 def test_segment_singletons_double_the_half_segment(k, n):
     w = lex_concat(k, n)
     assert block_stats(w + w[::-1]).singletons == 2 * block_stats(w).singletons
-
-
-def test_edge_set_examples():
-    _, _, trace = compress_run([0, 1, 1, 0], 2)
-    edges = edge_set(trace)
-    assert sorted(edges.edges) == [(1, 4), (2, 3)]
-    assert edges.short_edges == 1 and edges.long_edges == 1
-    _, _, trace = compress_run([0, 0], 2)
-    assert edge_set(trace).edges == [(1, 2)]
-    _, _, trace = compress_run([0, 1, 0], 2)
-    with pytest.raises(UnbalancedSegmentError):
-        edge_set(trace)
-
-
-def _edge_invariants(word, k):
-    _, _, trace = compress_run(word, k)
-    edges = edge_set(trace)
-    seen = set()
-    for i, j in edges.edges:
-        assert i < j
-        assert word[i - 1] == word[j - 1]
-        seen.update((i, j))
-    assert seen == set(range(1, len(word) + 1))
-    for a, b in edges.edges:
-        for c, d in edges.edges:
-            if a < c:
-                assert c > b or d < b, f"edges ({a},{b}) and ({c},{d}) cross"
-    return edges
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.lists(st.integers(0, 3), max_size=30))
-def test_edge_invariants_on_drained_runs(k, half):
-    word = [a % k for a in half]
-    word = word + word[::-1]
-    _edge_invariants(word, k)
-
-
-def test_every_singleton_block_touches_a_long_edge():
-    rng = random.Random(5)
-    for _ in range(120):
-        k = rng.choice([2, 3])
-        half = [rng.randrange(k) for _ in range(rng.randrange(1, 14))]
-        word = half + half[::-1]
-        edges = _edge_invariants(word, k)
-        long_ends = {p for i, j in edges.edges if j - i > 1 for p in (i, j)}
-        stats_positions = []
-        i = 0
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            if j - i == 1:
-                stats_positions.append(i + 1)
-            i = j
-        for p in stats_positions:
-            assert p in long_ends, (word, p, edges.edges)
 
 
 def test_pop_run_account_examples():
@@ -315,40 +255,3 @@ def test_min_checkpoint_rho():
     assert min_checkpoint_rho(points) == min(p.rho for p in points if p.block >= 3)
     with pytest.raises(ValueError):
         min_checkpoint_rho(points[:2])
-
-
-def test_normality_deviation_symmetric_prefix():
-    report = normality_deviation([0, 1, 1, 0], 2, 1)
-    assert report.counts[1] == [2, 2]
-    assert report.deviations[1] == 0.0
-    assert report.frequency([0]) == 0.5
-
-
-def test_normality_deviation_window_counts():
-    report = normality_deviation([0, 1, 1, 0], 2, 2)
-    assert report.counts[2] == [0, 1, 1, 1]  # 00, 01, 10, 11
-    assert report.max_deviation == pytest.approx(1 / 4)
-
-
-def test_normality_deviation_shrinks_with_horizon():
-    def prefix_through(k, n_max):
-        out = bytearray()
-        for _, seg in iter_mirrored_segments(k, n_max):
-            out += seg
-        return bytes(out)
-
-    r3 = normality_deviation(prefix_through(3, 3), 3, 2)
-    r4 = normality_deviation(prefix_through(3, 4), 3, 2)
-    assert r4.max_deviation <= r3.max_deviation
-
-
-def test_normality_deviation_requires_long_enough_prefix():
-    with pytest.raises(ValueError):
-        normality_deviation([0, 1], 2, 2)
-
-
-def test_frequencies_sum_to_one():
-    report = normality_deviation(list(mirrored_segment(2, 4)), 2, 3)
-    for length, row in report.counts.items():
-        windows = report.symbols - length + 1
-        assert sum(row) == windows

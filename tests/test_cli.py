@@ -141,6 +141,31 @@ def test_verify_negative_word_count_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n-max", "2"], "n-max"),  # no segment reaches the n >= 3 census
+        (["--k-min", "190", "--k-max", "190", "--n-max", "3"], "k-max"),  # 3 * 190**3 > cap
+        (["--words", "0"], "words"),
+    ],
+    ids=["n-max-below-3", "k-max-past-the-cap", "no-words"],
+)
+def test_verify_refuses_a_run_that_would_skip_a_check(argv, message, capsys):
+    assert dispatch("verify", "--k-min", "2", "--k-max", "2", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_bound_refuses_alphabets_past_256(capsys):
+    assert dispatch("bound", "--k-min", "256", "--k-max", "256") == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "256"
+    assert dispatch("bound", "--k-min", "2", "--k-max", "257") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "256" in captured.err
+    assert captured.out == ""
+
+
 def test_module_entry_point_prints_no_warning():
     env = dict(os.environ)
     src = str(Path(pdtcomp.__file__).resolve().parent.parent)

@@ -1,6 +1,7 @@
 """The concrete codec: table construction, round trips, coding accounting."""
 
 from array import array
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from pdtcomp.codec import (
     Compressor,
     Decompressor,
     MalformedStreamError,
-    PopRun,
     build_compressor,
     build_decompressor,
     compress,
@@ -22,7 +22,6 @@ from pdtcomp.codec import (
     mirror_half,
     odd_marker,
     pair_marker,
-    pop_run_decomposition,
     stack_bottom,
 )
 from pdtcomp.engine import Configuration, run, step
@@ -229,10 +228,10 @@ def test_mirrored_input_drains_the_stack(k, data):
 def test_output_length_equals_pushes_plus_run_codings(k, data):
     w = data.draw(words(k))
     out, _, trace = compress_run(w, k)
-    pushes = sum(1 for kind in trace.kinds if kind == engine.PUSH)
-    runs = pop_run_decomposition(trace)
-    assert len(out) == pushes + sum((r.length + 1) // 2 for r in runs)
-    assert all(len(r.coding) == (r.length + 1) // 2 for r in runs)
+    pushes = trace.kinds.count(engine.PUSH)
+    pop_runs = [len(list(run)) for kind, run in groupby(trace.kinds) if kind == engine.POP]
+    assert len(out) == pushes + sum((m + 1) // 2 for m in pop_runs)
+    assert sum(a < k for a in out) == pushes  # the rest are the run codings' markers
 
 
 @settings(max_examples=80, deadline=None)
@@ -260,25 +259,6 @@ def test_consume_counters_match_feed(k, data):
     counted.consume(w)
     for attr in ("symbols_read", "symbols_written", "savings", "clustered_pops", "state", "stack"):
         assert getattr(fed, attr) == getattr(counted, attr)
-
-
-def test_pop_run_decomposition_examples():
-    _, _, trace = compress_run([0, 1, 1, 0], 2)
-    assert pop_run_decomposition(trace) == [PopRun(3, 2, (pair_marker(2),))]
-    _, _, trace = compress_run([0, 0], 2)
-    assert pop_run_decomposition(trace) == [PopRun(2, 1, (odd_marker(2),))]
-    _, _, trace = compress_run([0, 1, 0], 2)
-    assert pop_run_decomposition(trace) == []
-
-
-def test_pop_run_decomposition_odd_run_followed_by_push():
-    _, _, trace = compress_run([0, 0, 0, 1], 2)
-    assert pop_run_decomposition(trace) == [PopRun(2, 1, (odd_marker(2),))]
-
-
-def test_pop_run_decomposition_unflushed_trailing_run():
-    _, _, trace = compress_run([0, 0], 2, flush=False)
-    assert pop_run_decomposition(trace) == [PopRun(2, 1, ())]
 
 
 def test_session_is_single_use():

@@ -15,7 +15,7 @@ def words(k, count=30, seed=5):
 
 def test_random_words_draw_the_length_first():
     rng = random.Random(11)
-    expected = [[rng.randrange(3) for _ in range(rng.randrange(8))] for _ in range(20)]
+    expected = [rng.choices(range(3), k=rng.randrange(8)) for _ in range(20)]
     assert list(properties.random_words(3, 20, random.Random(11), 7)) == expected
 
 

@@ -11,12 +11,10 @@ from pdtcomp.seqgen import (
     PAIRED_ENUM,
     PAIRED_LEX,
     HorizonError,
-    cyclic_occurrences,
     cyclic_pattern_counts,
     iter_mirrored_segments,
     lex_concat,
     mirrored_segment,
-    word_at,
 )
 
 
@@ -68,15 +66,6 @@ def test_horizon_cap():
     assert len(lex_concat(10, 2, block_cap=200)) == 200
 
 
-def test_word_at_roundtrip():
-    k, n = 3, 4
-    words = [tuple(word_at(k, n, i)) for i in range(k**n)]
-    assert words == sorted(words)
-    assert words == list(product(range(k), repeat=n))
-    with pytest.raises(ValueError):
-        word_at(2, 2, 4)
-
-
 def test_large_alphabet_uses_wide_buffer():
     w = lex_concat(300, 1)
     assert len(w) == 300
@@ -111,16 +100,16 @@ def test_enum_variant_differs_from_lex_but_same_material():
 
 
 def test_cyclic_occurrences_examples():
-    assert cyclic_occurrences(lex_concat(2, 2), [0, 1]) == 2
-    assert cyclic_occurrences([0, 0, 0], [0, 0]) == 3
-    assert cyclic_occurrences(lex_concat(3, 3), [0, 2, 1]) == 3
+    assert cyclic_pattern_counts(lex_concat(2, 2), 2, 2)[0b01] == 2
+    assert cyclic_pattern_counts([0, 0, 0], 2, 2) == [3, 0, 0, 0]
+    assert cyclic_pattern_counts(lex_concat(3, 3), 3, 3)[0 * 9 + 2 * 3 + 1] == 3
 
 
 def test_cyclic_occurrences_argument_checks():
-    with pytest.raises(ValueError):
-        cyclic_occurrences([0, 1], [])
-    with pytest.raises(ValueError):
-        cyclic_occurrences([0], [0, 1])
+    with pytest.raises(ValueError, match="window length must be at least 1"):
+        cyclic_pattern_counts([0, 1], 2, 0)
+    with pytest.raises(ValueError, match="word shorter than the pattern length"):
+        cyclic_pattern_counts([0], 2, 2)
     with pytest.raises(ValueError, match="symbol 3 outside"):
         cyclic_pattern_counts([0, 1, 3, 2], 3, 2)
     with pytest.raises(ValueError, match="symbol -1 outside"):
@@ -132,12 +121,10 @@ def test_cyclic_occurrences_argument_checks():
 def test_cyclic_occurrences_against_brute_force(data):
     k = data.draw(st.integers(2, 4))
     word = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=30))
-    m = data.draw(st.integers(1, len(word)))
-    pattern = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
-    assert cyclic_occurrences(word, pattern) == brute_cyclic_occurrences(word, pattern)
-    assert cyclic_occurrences(bytes(word), bytes(pattern)) == brute_cyclic_occurrences(
-        word, pattern
-    )
+    n = data.draw(st.integers(1, min(len(word), 4)))
+    expected = [brute_cyclic_occurrences(word, p) for p in product(range(k), repeat=n)]
+    assert cyclic_pattern_counts(word, k, n) == expected
+    assert cyclic_pattern_counts(bytes(word), k, n) == expected
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 3), (2, 6), (3, 3), (4, 2), (5, 2)])
@@ -145,9 +132,10 @@ def test_every_word_appears_n_times_cyclically(k, n):
     w = lex_concat(k, n)
     counts = cyclic_pattern_counts(w, k, n)
     assert counts == [n] * k**n
-    # spot-check the rolling census against the single-pattern counter
+    # spot-check the rolling census against the brute-force counter
+    patterns = list(product(range(k), repeat=n))
     for index in range(0, k**n, max(1, k**n // 7)):
-        assert cyclic_occurrences(w, word_at(k, n, index)) == n
+        assert brute_cyclic_occurrences(w, patterns[index]) == n
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3)])
