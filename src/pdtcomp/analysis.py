@@ -15,16 +15,19 @@ Ratio convention: a prefix of ``n`` symbols over a k-symbol alphabet coded
 into ``m`` symbols over a (k+2)-symbol alphabet scores
 ``rho = m * log(k + 2) / (n * log k)``; values below 1 mean the coded
 prefix carries fewer bits' worth of symbols than the plain one.
+
+Words are taken in the packed form of :func:`pdtcomp.codec.packed`, which
+makes the ``bytes``/``array('H')`` choice and the range check for the census
+as for every other layer.
 """
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .codec import Compressor, mirror_half
+from .codec import Compressor, mirror_half, packed
 from .engine import POP, RunTrace
 from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments
 
@@ -42,18 +45,6 @@ _CENSUS_CHUNK = 1 << 16
 """Symbol pairs compared per step of the run census; bounds its temporaries."""
 
 _NONZERO = bytes([0]) + bytes([1]) * 255
-
-
-def _packed(word):
-    """``word`` as ``bytes``/``bytearray``/``array('H')``, packed like ``seqgen`` if a list."""
-    if isinstance(word, (bytes, bytearray)) or (isinstance(word, array) and word.typecode == "H"):
-        return word
-    word = list(word)
-    low, high = min(word), max(word)
-    if low < 0 or high >= 1 << 16:
-        bad = next(a for a in word if not 0 <= a < 1 << 16)
-        raise ValueError(f"symbol {bad} outside [0, 65536)")
-    return bytes(word) if high < 256 else array("H", word)
 
 
 def _run_census(data: memoryview, width: int, end: int) -> tuple[Counter, int]:
@@ -95,14 +86,13 @@ def block_stats(word: Sequence[int]) -> BlockStats:
     except that the last run of ``w`` meets its mirror image at the seam
     and the two form one run of twice the length, so only ``w`` is scanned.
 
-    ``bytes``, ``bytearray`` and ``array('H')`` are read in place, through
-    a byte view at C speed (see ``_run_census``); any other sequence is
-    packed first as ``seqgen`` packs segments, and a symbol outside
-    ``[0, 65536)`` raises ``ValueError``.
+    The word is taken through :func:`pdtcomp.codec.packed` and read through
+    a byte view at C speed (see ``_run_census``); a symbol outside
+    ``[0, 65536)`` raises ``AlphabetError``, a ``ValueError``.
     """
     if len(word) == 0:
         raise ValueError("word must be non-empty")
-    word = _packed(word)
+    word = packed(word, 1 << 16, "symbol")
     half = mirror_half(word)
     with memoryview(word) as view, view.cast("B") as data:
         closed, last = _run_census(data, view.itemsize, half or len(word))

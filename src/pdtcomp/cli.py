@@ -13,7 +13,6 @@ import csv
 import io
 import random
 import sys
-from array import array
 
 from . import analysis, codec, properties, seqgen, streamio
 
@@ -124,11 +123,10 @@ def _write_stream(path: str, symbols, role: int, k: int, fmt: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    symbols = array("H")
-    for _, segment in seqgen.iter_mirrored_segments(
+    segments = seqgen.iter_mirrored_segments(
         args.k, args.n_max, variant=args.variant, seed=args.seed, block_cap=args.cap
-    ):
-        symbols.extend(segment)
+    )
+    symbols = seqgen.joined([segment for _, segment in segments])
     _write_stream(args.out, symbols, streamio.ROLE_PLAIN, args.k, args.format)
     return 0
 
@@ -182,8 +180,6 @@ def _csv_rows(k: int, variant: str, reports) -> list[list]:
 
 
 def _cmd_ratio(args) -> int:
-    if args.n_max < 1:
-        raise ValueError("need n-max >= 1")
     reports = analysis.segment_reports(
         args.k, args.n_max, variant=args.variant, seed=args.seed, block_cap=args.cap
     )

@@ -30,8 +30,13 @@ and pop runs; :func:`pdtcomp.analysis.block_stats` folds its symbol-run
 census the same way.  Other input takes the same census over the whole
 word, and only its pop runs are accounted, so the compressor has two
 per-symbol loops: the census, and ``feed``, the only one that emits output.
+
+Every word, here and in generation, the census and the stream formats,
+enters through :func:`packed`: the one place that picks its in-memory form
+(``bytes``, or ``array('H')`` past 256 codes) and range-checks its symbols.
 """
 
+from array import array
 from functools import lru_cache
 from itertools import compress as select, count, islice
 from operator import eq
@@ -139,18 +144,29 @@ def build_decompressor(k: int) -> TransducerSpec:
     )
 
 
-def _prepared(word, limit: int, what: str):
-    """Materialize ``word`` and range-check it in bulk."""
-    if not isinstance(word, (bytes, bytearray)):
+def packed(word, limit: int, what: str):
+    """``word`` packed, every symbol checked to lie in ``[0, limit)``.
+
+    ``bytes``, ``bytearray`` and ``array('H')`` are read in place; any other
+    iterable becomes ``bytes`` when every symbol is below 256, else
+    ``array('H')``, and a symbol that is not an integer raises ``TypeError``.
+    The first symbol out of range raises ``AlphabetError``, named as ``what``.
+    """
+    if isinstance(word, (bytes, bytearray)):
+        if limit >= 256 or not word.translate(None, bytes(range(limit))):
+            return word
+    elif isinstance(word, array) and word.typecode == "H":
+        if not word or max(word) < limit:
+            return word
+    else:
         word = word if isinstance(word, list) else list(word)
-        if word and (min(word) < 0 or max(word) >= limit):
-            bad = next(a for a in word if not 0 <= a < limit)
-            raise AlphabetError(f"{what} symbol {bad} outside [0, {limit})")
-    elif limit < 256:
-        stray = word.translate(None, bytes(range(limit)))
-        if stray:
-            raise AlphabetError(f"{what} symbol {stray[0]} outside [0, {limit})")
-    return word
+        if not word:
+            return b""
+        high = max(word)
+        if min(word) >= 0 and high < limit:
+            return bytes(word) if high < 256 else array("H", word)
+    bad = next(a for a in word if not 0 <= a < limit)
+    raise AlphabetError(f"{what} {bad} outside [0, {limit})")
 
 
 _MIRROR_CHUNK = 1 << 15
@@ -353,7 +369,7 @@ class Compressor:
     def _start_feed(self, word):
         if self._finished:
             raise CodecError("compressor session already flushed")
-        return _prepared(word, self.k, "input")
+        return packed(word, self.k, "input symbol")
 
     @property
     def state(self) -> int:
@@ -408,7 +424,7 @@ class Decompressor:
     def feed(self, word) -> list[int]:
         if self._failed:
             raise CodecError("decompressor session already failed on a malformed stream")
-        word = _prepared(word, self.k + 2, "coded")
+        word = packed(word, self.k + 2, "coded symbol")
         out: list[int] = []
         emit = out.append
         stack = self._stack
@@ -498,7 +514,7 @@ def compress_run(word, k: int) -> tuple[list[int], Configuration, RunTrace]:
     appended to the final trace entry, since it is the retirement of that
     position's pending pop.
     """
-    word = _prepared(word, check_alphabet_size(k), "input")
+    word = packed(word, check_alphabet_size(k), "input symbol")
     out, config, trace = engine.run(build_compressor(k), word)
     out = list(out)
     if config.state == 1:

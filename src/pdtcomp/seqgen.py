@@ -8,18 +8,20 @@ at every segment boundary.  A variant pairs each enumerated word with its
 own reversal instead (``u1 r(u1) u2 r(u2) ...``), over a seeded shuffle of
 the words or, with no seed, lexicographic order.
 
-Words are represented as sequences of small non-negative integers; the
-materialized forms are ``bytes`` for alphabets of up to 256 symbols and
-``array('H')`` beyond; :func:`iter_mirrored_segments` holds one segment at
-a time.
+Words are sequences of small non-negative integers, held in the form
+:func:`pdtcomp.codec.packed` picks: ``bytes`` for alphabets of up to 256
+symbols and ``array('H')`` beyond.  Generation packs the alphabet once and
+builds every segment from it by slicing, repetition and joins, so each
+segment keeps that form; :func:`iter_mirrored_segments` holds one segment
+at a time.
 """
 
 import random
 from array import array
-from itertools import chain, islice, product
+from itertools import islice
 from typing import Iterator, Sequence
 
-from .codec import check_alphabet_size
+from .codec import check_alphabet_size, packed
 
 DEFAULT_BLOCK_CAP = 20_000_000
 """Default per-segment budget: generation refuses n with n * k**n above it."""
@@ -42,24 +44,30 @@ def _check_block(k: int, n: int, cap: int) -> int:
     return size
 
 
-def _empty_buffer(k: int):
-    return bytearray() if k <= 256 else array("H")
+def joined(parts: list) -> Sequence[int]:
+    """Concatenate non-empty ``parts`` held alike, keeping their form.
 
-
-def _freeze(buf):
-    return bytes(buf) if isinstance(buf, bytearray) else buf
+    ``bytes`` or ``bytearray`` parts give ``bytes``; ``array('H')`` parts give ``array('H')``.
+    """
+    data = b"".join(parts)  # each part's buffer; 16-bit codes stay in native order
+    return array("H", data) if isinstance(parts[0], array) else data
 
 
 def lex_concat(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:
     """All k**n words of length n, in lexicographic order, concatenated.
 
     The result has n * k**n symbols, starts with n zeros and ends with n
-    copies of k - 1.
+    copies of k - 1.  Built a column at a time: digit j of the words holds
+    each symbol k**(n-1-j) times in a row, and that pattern k**j times over.
     """
     check_alphabet_size(k)
-    _check_block(k, n, block_cap)
-    symbols = chain.from_iterable(product(range(k), repeat=n))
-    return bytes(symbols) if k <= 256 else array("H", symbols)
+    size = _check_block(k, n, block_cap)
+    digits = packed(range(k), k, "symbol")
+    words = bytearray(size) if isinstance(digits, bytes) else digits[:1] * size  # writable, same form
+    for j in range(n):
+        run = k ** (n - 1 - j)
+        words[j::n] = joined([digits[a : a + 1] * run for a in range(k)]) * k**j
+    return joined([words])
 
 
 def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:
@@ -72,24 +80,12 @@ def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> S
     return w + w[::-1]
 
 
-def _enum_order(k: int, n: int, seed: int | None) -> Iterator[int]:
-    if seed is None:
-        return iter(range(k**n))
-    order = list(range(k**n))
-    random.Random(f"{seed}:{n}").shuffle(order)
-    return iter(order)
-
-
 def _enum_segment(k: int, n: int, seed: int | None, cap: int) -> Sequence[int]:
-    _check_block(k, n, cap)
-    out = _empty_buffer(k)
-    word = bytearray(n) if k <= 256 else array("H", [0] * n)
-    for index in _enum_order(k, n, seed):
-        for j in range(n - 1, -1, -1):
-            index, word[j] = divmod(index, k)
-        out += word
-        out += word[::-1]
-    return _freeze(out)
+    words = lex_concat(k, n, block_cap=cap)
+    pairs = [u + u[::-1] for u in (words[i : i + n] for i in range(0, len(words), n))]
+    if seed is not None:
+        random.Random(f"{seed}:{n}").shuffle(pairs)
+    return joined(pairs)
 
 
 def iter_mirrored_segments(
@@ -100,7 +96,12 @@ def iter_mirrored_segments(
     seed: int | None = None,
     block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield ``(n, segment)`` for n = 1 .. n_max, materializing one at a time."""
+    """Yield ``(n, segment)`` for n = 1 .. n_max, materializing one at a time.
+
+    An ``n_max`` below 1 or an unknown variant raises before the first segment.
+    """
+    if n_max < 1:
+        raise ValueError(f"need n-max >= 1, got {n_max}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     for n in range(1, n_max + 1):
@@ -116,16 +117,14 @@ def cyclic_pattern_counts(word: Sequence[int], k: int, n: int) -> list[int]:
     Entry ``i`` counts the word whose big-endian base-k digits encode
     ``i``: the windows of ``word`` extended by its first ``n - 1`` symbols,
     so a window wrapping the end is counted exactly once.  One rolling
-    pass, after a bulk range check of the symbols.
+    pass over the packed word.
     """
     if len(word) < n:
         raise ValueError("word shorter than the pattern length")
     if n < 1:
         raise ValueError(f"window length must be at least 1, got {n}")
+    word = packed(word, k, "symbol")
     word = word + word[: n - 1]
-    if min(word) < 0 or max(word) >= k:
-        bad = next(a for a in word if not 0 <= a < k)
-        raise ValueError(f"symbol {bad} outside [0, {k})")
     counts = [0] * k**n
     modulus = k ** (n - 1)
     value = 0

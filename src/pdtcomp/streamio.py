@@ -9,14 +9,21 @@ below k + 2, the top two being the odd and pair markers).
 Text layout, for alphabets of up to 36 symbols: a first line
 ``k=<k> role=<role>``, then the symbols as the characters ``0-9a-z`` with
 ``+`` for the odd marker and ``*`` for the pair marker, no separators.
+
+In memory a stream's symbols are held as :func:`pdtcomp.codec.packed` holds
+every word: ``bytes`` when each code is below 256, else ``array('H')``.
+Encoding takes its symbols through ``packed``, which also range-checks them,
+and decoding returns that form, so neither direction loops over symbols in
+Python: a binary body is widened or narrowed by slicing, and text is mapped
+by one ``translate`` table each way.
 """
 
 import struct
 import sys
 from array import array
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .codec import check_alphabet_size
+from .codec import AlphabetError, check_alphabet_size, packed
 
 MAGIC = b"PDT1"
 VERSION = 1
@@ -26,9 +33,9 @@ ROLE_CODED = 1
 HEADER = struct.Struct("<4sBBHQ")
 
 TEXT_K_MAX = 36
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_ODD_CHAR = "+"
-_PAIR_CHAR = "*"
+_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_ODD_CHAR = b"+"
+_PAIR_CHAR = b"*"
 
 
 class StreamFormatError(ValueError):
@@ -52,7 +59,7 @@ class CodeOutOfRangeError(StreamFormatError):
 
 
 class DecodedStream(NamedTuple):
-    symbols: list[int]
+    symbols: Sequence[int]  # bytes, or array('H') when a code is 256 or above
     role: int
     k: int
 
@@ -71,42 +78,44 @@ def _header_k(k: int) -> int:
         raise StreamFormatError(f"header: {exc}") from None
 
 
+def _codes(symbols: Iterable[int], role: int, k: int) -> Sequence[int]:
+    """``symbols`` packed, every code checked against the limit of the role."""
+    try:
+        return packed(symbols, code_limit(role, k), "code")
+    except AlphabetError as exc:
+        raise CodeOutOfRangeError(f"{exc} for role {role}") from None
+
+
+def _text_chars(k: int) -> bytes:
+    """The character of each code below k + 2, indexed by code."""
+    return _DIGITS[:k] + _ODD_CHAR + _PAIR_CHAR
+
+
 def encode_stream(symbols: Iterable[int], role: int, k: int, fmt: str = "binary") -> bytes:
     """Serialize symbols into the requested format.
 
     ``bytes`` and ``bytearray`` arguments are read as one symbol per byte,
-    the form :mod:`pdtcomp.seqgen` produces for alphabets of up to 256
-    symbols.
+    and ``array('H')`` as one symbol per item: the forms
+    :mod:`pdtcomp.seqgen` and :func:`decode_stream` produce.
     """
     check_alphabet_size(k)
-    limit = code_limit(role, k)
     if fmt == "binary":
-        if isinstance(symbols, (bytes, bytearray)):
-            symbols = iter(symbols)  # array() would take the bytes as raw 16-bit codes
-        try:
-            body = array("H", symbols)
-        except OverflowError as exc:
-            raise CodeOutOfRangeError(f"symbol does not fit a 16-bit code: {exc}") from None
-        if body and max(body) >= limit:
-            bad = next(c for c in body if c >= limit)
-            raise CodeOutOfRangeError(f"code {bad} outside [0, {limit}) for role {role}")
-        if sys.byteorder == "big":
-            body.byteswap()
-        return HEADER.pack(MAGIC, VERSION, role, k, len(body)) + body.tobytes()
+        codes = _codes(symbols, role, k)
+        if isinstance(codes, array):
+            if sys.byteorder == "big":
+                codes = array("H", codes)  # a copy: the caller's array stays as it is
+                codes.byteswap()
+            body = codes.tobytes()
+        else:
+            body = bytearray(2 * len(codes))
+            body[0::2] = codes
+        return HEADER.pack(MAGIC, VERSION, role, k, len(codes)) + body
     if fmt == "text":
         if k > TEXT_K_MAX:
             raise ValueError(f"text format supports alphabets of up to {TEXT_K_MAX} symbols")
-        chars = []
-        for c in symbols:
-            if not 0 <= c < limit:
-                raise CodeOutOfRangeError(f"code {c} outside [0, {limit}) for role {role}")
-            if c < k:
-                chars.append(_DIGITS[c])
-            elif c == k:
-                chars.append(_ODD_CHAR)
-            else:
-                chars.append(_PAIR_CHAR)
-        return (f"k={k} role={role}\n" + "".join(chars) + "\n").encode("ascii")
+        codes = array("B", _codes(symbols, role, k)).tobytes()  # bytes even from array('H'): codes < 38
+        table = _text_chars(k).ljust(256, b"?")
+        return f"k={k} role={role}\n".encode("ascii") + codes.translate(table) + b"\n"
     raise ValueError(f"unknown format {fmt!r}, expected 'binary' or 'text'")
 
 
@@ -140,30 +149,27 @@ def _decode_binary(data: bytes) -> DecodedStream:
     if role not in (ROLE_PLAIN, ROLE_CODED):
         raise StreamFormatError(f"unknown role byte {role}")
     _header_k(k)
-    body = data[HEADER.size :]
-    if len(body) < 2 * count:
-        raise TruncatedStreamError(f"body holds {len(body) // 2} codes, header declares {count}")
-    if len(body) > 2 * count:
-        raise StreamFormatError(f"{len(body) - 2 * count} trailing bytes after declared codes")
-    codes = array("H")
-    codes.frombytes(body)
-    if sys.byteorder == "big":
-        codes.byteswap()
-    limit = code_limit(role, k)
-    if codes and max(codes) >= limit:
-        bad = next(c for c in codes if c >= limit)
-        raise CodeOutOfRangeError(f"code {bad} outside [0, {limit}) for role {role}")
-    return DecodedStream(codes.tolist(), role, k)
+    size = len(data) - HEADER.size
+    if size < 2 * count:
+        raise TruncatedStreamError(f"body holds {size // 2} codes, header declares {count}")
+    if size > 2 * count:
+        raise StreamFormatError(f"{size - 2 * count} trailing bytes after declared codes")
+    if data[HEADER.size + 1 :: 2].count(0) == count:  # every high byte is zero
+        codes = data[HEADER.size :: 2]
+    else:
+        codes = array("H", data[HEADER.size :])
+        if sys.byteorder == "big":
+            codes.byteswap()
+    return DecodedStream(_codes(codes, role, k), role, k)
 
 
 def _decode_text(data: bytes) -> DecodedStream:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise BadMagicError(f"text stream is not ASCII: {exc}") from None
-    head, sep, rest = text.partition("\n")
+    if not data.isascii():
+        raise BadMagicError("text stream is not ASCII")
+    head, sep, rest = data.partition(b"\n")
     if not sep:
         raise TruncatedStreamError("text stream has no symbol line")
+    head = head.decode("ascii")
     parts = head.split()
     if len(parts) != 2 or not parts[0].startswith("k=") or not parts[1].startswith("role="):
         raise BadMagicError(f"malformed text header {head!r}")
@@ -177,22 +183,13 @@ def _decode_text(data: bytes) -> DecodedStream:
     _header_k(k)
     if k > TEXT_K_MAX:
         raise StreamFormatError(f"text alphabet size {k} above the limit of {TEXT_K_MAX}")
-    if rest.endswith("\n"):
+    if rest.endswith(b"\n"):
         rest = rest[:-1]
-    if "\n" in rest:
+    if b"\n" in rest:
         raise StreamFormatError("text stream has more than one symbol line")
-    limit = code_limit(role, k)
-    symbols: list[int] = []
-    for ch in rest:
-        if ch == _ODD_CHAR:
-            code = k
-        elif ch == _PAIR_CHAR:
-            code = k + 1
-        else:
-            code = _DIGITS.find(ch)
-            if code == -1:
-                raise CodeOutOfRangeError(f"character {ch!r} is not a symbol")
-        if code >= limit:
-            raise CodeOutOfRangeError(f"code {code} outside [0, {limit}) for role {role}")
-        symbols.append(code)
-    return DecodedStream(symbols, role, k)
+    chars = _text_chars(k)
+    stray = rest.translate(None, chars)
+    if stray:
+        raise CodeOutOfRangeError(f"character {chr(stray[0])!r} is not a symbol")
+    codes = rest.translate(bytes.maketrans(chars, bytes(range(k + 2))))
+    return DecodedStream(_codes(codes, role, k), role, k)

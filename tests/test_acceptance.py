@@ -175,7 +175,7 @@ def test_criterion_10_format_round_trip():
         streams += 1
         encoded = encode_stream(symbols, role, k, fmt)
         decoded = decode_stream(encoded, fmt)
-        if (decoded.symbols, decoded.role, decoded.k) != (list(symbols), role, k):
+        if (list(decoded.symbols), decoded.role, decoded.k) != (list(symbols), role, k):
             failures += 1
 
     # empty and maximal-code streams in both formats

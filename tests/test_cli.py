@@ -1,5 +1,6 @@
 """Command-line behaviour: files in, files out, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,7 +41,64 @@ def test_gen_writes_expected_stream(tmp_path):
     expected = []
     for _, seg in iter_mirrored_segments(3, 3):
         expected.extend(seg)
-    assert symbols == expected
+    assert list(symbols) == expected
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_gen_without_segments_is_a_usage_error(tmp_path, capsys, n_max):
+    out = tmp_path / "seq.pdt"
+    assert dispatch("gen", "--k", "5", "--n-max", n_max, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "n-max" in captured.err
+    assert not out.exists()
+
+
+GOLDEN_STREAMS = {
+    # gen arguments: SHA-256 of the generated file, then of its compress output
+    "k5": (
+        ["--k", "5", "--n-max", "3"],
+        "e9e02d7e712a663545d52048cd342b64d6b21803eaacb9f4dbc4b081dc73ff9b",
+        "37b7110b37216608d9bdebc706350fc5cc5af9495b19c43f5eaa431a27d4c4d5",
+    ),
+    "k5-text": (
+        ["--k", "5", "--n-max", "3", "--format", "text"],
+        "00ef09d45d4141c0882a7801ee49e65bbdcbea3afcde0c2aea2b56e5932fdcf1",
+        "aeb2b2698ac407d6de2bcca0a367044e2a4bd08b7625c6b03aab11c8e80ac670",
+    ),
+    "k3-enum": (
+        ["--k", "3", "--n-max", "3", "--variant", "paired-enum", "--seed", "3"],
+        "e02df1168fd353e5e357cbf74ad9811d3c7fc0727aeff687653e47cc7c5e3cdd",
+        "549c8893ba93ece1db0a84e621651eec7a2ea2e712f6f1cbcb197a8825094846",
+    ),
+    "k300-wide": (
+        ["--k", "300", "--n-max", "1"],
+        "fd1932f9c2030c1ac1d5eaed280ed368347c00378fec89a5a77a87ebd4962094",
+        "41b40683e735db5d7a6859dc25d5bab8e35f4f5ca815b50b4d96999f90c9b924",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_STREAMS)
+def test_gen_and_compress_bytes_are_pinned(tmp_path, name):
+    argv, plain_sha, coded_sha = GOLDEN_STREAMS[name]
+    plain = tmp_path / "plain"
+    coded = tmp_path / "coded"
+    assert dispatch("gen", *argv, "--out", str(plain)) == 0
+    assert dispatch("compress", "--in", str(plain), "--out", str(coded)) == 0
+    assert hashlib.sha256(plain.read_bytes()).hexdigest() == plain_sha
+    assert hashlib.sha256(coded.read_bytes()).hexdigest() == coded_sha
+
+
+def test_wide_alphabet_files_roundtrip(tmp_path):
+    plain = tmp_path / "plain.pdt"
+    coded = tmp_path / "coded.pdt"
+    back = tmp_path / "back.pdt"
+    assert dispatch("gen", "--k", "300", "--n-max", "2", "--out", str(plain)) == 0
+    assert dispatch("compress", "--in", str(plain), "--out", str(coded)) == 0
+    assert dispatch("decompress", "--in", str(coded), "--out", str(back)) == 0
+    assert back.read_bytes() == plain.read_bytes()
+    symbols = streamio.decode_stream(plain.read_bytes()).symbols
+    assert list(symbols) == [a for _, seg in iter_mirrored_segments(300, 2) for a in seg]
 
 
 def test_gen_respects_cap(tmp_path, capsys):
@@ -60,7 +118,7 @@ def test_compress_decompress_files_roundtrip(tmp_path):
     symbols, role, k = streamio.decode_stream(coded.read_bytes())
     assert role == streamio.ROLE_CODED and k == 4
     plain_symbols = streamio.decode_stream(plain.read_bytes()).symbols
-    assert symbols == compress(plain_symbols, 4)
+    assert list(symbols) == compress(plain_symbols, 4)
 
 
 def test_compress_text_example(tmp_path):

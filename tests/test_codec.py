@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdtcomp import engine
+from pdtcomp.analysis import block_stats
 from pdtcomp.codec import (
     AlphabetError,
     CodecError,
@@ -21,11 +22,14 @@ from pdtcomp.codec import (
     decompress,
     mirror_half,
     odd_marker,
+    packed,
     pair_marker,
     stack_bottom,
 )
 from pdtcomp.engine import Configuration, run, step
 from pdtcomp.rewrite import normal_form
+from pdtcomp.seqgen import cyclic_pattern_counts
+from pdtcomp.streamio import ROLE_PLAIN, encode_stream
 
 words = lambda k, n=120: st.lists(st.integers(0, k - 1), max_size=n)
 
@@ -125,6 +129,41 @@ def test_byte_input_range_check_names_the_first_bad_symbol():
     with pytest.raises(AlphabetError, match="coded symbol 200 outside"):
         decompress(bytes([0, 200, 255]), 3)
     assert compress(bytes([255, 255]), 256) == [255, odd_marker(256)]
+
+
+def test_packed_reads_buffers_in_place_and_packs_other_words():
+    narrow, wide = bytes([0, 4, 1]), array("H", [0, 300, 1])
+    for word in (narrow, bytearray(narrow), wide):
+        assert packed(word, 301, "input symbol") is word
+    assert packed([0, 4, 1], 5, "input symbol") == narrow
+    assert packed(iter([0, 300, 1]), 301, "input symbol") == wide
+    assert packed([], 5, "input symbol") == b""
+    for word in (narrow, bytearray(narrow), [0, 4, 1]):
+        with pytest.raises(AlphabetError, match=r"input symbol 4 outside \[0, 4\)"):
+            packed(word, 4, "input symbol")
+    for word in (wide, list(wide)):
+        with pytest.raises(AlphabetError, match=r"coded symbol 300 outside \[0, 300\)"):
+            packed(word, 300, "coded symbol")
+    with pytest.raises(AlphabetError, match="input symbol -1 outside"):
+        packed([0, -1], 5, "input symbol")
+
+
+@pytest.mark.parametrize("word", [[1.0, 2.0], ["a"]], ids=["floats", "strings"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda word: compress(word, 5),
+        lambda word: decompress(word, 5),
+        lambda word: Compressor(5).consume(word),
+        block_stats,
+        lambda word: encode_stream(word, ROLE_PLAIN, 5),
+        lambda word: cyclic_pattern_counts(word, 5, 1),
+    ],
+    ids=["compress", "decompress", "consume", "block_stats", "encode_stream", "cyclic_pattern_counts"],
+)
+def test_every_entry_point_refuses_symbols_that_are_not_integers(entry, word):
+    with pytest.raises((TypeError, ValueError)):  # CodecError is a ValueError
+        entry(word)
 
 
 def test_k_range():

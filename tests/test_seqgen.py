@@ -1,5 +1,6 @@
 """Sequence generation: enumeration segments, cyclic counts."""
 
+from array import array
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from pdtcomp.seqgen import (
     cyclic_pattern_counts,
     iter_mirrored_segments,
     lex_concat,
+    joined,
     mirrored_segment,
 )
 
@@ -72,6 +74,31 @@ def test_large_alphabet_uses_wide_buffer():
     assert list(w[:3]) == [0, 1, 2] and w[-1] == 299
     seg = mirrored_segment(300, 1)
     assert len(seg) == 600 and normal_form(seg) == []
+
+
+@pytest.mark.parametrize("k,n", [(256, 2), (257, 1), (300, 2)])
+def test_wide_alphabets_match_direct_enumeration(k, n):
+    words = list(product(range(k), repeat=n))
+    w = lex_concat(k, n)
+    assert isinstance(w, bytes if k <= 256 else array)
+    assert list(w) == [a for word in words for a in word]
+    _, enum = list(iter_mirrored_segments(k, n, variant=PAIRED_ENUM))[-1]
+    assert type(enum) is type(w)
+    assert list(enum) == [a for word in words for a in word + word[::-1]]
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_no_segments_is_an_error_before_the_first(n_max):
+    for variant in (PAIRED_LEX, PAIRED_ENUM):
+        with pytest.raises(ValueError, match="n-max"):
+            next(iter_mirrored_segments(3, n_max, variant=variant))
+
+
+def test_joined_keeps_the_packed_form():
+    for kind in (bytes, bytearray):
+        assert joined([kind([0, 1]), kind([2])]) == bytes([0, 1, 2])
+    wide = joined([array("H", [0, 300]), array("H", [299])])
+    assert isinstance(wide, array) and list(wide) == [0, 300, 299]
 
 
 @pytest.mark.parametrize(

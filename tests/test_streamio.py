@@ -1,5 +1,7 @@
 """Bit-exact serialization of symbol streams."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,11 @@ from pdtcomp.streamio import (
 )
 
 
+def as_lists(decoded):
+    """A decoded stream with its packed symbols as a list, to compare with list input."""
+    return list(decoded.symbols), decoded.role, decoded.k
+
+
 def test_binary_header_layout():
     data = encode_stream([], ROLE_PLAIN, 5, "binary")
     assert len(data) == HEADER.size == 16
@@ -42,14 +49,13 @@ def test_binary_body_is_little_endian_16bit():
 def test_text_example():
     data = encode_stream([0, 1, 3], ROLE_CODED, 2, "text")
     assert data == b"k=2 role=1\n01*\n"
-    symbols, role, k = decode_stream(data)
-    assert (symbols, role, k) == ([0, 1, 3], 1, 2)
+    assert as_lists(decode_stream(data)) == ([0, 1, 3], 1, 2)
 
 
 def test_text_odd_marker_and_letters():
     data = encode_stream([10, 13, 12, 11], ROLE_CODED, 12, "text")
     assert data == b"k=12 role=1\na*+b\n"
-    assert decode_stream(data).symbols == [10, 13, 12, 11]
+    assert list(decode_stream(data).symbols) == [10, 13, 12, 11]
 
 
 def test_text_rejects_large_alphabets():
@@ -140,11 +146,38 @@ def test_decode_text_errors():
         decode_stream("k=2 role=0\né\n".encode("utf-8"), "text")
 
 
+@pytest.mark.parametrize("k, role", [(5, ROLE_PLAIN), (254, ROLE_CODED)])
+def test_binary_high_byte_names_the_full_code(k, role):
+    data = bytearray(encode_stream([0, 1, 2], role, k, "binary"))
+    data[HEADER.size + 3] = 1  # high byte of the second code
+    with pytest.raises(CodeOutOfRangeError, match="code 257 outside"):
+        decode_stream(bytes(data))
+
+
+@pytest.mark.parametrize("char", ["A", "-", "\r", "+"], ids=["letter", "dash", "return", "marker"])
+def test_text_plain_stream_refuses_stray_characters(char):
+    with pytest.raises(CodeOutOfRangeError):
+        decode_stream(f"k=5 role=0\n01{char}2\n".encode("ascii"), "text")
+
+
+def test_text_digit_past_the_alphabet_is_not_a_marker():
+    # code 2 is the odd marker at k = 2, but its character is "+", not "2"
+    with pytest.raises(CodeOutOfRangeError, match="'2' is not a symbol"):
+        decode_stream(b"k=2 role=1\n02\n", "text")
+
+
+def test_decoded_symbols_are_packed():
+    assert decode_stream(encode_stream([0, 4, 1], ROLE_PLAIN, 5)).symbols == bytes([0, 4, 1])
+    assert decode_stream(encode_stream([0, 4, 1], ROLE_PLAIN, 5, "text")).symbols == bytes([0, 4, 1])
+    wide = decode_stream(encode_stream([0, 300, 1], ROLE_PLAIN, 301)).symbols
+    assert wide == array("H", [0, 300, 1])
+
+
 def test_text_empty_stream():
     data = encode_stream([], ROLE_PLAIN, 5, "text")
-    assert decode_stream(data).symbols == []
+    assert list(decode_stream(data).symbols) == []
     # a missing symbol line after the header also decodes as empty
-    assert decode_stream(b"k=5 role=0\n", "text").symbols == []
+    assert list(decode_stream(b"k=5 role=0\n", "text").symbols) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,8 +188,8 @@ def test_binary_roundtrip(data):
     limit = code_limit(role, k)
     symbols = data.draw(st.lists(st.integers(0, limit - 1), max_size=64))
     encoded = encode_stream(symbols, role, k, "binary")
-    assert decode_stream(encoded, "binary") == (symbols, role, k)
-    assert decode_stream(encoded, "auto") == (symbols, role, k)
+    assert as_lists(decode_stream(encoded, "binary")) == (symbols, role, k)
+    assert as_lists(decode_stream(encoded, "auto")) == (symbols, role, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,22 +200,22 @@ def test_text_roundtrip(data):
     limit = code_limit(role, k)
     symbols = data.draw(st.lists(st.integers(0, limit - 1), max_size=64))
     encoded = encode_stream(symbols, role, k, "text")
-    assert decode_stream(encoded, "text") == (symbols, role, k)
-    assert decode_stream(encoded, "auto") == (symbols, role, k)
+    assert as_lists(decode_stream(encoded, "text")) == (symbols, role, k)
+    assert as_lists(decode_stream(encoded, "auto")) == (symbols, role, k)
 
 
 def test_maximal_codes_roundtrip():
     k = 65534
     symbols = [0, k - 1, k, k + 1]  # top plain symbol and both markers
     encoded = encode_stream(symbols, ROLE_CODED, k, "binary")
-    assert decode_stream(encoded).symbols == symbols
+    assert list(decode_stream(encoded).symbols) == symbols
 
 
 @pytest.mark.parametrize("fmt", ["binary", "text"])
 def test_encode_reads_bytes_as_symbols(fmt):
     for symbols in ([3, 0, 1, 0], [1, 2, 3]):
         for buffer in (bytes(symbols), bytearray(symbols)):
-            assert decode_stream(encode_stream(buffer, ROLE_PLAIN, 5, fmt)).symbols == symbols
+            assert list(decode_stream(encode_stream(buffer, ROLE_PLAIN, 5, fmt)).symbols) == symbols
     assert encode_stream(bytes([3, 0, 1, 0]), ROLE_PLAIN, 5, fmt) == encode_stream(
         [3, 0, 1, 0], ROLE_PLAIN, 5, fmt
     )
@@ -194,7 +227,7 @@ def test_encode_takes_a_generated_segment_directly():
     segment = mirrored_segment(5, 4)
     assert isinstance(segment, bytes)
     encoded = encode_stream(segment, ROLE_PLAIN, 5, "binary")
-    assert decode_stream(encoded) == (list(segment), ROLE_PLAIN, 5)
+    assert as_lists(decode_stream(encoded)) == (list(segment), ROLE_PLAIN, 5)
 
 
 @pytest.mark.parametrize("k", [0, 1, 65535])
