@@ -6,15 +6,20 @@ Subcommands: ``gen`` writes a sequence prefix as a plain stream,
 the self-check suites, and ``bound`` tabulates the closed-form ratio bound
 with its exact integer verdict.  Exit status: 0 success, 1 verification
 failure, 2 usage or I/O error.
+
+``gen``, ``compress`` and ``decompress`` load only :mod:`~pdtcomp.codec`,
+:mod:`~pdtcomp.seqgen` and :mod:`~pdtcomp.streamio`; the ``ratio``,
+``bound`` and ``verify`` handlers import :mod:`~pdtcomp.analysis` and
+:mod:`~pdtcomp.properties` when they run, and call them through their module
+attributes.
 """
 
 import argparse
-import csv
 import io
 import random
 import sys
 
-from . import analysis, codec, properties, seqgen, streamio
+from . import codec, seqgen, streamio
 
 CSV_COLUMNS = [
     "k",
@@ -180,6 +185,10 @@ def _csv_rows(k: int, variant: str, reports) -> list[list]:
 
 
 def _cmd_ratio(args) -> int:
+    import csv
+
+    from . import analysis
+
     reports = analysis.segment_reports(
         args.k, args.n_max, variant=args.variant, seed=args.seed, block_cap=args.cap
     )
@@ -209,6 +218,8 @@ a row up to k = 256, but 6 s at k = 500, and past k = 2000 it runs for minutes."
 def _cmd_bound(args) -> int:
     if args.k_min < 2 or args.k_max < args.k_min or args.k_max > BOUND_K_MAX:
         raise ValueError(f"need 2 <= k-min <= k-max <= {BOUND_K_MAX}")
+    from . import analysis
+
     print(f"{'k':>6}  {'ratio_bound':>12}  sufficient")
     for k in range(args.k_min, args.k_max + 1):
         print(f"{k:>6}  {analysis.ratio_bound(k):>12.6f}  {str(analysis.sufficiency_exact(k)).lower()}")
@@ -239,6 +250,8 @@ def _cmd_verify(args) -> int:
 
 def _verification_results(k_range, n_max: int, words: int, seed: int):
     """Yield (property, scope, passed, detail) rows for the verify command."""
+    from . import properties
+
     for k in k_range:
         scope = f"k={k}"
         rng = random.Random(seed * 1_000_003 + k)

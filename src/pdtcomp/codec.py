@@ -34,15 +34,23 @@ per-symbol loops: the census, and ``feed``, the only one that emits output.
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
 (``bytes``, or ``array('H')`` past 256 codes) and range-checks its symbols.
+Words are built in :func:`packed_buffer`, which picks the same form from the
+code limit, so the sessions, :func:`compress` and :func:`decompress` return
+their output packed: ``bytes`` while every code of the output alphabet fits
+a byte, else ``array('H')``.
+
+The engine is imported only by the table builders, :func:`compress_run` and
+:attr:`Compressor.configuration`, so the sessions load without it.
 """
 
 from array import array
 from functools import lru_cache
 from itertools import compress as select, count, islice
 from operator import eq
+from typing import TYPE_CHECKING
 
-from . import engine
-from .engine import Configuration, RunTrace, Transition, TransducerSpec
+if TYPE_CHECKING:
+    from .engine import Configuration, RunTrace, TransducerSpec
 
 K_MIN = 2
 K_MAX = 65534  # pair marker k + 1 must fit a 16-bit stream code
@@ -82,13 +90,15 @@ def stack_bottom(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_compressor(k: int) -> TransducerSpec:
+def build_compressor(k: int) -> "TransducerSpec":
     """Transducer table for the compressor over ``{0, ..., k-1}``.
 
     States: 0 (between pop pairs) and 1 (one pop pending).  Four families:
     push-and-echo, first pop of a pair (silent), second pop (pair marker),
     and push-after-odd-run (odd marker plus the pushed symbol).
     """
+    from .engine import Transition, TransducerSpec
+
     check_alphabet_size(k)
     bottom = stack_bottom(k)
     alphabet = range(k)
@@ -114,13 +124,15 @@ def build_compressor(k: int) -> TransducerSpec:
 
 
 @lru_cache(maxsize=None)
-def build_decompressor(k: int) -> TransducerSpec:
+def build_decompressor(k: int) -> "TransducerSpec":
     """Transducer table for the inverse direction.
 
     Plain symbols push and echo (also onto the bottom sentinel); the odd
     marker pops and echoes the top; the pair marker pops and echoes the
     top, then an input-free move pops and echoes the next one.
     """
+    from .engine import EPSILON, Transition, TransducerSpec
+
     check_alphabet_size(k)
     bottom = stack_bottom(k)
     alphabet = range(k)
@@ -132,7 +144,7 @@ def build_decompressor(k: int) -> TransducerSpec:
     for z in alphabet:
         ts.append(Transition(0, z, odd_marker(k), (z,), 0, ()))
         ts.append(Transition(0, z, pair_marker(k), (z,), 1, ()))
-        ts.append(Transition(1, z, engine.EPSILON, (z,), 0, ()))
+        ts.append(Transition(1, z, EPSILON, (z,), 0, ()))
     return TransducerSpec(
         input_alphabet=frozenset(range(k + 2)),
         output_alphabet=frozenset(alphabet),
@@ -169,6 +181,21 @@ def packed(word, limit: int, what: str):
     raise AlphabetError(f"{what} {bad} outside [0, {limit})")
 
 
+def packed_buffer(limit: int, size: int = 0) -> bytearray | array:
+    """A writable buffer of ``size`` zero symbols, for symbols below ``limit``.
+
+    ``bytearray`` when every symbol fits a byte (``limit`` at most 256), else
+    ``array('H')``: the forms :func:`packed` gives, and :func:`frozen` turns
+    a finished ``bytearray`` into its ``bytes``.
+    """
+    return bytearray(size) if limit <= 256 else array("H", bytes(2 * size))
+
+
+def frozen(buffer: bytearray | array) -> bytes | array:
+    """A finished :func:`packed_buffer` as :func:`packed` returns words: ``bytes`` or ``array('H')``."""
+    return bytes(buffer) if isinstance(buffer, bytearray) else buffer
+
+
 _MIRROR_CHUNK = 1 << 15
 
 
@@ -198,7 +225,8 @@ class Compressor:
     ``feed`` accepts any iterable of symbols below ``k`` and returns the
     output emitted so far for them; ``consume`` does the same work without
     materializing output (for measurement runs).  ``flush`` ends the
-    session, emitting one odd marker if a pop is pending.
+    session, emitting one odd marker if a pop is pending.  Output is packed
+    for the limit ``k + 2``: ``bytes`` up to k = 254, else ``array('H')``.
 
     Counters besides ``symbols_read`` / ``symbols_written``:
 
@@ -221,9 +249,10 @@ class Compressor:
         self._clustered = 0
         self._open_run = 0
 
-    def feed(self, word) -> list[int]:
+    def feed(self, word) -> bytes | array:
+        """Compress ``word``; the codes emitted for it, packed."""
         word = self._start_feed(word)
-        out: list[int] = []
+        out = packed_buffer(self.k + 2)
         emit = out.append
         stack = self._stack
         push = stack.append
@@ -259,7 +288,7 @@ class Compressor:
         self._open_run = run
         self._read += len(word)
         self._written += len(out)
-        return out
+        return frozen(out)
 
     def consume(self, word) -> None:
         """Like ``feed`` but only the counters are updated.
@@ -352,19 +381,23 @@ class Compressor:
             run = 1
         return pop_singles, pop_odd, push_singles, push_odd, run, popping
 
-    def flush(self) -> list[int]:
-        """End the session; emit the pending odd marker if there is one."""
+    def flush(self) -> bytes | array:
+        """End the session; emit the pending odd marker if there is one.
+
+        Returns the emitted codes in the form ``feed`` returns: empty, or the odd marker alone.
+        """
         if self._finished:
             raise CodecError("compressor session already flushed")
         self._finished = True
         if self._open_run >= 2:
             self._clustered += self._open_run
         self._open_run = 0
+        out = packed_buffer(self.k + 2)
         if self._pending:
             self._pending = False
             self._written += 1
-            return [self._odd]
-        return []
+            out.append(self._odd)
+        return frozen(out)
 
     def _start_feed(self, word):
         if self._finished:
@@ -380,7 +413,9 @@ class Compressor:
         return tuple(self._stack)
 
     @property
-    def configuration(self) -> Configuration:
+    def configuration(self) -> "Configuration":
+        from .engine import Configuration
+
         return Configuration(self.state, tuple(self._stack))
 
     @property
@@ -407,6 +442,9 @@ class Decompressor:
     equal to the stack top would have popped it, and an odd marker closes
     its pop run, so a plain symbol or the end of the stream follows it.
 
+    Output is packed for the limit ``k``: ``bytes`` up to k = 256, else
+    ``array('H')``.
+
     A ``MalformedStreamError`` ends the session: it leaves the stack part
     way through the rejected call, so every later ``feed`` raises
     ``CodecError``.  An ``AlphabetError`` is raised before any symbol is
@@ -421,11 +459,12 @@ class Decompressor:
         self._odd_at = -1  # position of the last odd marker read
         self._failed = False  # set while decoding; stays set if decoding raised
 
-    def feed(self, word) -> list[int]:
+    def feed(self, word) -> bytes | array:
+        """Decode ``word``; the symbols it stands for, packed."""
         if self._failed:
             raise CodecError("decompressor session already failed on a malformed stream")
         word = packed(word, self.k + 2, "coded symbol")
-        out: list[int] = []
+        out = packed_buffer(self.k)
         emit = out.append
         stack = self._stack
         push = stack.append
@@ -465,7 +504,7 @@ class Decompressor:
         self._read = position
         self._odd_at = odd_at
         self._written += len(out)
-        return out
+        return frozen(out)
 
     @property
     def stack(self) -> tuple[int, ...]:
@@ -480,8 +519,8 @@ class Decompressor:
         return self._written
 
 
-def compress(word, k: int, *, flush: bool = True) -> list[int]:
-    """Compress a finite word over ``{0, ..., k-1}``.
+def compress(word, k: int, *, flush: bool = True) -> bytes | array:
+    """Compress a finite word over ``{0, ..., k-1}``; packed as :meth:`Compressor.feed` packs.
 
     With ``flush`` (the default) the coding is injective on finite words;
     without it, a trailing odd pop run keeps its odd marker pending, which
@@ -494,8 +533,10 @@ def compress(word, k: int, *, flush: bool = True) -> list[int]:
     return out
 
 
-def decompress(word, k: int) -> list[int]:
-    """Invert :func:`compress`.  Accepts exactly the flushed ``compress`` image.
+def decompress(word, k: int) -> bytes | array:
+    """Invert :func:`compress`; packed as :meth:`Decompressor.feed` packs.
+
+    Accepts exactly the flushed ``compress`` image.
 
     So ``compress(decompress(c), k) == c`` for every ``c`` it returns on.
     Raises ``MalformedStreamError`` when a marker requests a pop that has
@@ -506,7 +547,7 @@ def decompress(word, k: int) -> list[int]:
     return Decompressor(k).feed(word)
 
 
-def compress_run(word, k: int) -> tuple[list[int], Configuration, RunTrace]:
+def compress_run(word, k: int) -> tuple[list[int], "Configuration", "RunTrace"]:
     """Compress through the transducer table, keeping the run trace; always flushed.
 
     Slower than :func:`compress` but exposes the per-position push/pop
@@ -514,6 +555,9 @@ def compress_run(word, k: int) -> tuple[list[int], Configuration, RunTrace]:
     appended to the final trace entry, since it is the retirement of that
     position's pending pop.
     """
+    from . import engine
+    from .engine import Configuration
+
     word = packed(word, check_alphabet_size(k), "input symbol")
     out, config, trace = engine.run(build_compressor(k), word)
     out = list(out)

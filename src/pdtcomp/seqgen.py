@@ -11,9 +11,10 @@ the words or, with no seed, lexicographic order.
 Words are sequences of small non-negative integers, held in the form
 :func:`pdtcomp.codec.packed` picks: ``bytes`` for alphabets of up to 256
 symbols and ``array('H')`` beyond.  Generation packs the alphabet once and
-builds every segment from it by slicing, repetition and joins, so each
-segment keeps that form; :func:`iter_mirrored_segments` holds one segment
-at a time.
+builds every segment from it by slicing, repetition and joins, writing the
+digit columns of the enumerated words into a
+:func:`pdtcomp.codec.packed_buffer`, so each segment keeps that form;
+:func:`iter_mirrored_segments` holds one segment at a time.
 """
 
 import random
@@ -21,7 +22,7 @@ from array import array
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .codec import check_alphabet_size, packed
+from .codec import check_alphabet_size, frozen, packed, packed_buffer
 
 DEFAULT_BLOCK_CAP = 20_000_000
 """Default per-segment budget: generation refuses n with n * k**n above it."""
@@ -53,21 +54,28 @@ def joined(parts: list) -> Sequence[int]:
     return array("H", data) if isinstance(parts[0], array) else data
 
 
+def _lex_columns(k: int, n: int) -> Iterator[Sequence[int]]:
+    """Digit j of the k**n length-n words in lexicographic order, for j = 0 .. n-1.
+
+    Column j holds each symbol k**(n-1-j) times in a row, and that pattern k**j times over.
+    """
+    digits = packed(range(k), k, "symbol")
+    for j in range(n):
+        run = k ** (n - 1 - j)
+        yield joined([digits[a : a + 1] * run for a in range(k)]) * k**j
+
+
 def lex_concat(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:
     """All k**n words of length n, in lexicographic order, concatenated.
 
     The result has n * k**n symbols, starts with n zeros and ends with n
-    copies of k - 1.  Built a column at a time: digit j of the words holds
-    each symbol k**(n-1-j) times in a row, and that pattern k**j times over.
+    copies of k - 1.  Built a column at a time: digit j lands at offsets j, j + n, ...
     """
     check_alphabet_size(k)
-    size = _check_block(k, n, block_cap)
-    digits = packed(range(k), k, "symbol")
-    words = bytearray(size) if isinstance(digits, bytes) else digits[:1] * size  # writable, same form
-    for j in range(n):
-        run = k ** (n - 1 - j)
-        words[j::n] = joined([digits[a : a + 1] * run for a in range(k)]) * k**j
-    return joined([words])
+    words = packed_buffer(k, _check_block(k, n, block_cap))
+    for j, column in enumerate(_lex_columns(k, n)):
+        words[j::n] = column
+    return frozen(words)
 
 
 def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:
@@ -81,11 +89,23 @@ def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> S
 
 
 def _enum_segment(k: int, n: int, seed: int | None, cap: int) -> Sequence[int]:
-    words = lex_concat(k, n, block_cap=cap)
-    pairs = [u + u[::-1] for u in (words[i : i + n] for i in range(0, len(words), n))]
-    if seed is not None:
-        random.Random(f"{seed}:{n}").shuffle(pairs)
-    return joined(pairs)
+    """Every length-n word ``u`` as ``u + u[::-1]``, in lexicographic or seeded order.
+
+    Built a column at a time like :func:`lex_concat`: digit j of the word at
+    index i lands at offsets 2n·i + j and 2n·i + 2n - 1 - j.
+    """
+    check_alphabet_size(k)
+    width = 2 * n
+    pairs = packed_buffer(k, 2 * _check_block(k, n, cap))
+    for j, column in enumerate(_lex_columns(k, n)):
+        pairs[j::width] = column
+        pairs[width - 1 - j :: width] = column
+    pairs = frozen(pairs)
+    if seed is None:
+        return pairs
+    words = [pairs[i : i + width] for i in range(0, len(pairs), width)]
+    random.Random(f"{seed}:{n}").shuffle(words)
+    return joined(words)
 
 
 def iter_mirrored_segments(

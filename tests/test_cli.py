@@ -118,7 +118,7 @@ def test_compress_decompress_files_roundtrip(tmp_path):
     symbols, role, k = streamio.decode_stream(coded.read_bytes())
     assert role == streamio.ROLE_CODED and k == 4
     plain_symbols = streamio.decode_stream(plain.read_bytes()).symbols
-    assert list(symbols) == compress(plain_symbols, 4)
+    assert symbols == compress(plain_symbols, 4)  # both packed as bytes
 
 
 def test_compress_text_example(tmp_path):
@@ -224,10 +224,15 @@ def test_bound_refuses_alphabets_past_256(capsys):
     assert captured.out == ""
 
 
-def test_module_entry_point_prints_no_warning():
+def _package_env():
     env = dict(os.environ)
     src = str(Path(pdtcomp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_prints_no_warning():
+    env = _package_env()
     done = subprocess.run(
         [sys.executable, "-m", "pdtcomp.cli", "bound", "--k-min", "7", "--k-max", "7"],
         capture_output=True, text=True, env=env, timeout=60,
@@ -235,6 +240,32 @@ def test_module_entry_point_prints_no_warning():
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.splitlines()[1].split()[::2] == ["7", "true"]
+
+
+FILE_COMMANDS_SCRIPT = """
+import sys
+from pdtcomp.cli import cli_dispatch
+plain, coded, back = sys.argv[1:]
+for argv in (
+    ["gen", "--k", "5", "--n-max", "3", "--variant", "paired-enum", "--seed", "1", "--out", plain],
+    ["compress", "--in", plain, "--out", coded],
+    ["decompress", "--in", coded, "--out", back],
+):
+    assert cli_dispatch(argv) == 0
+heavy = ["pdtcomp.engine", "pdtcomp.analysis", "pdtcomp.properties", "dataclasses"]
+print(" ".join(name for name in heavy if name in sys.modules))
+"""
+
+
+def test_file_commands_load_neither_engine_nor_analysis(tmp_path):
+    paths = [str(tmp_path / name) for name in ("plain.pdt", "coded.cpdt", "back.pdt")]
+    done = subprocess.run(
+        [sys.executable, "-c", FILE_COMMANDS_SCRIPT, *paths],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+    assert Path(paths[2]).read_bytes() == Path(paths[0]).read_bytes()
 
 
 def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):

@@ -80,22 +80,22 @@ def test_decompressor_specific_triples():
 
 
 def test_compress_examples():
-    assert compress([], 2) == []
-    assert compress([0, 1, 1, 0], 2) == [0, 1, pair_marker(2)]
-    assert compress([0, 0], 2) == [0, odd_marker(2)]
-    assert compress([0, 0, 0, 1], 2) == [0, odd_marker(2), 0, 1]
+    assert list(compress([], 2)) == []
+    assert list(compress([0, 1, 1, 0], 2)) == [0, 1, pair_marker(2)]
+    assert list(compress([0, 0], 2)) == [0, odd_marker(2)]
+    assert list(compress([0, 0, 0, 1], 2)) == [0, odd_marker(2), 0, 1]
 
 
 def test_compress_without_flush_is_prefix_coding():
-    assert compress([0, 0], 2, flush=False) == [0]
-    assert compress([0], 2, flush=False) == [0]  # collides: flush restores injectivity
-    assert compress([0], 2) == [0]
-    assert compress([0, 0], 2) == [0, odd_marker(2)]
+    assert list(compress([0, 0], 2, flush=False)) == [0]
+    assert list(compress([0], 2, flush=False)) == [0]  # collides: flush restores injectivity
+    assert list(compress([0], 2)) == [0]
+    assert list(compress([0, 0], 2)) == [0, odd_marker(2)]
 
 
 def test_decompress_examples():
-    assert decompress([], 2) == []
-    assert decompress([0, 1, pair_marker(2)], 2) == [0, 1, 1, 0]
+    assert list(decompress([], 2)) == []
+    assert list(decompress([0, 1, pair_marker(2)], 2)) == [0, 1, 1, 0]
     with pytest.raises(MalformedStreamError):
         decompress([pair_marker(2)], 2)
     with pytest.raises(MalformedStreamError):
@@ -128,7 +128,7 @@ def test_byte_input_range_check_names_the_first_bad_symbol():
             compress(word, 3)
     with pytest.raises(AlphabetError, match="coded symbol 200 outside"):
         decompress(bytes([0, 200, 255]), 3)
-    assert compress(bytes([255, 255]), 256) == [255, odd_marker(256)]
+    assert list(compress(bytes([255, 255]), 256)) == [255, odd_marker(256)]
 
 
 def test_packed_reads_buffers_in_place_and_packs_other_words():
@@ -166,26 +166,49 @@ def test_every_entry_point_refuses_symbols_that_are_not_integers(entry, word):
         entry(word)
 
 
+@pytest.mark.parametrize(
+    "k, form", [(254, bytes), (255, array)], ids=["pair-marker-255", "pair-marker-256"]
+)
+def test_compressor_output_is_packed_for_its_pair_marker(k, form):
+    word = [k - 1, k - 1, 0]
+    assert type(compress(word, k)) is form
+    assert list(compress(word, k)) == [k - 1, odd_marker(k), 0]
+    session = Compressor(k)
+    assert type(session.feed(word[:2])) is form
+    flushed = session.flush()
+    assert type(flushed) is form and list(flushed) == [odd_marker(k)]
+    assert type(Compressor(k).flush()) is form  # nothing pending: empty, same form
+    assert type(compress([], k)) is form
+
+
+@pytest.mark.parametrize("k, form", [(256, bytes), (257, array)], ids=["k-256", "k-257"])
+def test_decompressor_output_is_packed_for_its_alphabet(k, form):
+    coded = compress([k - 1, 3, 3, k - 1], k)
+    assert type(decompress(coded, k)) is form
+    assert list(decompress(coded, k)) == [k - 1, 3, 3, k - 1]
+    assert type(Decompressor(k).feed([])) is form
+
+
 def test_k_range():
     for bad in (1, 0, -3, 65535, 2.0):
         with pytest.raises(ValueError):
             Compressor(bad)
-    assert compress([0], 65534) == [0]
+    assert list(compress([0], 65534)) == [0]
 
 
 def test_largest_alphabet_without_table():
     k = 65534
     w = [k - 1, k - 1, 5, 4, 4]
     coded = compress(w, k)
-    assert coded == [k - 1, odd_marker(k), 5, 4, odd_marker(k)]
-    assert decompress(coded, k) == w
+    assert list(coded) == [k - 1, odd_marker(k), 5, 4, odd_marker(k)]
+    assert list(decompress(coded, k)) == w
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 10), st.data())
 def test_roundtrip(k, data):
     w = data.draw(words(k))
-    assert decompress(compress(w, k), k) == w
+    assert list(decompress(compress(w, k), k)) == w
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,23 +216,23 @@ def test_roundtrip(k, data):
 def test_fast_path_matches_engine(k, data):
     w = data.draw(words(k))
     engine_out, engine_config, _ = compress_run(w, k)
-    assert compress(w, k) == engine_out
+    assert list(compress(w, k)) == engine_out
     session = Compressor(k)
     fast_out = session.feed(w)
     fast_out += session.flush()
-    assert fast_out == engine_out
+    assert list(fast_out) == engine_out
     assert session.configuration == engine_config
     # unflushed runs agree with the raw table run
     raw = run(build_compressor(k), w)
-    assert compress(w, k, flush=False) == list(raw.output)
-    assert Compressor(k).feed(w) == list(raw.output)
+    assert list(compress(w, k, flush=False)) == list(raw.output)
+    assert list(Compressor(k).feed(w)) == list(raw.output)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_decompress_accepts_only_the_compress_image(k, data):
     # compress images, some with random edits that leave the image
-    c = compress(data.draw(words(k, 30)), k)
+    c = list(compress(data.draw(words(k, 30)), k))
     for _ in range(data.draw(st.integers(0, 2))):
         i = data.draw(st.integers(0, len(c)))
         c[i:i] = [data.draw(st.integers(0, k + 1))]
@@ -223,11 +246,11 @@ def test_decompress_accepts_only_the_compress_image(k, data):
             for start, end in zip([0] + cuts, cuts + [len(c)]):
                 session.feed(c[start:end])
         return
-    assert compress(w, k) == c
+    assert list(compress(w, k)) == c
     chunked = []
     for start, end in zip([0] + cuts, cuts + [len(c)]):
         chunked += session.feed(c[start:end])
-    assert chunked == w
+    assert chunked == list(w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -236,7 +259,7 @@ def test_decompressor_matches_engine_on_valid_streams(k, data):
     w = data.draw(words(k))
     coded = compress(w, k)
     raw = run(build_decompressor(k), coded)
-    assert decompress(coded, k) == list(raw.output)
+    assert list(decompress(coded, k)) == list(raw.output)
     assert raw.config.state == 0
     # both directions keep the same stack: the reduced form of the plain word
     assert raw.config.stack == (stack_bottom(k),) + tuple(normal_form(w))
@@ -285,7 +308,7 @@ def test_chunked_feeding_matches_one_shot(k, data):
         out += session.feed(w[prev:cut])
         prev = cut
     out += session.flush()
-    assert out == compress(w, k)
+    assert out == list(compress(w, k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,7 +335,7 @@ def test_session_is_single_use():
 def test_decompressor_counters():
     session = Decompressor(2)
     out = session.feed(compress([0, 1, 1, 0], 2))
-    assert out == [0, 1, 1, 0]
+    assert list(out) == [0, 1, 1, 0]
     assert session.symbols_read == 3
     assert session.symbols_written == 4
     assert session.stack == (stack_bottom(2),)
@@ -322,7 +345,7 @@ def test_decompressor_session_fails_for_good_after_a_malformed_stream():
     session = Decompressor(3)
     with pytest.raises(AlphabetError):
         session.feed([0, 1, 9])  # rejected before any symbol is decoded
-    assert session.feed([0, 1, 3]) == [0, 1, 1]
+    assert list(session.feed([0, 1, 3])) == [0, 1, 1]
     session = Decompressor(3)
     with pytest.raises(MalformedStreamError, match="position 5"):
         session.feed([0, 1, 2, 4, 4, 4])

@@ -1,5 +1,6 @@
 """The public surface of the top-level package."""
 
+import importlib
 from types import ModuleType
 
 import pdtcomp
@@ -40,11 +41,28 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_public_names_are_pinned():
+def public_names() -> list[str]:
     # submodules are left out: which of them are attributes depends on what was imported
-    names = sorted(
+    return sorted(
         name
-        for name, value in vars(pdtcomp).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        for name in dir(pdtcomp)
+        if not name.startswith("_") and not isinstance(getattr(pdtcomp, name), ModuleType)
     )
-    assert names == PUBLIC_NAMES
+
+
+def test_public_names_are_pinned():
+    assert public_names() == PUBLIC_NAMES
+
+
+def test_each_public_name_is_its_module_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(pdtcomp, name)
+        owner = importlib.import_module(value.__module__)
+        assert getattr(owner, name) is value, name
+    assert public_names() == PUBLIC_NAMES  # resolving the lazy names adds none
+
+
+def test_lazy_modules_resolve_as_attributes():
+    for name in ("analysis", "engine", "rewrite"):
+        assert getattr(pdtcomp, name) is importlib.import_module(f"pdtcomp.{name}")
+        assert name in dir(pdtcomp)
