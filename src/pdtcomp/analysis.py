@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half, packed
 from .engine import POP, RunTrace
-from .seqgen import DEFAULT_BLOCK_CAP, PAIRED_LEX, iter_mirrored_segments
+from .seqgen import PAIRED_LEX, iter_mirrored_segments
 
 
 @dataclass(frozen=True)
@@ -218,12 +218,10 @@ def _rho(k: int, read: int, written: int) -> float:
     return written * math.log(k + 2) / (read * math.log(k))
 
 
-def _consumed_segments(k: int, n_max: int, variant: str, seed: int | None, block_cap: int):
+def _consumed_segments(k: int, n_max: int, variant: str, seed: int | None):
     """Yield ``(n, segment, session)`` once one unflushed session has consumed each segment."""
     session = Compressor(k)
-    for n, segment in iter_mirrored_segments(
-        k, n_max, variant=variant, seed=seed, block_cap=block_cap
-    ):
+    for n, segment in iter_mirrored_segments(k, n_max, variant=variant, seed=seed):
         session.consume(segment)
         yield n, segment, session
 
@@ -234,7 +232,6 @@ def segment_reports(
     *,
     variant: str = PAIRED_LEX,
     seed: int | None = None,
-    block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> list[SegmentReport]:
     """Stream segments 1..n_max through one compressor session.
 
@@ -247,7 +244,7 @@ def segment_reports(
     reports: list[SegmentReport] = []
     prev_savings = 0
     prev_clustered = 0
-    for n, segment, session in _consumed_segments(k, n_max, variant, seed, block_cap):
+    for n, segment, session in _consumed_segments(k, n_max, variant, seed):
         stats = block_stats(segment)
         expected = None
         if variant == PAIRED_LEX and n >= 3:
@@ -276,7 +273,6 @@ def ratio_series(
     *,
     variant: str = PAIRED_LEX,
     seed: int | None = None,
-    block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> list[RatioPoint]:
     """Cumulative ratio checkpoints at every segment boundary.
 
@@ -285,13 +281,13 @@ def ratio_series(
     """
     return [
         RatioPoint(n, s.symbols_read, s.symbols_written, _rho(k, s.symbols_read, s.symbols_written))
-        for n, _, s in _consumed_segments(k, n_max, variant, seed, block_cap)
+        for n, _, s in _consumed_segments(k, n_max, variant, seed)
     ]
 
 
-def min_checkpoint_rho(points: Iterable[RatioPoint], *, burn_in: int = 3) -> float:
-    """Smallest checkpoint ratio from segment ``burn_in`` onwards."""
-    candidates = [p.rho for p in points if p.block >= burn_in]
+def min_checkpoint_rho(points: Iterable[RatioPoint]) -> float:
+    """Smallest checkpoint ratio from segment 3 onwards, past the short first segments."""
+    candidates = [p.rho for p in points if p.block >= 3]
     if not candidates:
-        raise ValueError(f"no checkpoints at or beyond segment {burn_in}")
+        raise ValueError("no checkpoints at or beyond segment 3")
     return min(candidates)

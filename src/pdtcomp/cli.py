@@ -66,16 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a sequence prefix as a plain stream")
     p.add_argument("--k", type=int, required=True, help="alphabet size")
     p.add_argument("--variant", choices=seqgen.VARIANTS, default=seqgen.PAIRED_LEX)
-    p.add_argument("--seed", type=int, default=None, help="word order seed (paired-enum)")
+    p.add_argument("--seed", type=int, default=None, help="word order seed (paired-enum only)")
     p.add_argument("--n-max", type=int, required=True, help="last segment index to emit")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=["binary", "text"], default="binary")
-    p.add_argument("--cap", type=int, default=seqgen.DEFAULT_BLOCK_CAP, help="per-segment symbol cap")
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("compress", help="compress a plain stream into a coded stream")
     p.add_argument("--k", type=int, default=None, help="expected alphabet size (checked against the input header)")
-    p.add_argument("--no-flush", action="store_true", help="leave a trailing odd pop uncoded")
     p.add_argument("--in", dest="inp", required=True, help="input path (plain stream)")
     p.add_argument("--out", required=True, help="output path (coded stream)")
     p.add_argument("--format", choices=["binary", "text"], default=None, help="output format (default: same as input)")
@@ -91,10 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio", help="measure the compression-ratio series into CSV")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", choices=seqgen.VARIANTS, default=seqgen.PAIRED_LEX)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="word order seed (paired-enum only)")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--csv", default="-", help="CSV output path, '-' for stdout")
-    p.add_argument("--cap", type=int, default=seqgen.DEFAULT_BLOCK_CAP)
     p.set_defaults(handler=_cmd_ratio)
 
     p = sub.add_parser("verify", help="run the property suites and report pass/fail")
@@ -128,9 +125,7 @@ def _write_stream(path: str, symbols, role: int, k: int, fmt: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    segments = seqgen.iter_mirrored_segments(
-        args.k, args.n_max, variant=args.variant, seed=args.seed, block_cap=args.cap
-    )
+    segments = seqgen.iter_mirrored_segments(args.k, args.n_max, variant=args.variant, seed=args.seed)
     symbols = seqgen.joined([segment for _, segment in segments])
     _write_stream(args.out, symbols, streamio.ROLE_PLAIN, args.k, args.format)
     return 0
@@ -150,7 +145,7 @@ def _check_header(args, decoded: streamio.DecodedStream, role: int, what: str) -
 def _cmd_compress(args) -> int:
     decoded, in_fmt = _read_stream(args.inp)
     _check_header(args, decoded, streamio.ROLE_PLAIN, "compress")
-    out = codec.compress(decoded.symbols, decoded.k, flush=not args.no_flush)
+    out = codec.compress(decoded.symbols, decoded.k)
     _write_stream(args.out, out, streamio.ROLE_CODED, decoded.k, args.format or in_fmt)
     return 0
 
@@ -189,9 +184,7 @@ def _cmd_ratio(args) -> int:
 
     from . import analysis
 
-    reports = analysis.segment_reports(
-        args.k, args.n_max, variant=args.variant, seed=args.seed, block_cap=args.cap
-    )
+    reports = analysis.segment_reports(args.k, args.n_max, variant=args.variant, seed=args.seed)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

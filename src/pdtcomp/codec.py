@@ -10,8 +10,9 @@ the input alphabet extended by the two marker codes.
 
 The decompressor inverts this exactly: plain symbols are pushed and
 echoed, the odd marker pops one symbol, the pair marker pops two (topmost
-first).  With flushing enabled the round trip is the identity on every
-finite word.
+first).  :func:`compress` always flushes, so the round trip is the identity
+on every finite word; unflushed, :meth:`Compressor.feed` is the prefix
+coding of an unbounded stream (``[0]`` and ``[0, 0]`` both feed to ``[0]``).
 
 Both directions exist twice: as explicit transducer tables executed by
 :mod:`pdtcomp.engine` (the reference semantics; :func:`compress_run` keeps
@@ -39,8 +40,8 @@ code limit, so the sessions, :func:`compress` and :func:`decompress` return
 their output packed: ``bytes`` while every code of the output alphabet fits
 a byte, else ``array('H')``.
 
-The engine is imported only by the table builders, :func:`compress_run` and
-:attr:`Compressor.configuration`, so the sessions load without it.
+The engine is imported only by the table builders and :func:`compress_run`,
+so the sessions load without it.
 """
 
 from array import array
@@ -413,12 +414,6 @@ class Compressor:
         return tuple(self._stack)
 
     @property
-    def configuration(self) -> "Configuration":
-        from .engine import Configuration
-
-        return Configuration(self.state, tuple(self._stack))
-
-    @property
     def symbols_read(self) -> int:
         return self._read
 
@@ -519,17 +514,16 @@ class Decompressor:
         return self._written
 
 
-def compress(word, k: int, *, flush: bool = True) -> bytes | array:
+def compress(word, k: int) -> bytes | array:
     """Compress a finite word over ``{0, ..., k-1}``; packed as :meth:`Compressor.feed` packs.
 
-    With ``flush`` (the default) the coding is injective on finite words;
-    without it, a trailing odd pop run keeps its odd marker pending, which
-    is the exact prefix behaviour of an unbounded stream.
+    The session is flushed, so a trailing odd pop run ends in its odd marker
+    and the coding is injective on finite words.  The unflushed prefix
+    coding of an unbounded stream is ``Compressor(k).feed(word)``.
     """
     session = Compressor(k)
     out = session.feed(word)
-    if flush:
-        out += session.flush()
+    out += session.flush()
     return out
 
 

@@ -91,10 +91,6 @@ class Configuration:
     def __post_init__(self):
         object.__setattr__(self, "stack", tuple(self.stack))
 
-    @property
-    def top(self) -> int | None:
-        return self.stack[-1] if self.stack else None
-
 
 @dataclass(frozen=True)
 class TransducerSpec:
@@ -130,7 +126,7 @@ class TransducerSpec:
 class RunResult(NamedTuple):
     output: tuple[int, ...]
     config: Configuration
-    trace: "RunTrace | None"
+    trace: "RunTrace"
 
 
 @dataclass
@@ -154,10 +150,6 @@ class RunTrace:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def step(self, i: int) -> tuple[int, tuple[int, ...], int]:
-        """(kind, output, depth) for consumed position ``i + 1``."""
-        return self.kinds[i], self.outputs[i], self.depths[i]
 
 
 def initial_configuration(spec: TransducerSpec) -> Configuration:
@@ -250,7 +242,6 @@ def run(
     word: Iterable[int],
     *,
     start: Configuration | None = None,
-    trace: bool = True,
 ) -> RunResult:
     """Run the transducer over ``word`` and collect output and trace.
 
@@ -275,7 +266,7 @@ def run(
     steps = spec._steps
     eps = spec._eps
     out: list[int] = []
-    tr = RunTrace() if trace else None
+    tr = RunTrace()
     position = 0
 
     def drain() -> list[int]:
@@ -297,8 +288,7 @@ def run(
 
     pre = drain()
     out.extend(pre)
-    if tr is not None:
-        tr.initial_output = tuple(pre)
+    tr.initial_output = tuple(pre)
 
     for a in word:
         position += 1
@@ -315,12 +305,10 @@ def run(
             drained = drain()
             out.extend(drained)
             output += tuple(drained)
-        if tr is not None:
-            tr.kinds.append(kind)
-            tr.outputs.append(output)
-            tr.depths.append(len(stack))
+        tr.kinds.append(kind)
+        tr.outputs.append(output)
+        tr.depths.append(len(stack))
 
-    if tr is not None:
-        tr.symbols_read = position
-        tr.symbols_written = len(out)
+    tr.symbols_read = position
+    tr.symbols_written = len(out)
     return RunResult(tuple(out), Configuration(state, tuple(stack)), tr)

@@ -20,12 +20,13 @@ digit columns of the enumerated words into a
 import random
 from array import array
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .codec import check_alphabet_size, frozen, packed, packed_buffer
 
 DEFAULT_BLOCK_CAP = 20_000_000
-"""Default per-segment budget: generation refuses n with n * k**n above it."""
+"""Per-segment budget: generation refuses n with n * k**n above it."""
 
 PAIRED_LEX = "paired-lex"
 PAIRED_ENUM = "paired-enum"
@@ -33,15 +34,17 @@ VARIANTS = (PAIRED_LEX, PAIRED_ENUM)
 
 
 class HorizonError(ValueError):
-    """A requested segment exceeds the configured size budget."""
+    """A requested segment exceeds the per-segment budget ``DEFAULT_BLOCK_CAP``."""
 
 
-def _check_block(k: int, n: int, cap: int) -> int:
+def _check_block(k: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"segment index must be at least 1, got {n}")
     size = n * k**n
-    if size > cap:
-        raise HorizonError(f"segment n={n} holds {size} symbols, above the cap of {cap}")
+    if size > DEFAULT_BLOCK_CAP:
+        raise HorizonError(
+            f"segment n={n} holds {size} symbols, above the cap of {DEFAULT_BLOCK_CAP}"
+        )
     return size
 
 
@@ -65,47 +68,51 @@ def _lex_columns(k: int, n: int) -> Iterator[Sequence[int]]:
         yield joined([digits[a : a + 1] * run for a in range(k)]) * k**j
 
 
-def lex_concat(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:
+def lex_concat(k: int, n: int) -> Sequence[int]:
     """All k**n words of length n, in lexicographic order, concatenated.
 
     The result has n * k**n symbols, starts with n zeros and ends with n
     copies of k - 1.  Built a column at a time: digit j lands at offsets j, j + n, ...
     """
     check_alphabet_size(k)
-    words = packed_buffer(k, _check_block(k, n, block_cap))
+    words = packed_buffer(k, _check_block(k, n))
     for j, column in enumerate(_lex_columns(k, n)):
         words[j::n] = column
     return frozen(words)
 
 
-def mirrored_segment(k: int, n: int, *, block_cap: int = DEFAULT_BLOCK_CAP) -> Sequence[int]:
+def mirrored_segment(k: int, n: int) -> Sequence[int]:
     """``lex_concat(k, n)`` followed by its reversal; 2 * n * k**n symbols.
 
     An even-length palindrome: it rewrites to the empty word under
     adjacent-pair deletion, whatever k and n are.
     """
-    w = lex_concat(k, n, block_cap=block_cap)
+    w = lex_concat(k, n)
     return w + w[::-1]
 
 
-def _enum_segment(k: int, n: int, seed: int | None, cap: int) -> Sequence[int]:
+def _enum_segment(k: int, n: int, seed: int | None) -> Sequence[int]:
     """Every length-n word ``u`` as ``u + u[::-1]``, in lexicographic or seeded order.
 
-    Built a column at a time like :func:`lex_concat`: digit j of the word at
-    index i lands at offsets 2n·i + j and 2n·i + 2n - 1 - j.
+    Built a column at a time like :func:`lex_concat`: digit j of the word in
+    slot i lands at offsets 2n·i + j and 2n·i + 2n - 1 - j.  A seed shuffles
+    the word indices, and each lexicographic column is read in that order.
     """
     check_alphabet_size(k)
     width = 2 * n
-    pairs = packed_buffer(k, 2 * _check_block(k, n, cap))
+    pairs = packed_buffer(k, 2 * _check_block(k, n))
+    if seed is not None:
+        order = list(range(k**n))
+        random.Random(f"{seed}:{n}").shuffle(order)
+        pick = itemgetter(*order)
     for j, column in enumerate(_lex_columns(k, n)):
+        if seed is not None:
+            picked = packed_buffer(k)
+            picked.extend(pick(column))
+            column = picked
         pairs[j::width] = column
         pairs[width - 1 - j :: width] = column
-    pairs = frozen(pairs)
-    if seed is None:
-        return pairs
-    words = [pairs[i : i + width] for i in range(0, len(pairs), width)]
-    random.Random(f"{seed}:{n}").shuffle(words)
-    return joined(words)
+    return frozen(pairs)
 
 
 def iter_mirrored_segments(
@@ -114,21 +121,23 @@ def iter_mirrored_segments(
     *,
     variant: str = PAIRED_LEX,
     seed: int | None = None,
-    block_cap: int = DEFAULT_BLOCK_CAP,
 ) -> Iterator[tuple[int, Sequence[int]]]:
     """Yield ``(n, segment)`` for n = 1 .. n_max, materializing one at a time.
 
-    An ``n_max`` below 1 or an unknown variant raises before the first segment.
+    An ``n_max`` below 1, an unknown variant or a seed for the unshuffled
+    paired-lex variant raises before the first segment.
     """
     if n_max < 1:
         raise ValueError(f"need n-max >= 1, got {n_max}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if variant == PAIRED_LEX and seed is not None:
+        raise ValueError(f"a seed orders only the {PAIRED_ENUM} variant, not {PAIRED_LEX}")
     for n in range(1, n_max + 1):
         if variant == PAIRED_LEX:
-            yield n, mirrored_segment(k, n, block_cap=block_cap)
+            yield n, mirrored_segment(k, n)
         else:
-            yield n, _enum_segment(k, n, seed, block_cap)
+            yield n, _enum_segment(k, n, seed)
 
 
 def cyclic_pattern_counts(word: Sequence[int], k: int, n: int) -> list[int]:

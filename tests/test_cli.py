@@ -1,5 +1,6 @@
 """Command-line behaviour: files in, files out, exit codes."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import pdtcomp
 from pdtcomp import analysis, codec, streamio
-from pdtcomp.cli import cli_dispatch
+from pdtcomp.cli import _build_parser, cli_dispatch
 from pdtcomp.codec import compress
 from pdtcomp.seqgen import iter_mirrored_segments
 
@@ -21,6 +22,25 @@ def dispatch(*argv):
 
 def write_stream(path, symbols, role, k, fmt="binary"):
     path.write_bytes(streamio.encode_stream(symbols, role, k, fmt))
+
+
+CLI_OPTIONS = {
+    "gen": ["--k", "--variant", "--seed", "--n-max", "--out", "--format"],
+    "compress": ["--k", "--in", "--out", "--format"],
+    "decompress": ["--k", "--in", "--out", "--format"],
+    "ratio": ["--k", "--variant", "--seed", "--n-max", "--csv"],
+    "verify": ["--k-min", "--k-max", "--n-max", "--words", "--seed"],
+    "bound": ["--k-min", "--k-max"],
+}
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for action in sub._actions if action.dest != "help" for s in action.option_strings]
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_bound_table(capsys):
@@ -103,8 +123,37 @@ def test_wide_alphabet_files_roundtrip(tmp_path):
 
 def test_gen_respects_cap(tmp_path, capsys):
     out = tmp_path / "seq.pdt"
-    assert dispatch("gen", "--k", "2", "--n-max", "8", "--out", str(out), "--cap", "100") == 2
-    assert "error:" in capsys.readouterr().err
+    # segment 3 holds 3 * 300**3 = 81 M symbols, past the fixed cap of 2e7
+    assert dispatch("gen", "--k", "300", "--n-max", "3", "--out", str(out)) == 2
+    assert "above the cap of 20000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "--no-flush", "--in", "plain.txt", "--out", "coded.txt"],
+        ["gen", "--k", "2", "--n-max", "2", "--out", "seq.pdt", "--cap", "1"],
+        ["ratio", "--k", "2", "--n-max", "2", "--cap", "1"],
+    ],
+    ids=["compress-no-flush", "gen-cap", "ratio-cap"],
+)
+def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain.txt").write_bytes(b"k=2 role=0\n00\n")
+    assert dispatch(*argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
+
+
+@pytest.mark.parametrize("command", ["gen", "ratio"])
+def test_a_seed_for_paired_lex_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "gen" else ["--csv", str(out)]
+    assert dispatch(command, "--k", "3", "--n-max", "2", "--seed", "1", *target) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_compress_decompress_files_roundtrip(tmp_path):
@@ -129,14 +178,15 @@ def test_compress_text_example(tmp_path):
     assert out.read_bytes() == b"k=2 role=1\n01*\n"
 
 
-def test_compress_no_flush_flag(tmp_path):
+def test_compress_always_flushes(tmp_path):
     inp = tmp_path / "in.txt"
     out = tmp_path / "out.txt"
+    back = tmp_path / "back.txt"
     inp.write_bytes(b"k=2 role=0\n00\n")
     assert dispatch("compress", "--in", str(inp), "--out", str(out)) == 0
     assert out.read_bytes() == b"k=2 role=1\n0+\n"
-    assert dispatch("compress", "--no-flush", "--in", str(inp), "--out", str(out)) == 0
-    assert out.read_bytes() == b"k=2 role=1\n0\n"
+    assert dispatch("decompress", "--in", str(out), "--out", str(back)) == 0
+    assert back.read_bytes() == inp.read_bytes()
 
 
 def test_format_override(tmp_path):
@@ -271,7 +321,7 @@ def test_file_commands_load_neither_engine_nor_analysis(tmp_path):
 def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    args = ("ratio", "--k", "3", "--n-max", "4", "--seed", "7")
+    args = ("ratio", "--k", "3", "--n-max", "4")
     assert dispatch(*args, "--csv", str(first)) == 0
     assert dispatch(*args, "--csv", str(second)) == 0
     assert first.read_bytes() == second.read_bytes()

@@ -1,5 +1,6 @@
 """Sequence generation: enumeration segments, cyclic counts."""
 
+import random
 from array import array
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcomp import seqgen
 from pdtcomp.rewrite import normal_form
 from pdtcomp.seqgen import (
     PAIRED_ENUM,
@@ -60,12 +62,15 @@ def test_mirrored_segments_reduce_to_nothing(k, n):
     assert normal_form(mirrored_segment(k, n)) == []
 
 
-def test_horizon_cap():
+def test_horizon_cap(monkeypatch):
     with pytest.raises(HorizonError):
         lex_concat(2, 30)
+    monkeypatch.setattr(seqgen, "DEFAULT_BLOCK_CAP", 200)
+    assert len(lex_concat(10, 2)) == 200  # size == cap fits
+    with pytest.raises(HorizonError, match="above the cap of 200"):
+        mirrored_segment(201, 1)  # size == cap + 1
     with pytest.raises(HorizonError):
-        mirrored_segment(10, 10, block_cap=1000)
-    assert len(lex_concat(10, 2, block_cap=200)) == 200
+        next(iter_mirrored_segments(201, 1, variant=PAIRED_ENUM))
 
 
 def test_large_alphabet_uses_wide_buffer():
@@ -94,6 +99,11 @@ def test_no_segments_is_an_error_before_the_first(n_max):
             next(iter_mirrored_segments(3, n_max, variant=variant))
 
 
+def test_a_seed_for_paired_lex_is_an_error_before_the_first():
+    with pytest.raises(ValueError, match="seed"):
+        next(iter_mirrored_segments(3, 2, variant=PAIRED_LEX, seed=0))
+
+
 def test_joined_keeps_the_packed_form():
     for kind in (bytes, bytearray):
         assert joined([kind([0, 1]), kind([2])]) == bytes([0, 1, 2])
@@ -114,6 +124,14 @@ def test_iter_mirrored_segments(variant, seed, first):
         assert list(next(iter_mirrored_segments(2, 1, variant=variant, seed=seed))[1]) == first
     with pytest.raises(ValueError):
         next(iter_mirrored_segments(k, n_max, variant="zigzag", seed=seed))
+
+
+@pytest.mark.parametrize("k,n,seed", [(3, 3, 7), (2, 4, 0), (257, 1, 5)])
+def test_seeded_enum_is_a_shuffle_of_the_paired_words(k, n, seed):
+    words = [list(u) + list(u[::-1]) for u in product(range(k), repeat=n)]
+    random.Random(f"{seed}:{n}").shuffle(words)
+    _, segment = list(iter_mirrored_segments(k, n, variant=PAIRED_ENUM, seed=seed))[-1]
+    assert list(segment) == [a for word in words for a in word]
 
 
 def test_enum_variant_differs_from_lex_but_same_material():
