@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 _LAZY_EXPORTS = {
     "analysis": (
-        "BlockStats",
         "PopRunAccount",
         "RatioPoint",
         "SegmentReport",

@@ -2,10 +2,10 @@
 
 This module measures what the codec actually does:
 
-* symbol-run census of a word (``block_stats``) and the exact count of
-  length-1 runs in a mirrored segment (``expected_singletons``);
-* the savings of a drained run and the pops clustered in its pop runs
-  (``pop_run_account``);
+* h, the count of length-1 symbol runs of a word (``block_stats``), and
+  its closed form for a mirrored segment (``expected_singletons``);
+* the savings of a drained engine run and the pops clustered in its pop
+  runs (``pop_run_account``, the one function that imports the engine);
 * the compression-ratio series of a streamed sequence, normalized by
   alphabet sizes (``ratio_series`` / ``segment_reports``), with the
   closed-form bound ``ratio_bound`` and its exact integer-arithmetic
@@ -22,23 +22,14 @@ as for every other layer.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half, packed
-from .engine import POP, RunTrace
 from .seqgen import PAIRED_LEX, iter_mirrored_segments
 
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Census of maximal runs of equal adjacent symbols."""
-
-    total: int
-    histogram: dict[int, int]
-    singletons: int
+if TYPE_CHECKING:
+    from .engine import RunTrace
 
 
 _CENSUS_CHUNK = 1 << 16
@@ -47,17 +38,18 @@ _CENSUS_CHUNK = 1 << 16
 _NONZERO = bytes([0]) + bytes([1]) * 255
 
 
-def _run_census(data: memoryview, width: int, end: int) -> tuple[Counter, int]:
-    """Census of the runs of the first ``end`` symbols of the byte view ``data``.
+def _run_census(data: memoryview, width: int, end: int) -> tuple[int, int]:
+    """Length-1 runs among the first ``end`` symbols of the byte view ``data``.
 
-    Returns the closed runs as a Counter of length minus one, and the
-    length of the last, still open run.  Adjacent symbols are compared in
-    bulk, ``_CENSUS_CHUNK`` pairs at a time: XOR the chunk with itself
-    shifted by one symbol, mark each unequal pair (a nonzero byte of its
-    XOR) with ``\x01`` and split there, so each piece is a run minus one;
-    the last piece of a chunk stays open into the next.
+    Returns the number of closed runs of length 1 and the length of the
+    last, still open run.  Adjacent symbols are compared in bulk,
+    ``_CENSUS_CHUNK`` pairs at a time: XOR the chunk with itself shifted by
+    one symbol, mark each unequal pair (a nonzero byte of its XOR) with
+    ``\x01`` and split there, so each piece is a run minus one and an empty
+    piece is a run of length 1; the first piece of a chunk continues the
+    run carried in, and the last stays open into the next.
     """
-    closed: Counter = Counter()
+    singles = 0
     carry = 0
     step = _CENSUS_CHUNK
     for i in range(0, end - 1, step):
@@ -71,20 +63,19 @@ def _run_census(data: memoryview, width: int, end: int) -> tuple[Counter, int]:
         if len(pieces) == 1:
             carry += len(pieces[0])
             continue
-        closed[carry + len(pieces[0])] += 1
-        closed.update(map(len, islice(pieces, 1, len(pieces) - 1)))
-        carry = len(pieces[-1])
-    return closed, carry + 1
+        last = pieces.pop()
+        singles += pieces.count(b"") - (carry > 0 and not pieces[0])
+        carry = len(last)
+    return singles, carry + 1
 
 
-def block_stats(word: Sequence[int]) -> BlockStats:
-    """Scan ``word`` into maximal equal-symbol runs.
+def block_stats(word: Sequence[int]) -> int:
+    """h: the number of maximal equal-symbol runs of length exactly 1 in ``word``.
 
-    ``singletons`` counts runs of length exactly 1; the histogram maps run
-    length to the number of runs of that length.  An even palindrome
-    ``w + w[::-1]`` is folded: its runs are those of ``w`` twice over,
-    except that the last run of ``w`` meets its mirror image at the seam
-    and the two form one run of twice the length, so only ``w`` is scanned.
+    An even palindrome ``w + w[::-1]`` is folded: its runs are those of
+    ``w`` twice over, except that the last run of ``w`` meets its mirror
+    image at the seam and the two form one run of twice the length, never
+    of length 1; so only ``w`` is scanned and h is twice that of ``w``.
 
     The word is taken through :func:`pdtcomp.codec.packed` and read through
     a byte view at C speed (see ``_run_census``); a symbol outside
@@ -95,17 +86,10 @@ def block_stats(word: Sequence[int]) -> BlockStats:
     word = packed(word, 1 << 16, "symbol")
     half = mirror_half(word)
     with memoryview(word) as view, view.cast("B") as data:
-        closed, last = _run_census(data, view.itemsize, half or len(word))
+        singles, last = _run_census(data, view.itemsize, half or len(word))
     if half:
-        closed += closed
-        last *= 2
-    closed[last - 1] += 1
-    histogram = {length + 1: count for length, count in sorted(closed.items())}
-    return BlockStats(
-        total=sum(histogram.values()),
-        histogram=histogram,
-        singletons=histogram.get(1, 0),
-    )
+        return 2 * singles
+    return singles + (last == 1)
 
 
 def expected_singletons(k: int, n: int) -> int:
@@ -132,7 +116,9 @@ class PopRunAccount(NamedTuple):
     clustered_pops: int
 
 
-def pop_run_account(trace: RunTrace) -> PopRunAccount:
+def pop_run_account(trace: "RunTrace") -> PopRunAccount:
+    from .engine import POP
+
     savings = trace.symbols_read - trace.symbols_written
     clustered = 0
     run = 0
@@ -245,7 +231,7 @@ def segment_reports(
     prev_savings = 0
     prev_clustered = 0
     for n, segment, session in _consumed_segments(k, n_max, variant, seed):
-        stats = block_stats(segment)
+        singletons = block_stats(segment)
         expected = None
         if variant == PAIRED_LEX and n >= 3:
             expected = expected_singletons(k, n)
@@ -256,7 +242,7 @@ def segment_reports(
                 prefix_symbols=session.symbols_read,
                 output_symbols=session.symbols_written,
                 rho=_rho(k, session.symbols_read, session.symbols_written),
-                singletons=stats.singletons,
+                singletons=singletons,
                 expected_singletons=expected,
                 savings=session.savings - prev_savings,
                 clustered_pops=session.clustered_pops - prev_clustered,

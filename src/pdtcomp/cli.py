@@ -11,7 +11,7 @@ failure, 2 usage or I/O error.
 :mod:`~pdtcomp.seqgen` and :mod:`~pdtcomp.streamio`; the ``ratio``,
 ``bound`` and ``verify`` handlers import :mod:`~pdtcomp.analysis` and
 :mod:`~pdtcomp.properties` when they run, and call them through their module
-attributes.
+attributes.  Of all commands only ``verify`` loads :mod:`~pdtcomp.engine`.
 """
 
 import argparse
@@ -48,10 +48,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (streamio.StreamFormatError, codec.CodecError, seqgen.HorizonError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the package's own errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,9 @@ coding of an unbounded stream (``[0]`` and ``[0, 0]`` both feed to ``[0]``).
 
 Both directions exist twice: as explicit transducer tables executed by
 :mod:`pdtcomp.engine` (the reference semantics; :func:`compress_run` keeps
-the run trace), and as the streaming sessions :class:`Compressor` /
-:class:`Decompressor` used on hot paths.  The test suite pins the two
-routes to each other.
+the run's push/pop kinds and symbol counts), and as the streaming sessions
+:class:`Compressor` / :class:`Decompressor` used on hot paths.  The test
+suite pins the two routes to each other.
 
 Mirrored input is folded.  The compressor's stack always holds the reduced
 form of what it has read (adjacent equal symbols cancel), so on an
@@ -229,12 +229,19 @@ class Compressor:
     session, emitting one odd marker if a pop is pending.  Output is packed
     for the limit ``k + 2``: ``bytes`` up to k = 254, else ``array('H')``.
 
-    Counters besides ``symbols_read`` / ``symbols_written``:
+    The session stores its stack, the symbols read, the length of the pop
+    run still open, and the pair markers and clustered pops of the closed
+    pop runs.  Every other counter follows from these, the open run ``R``
+    contributing what it has emitted so far:
 
-    * ``savings``: pair markers emitted so far; equals the difference
-      between symbols read and symbols written once the session is flushed.
+    * ``savings``: pair markers emitted so far, ``R // 2`` of them in the
+      open run; equals the difference between symbols read and symbols
+      written once the session is flushed.
+    * ``state``: 1 while an odd marker is pending, that is ``R`` is odd.
+    * ``symbols_written``: ``symbols_read - savings - state``, since each
+      push emits one symbol and each closed run of ``m`` pops ``m - m // 2``.
     * ``clustered_pops``: pops that belong to a maximal run of at least
-      two consecutive pops (the current still-open run included).
+      two consecutive pops (the open run included).
     """
 
     def __init__(self, k: int):
@@ -242,10 +249,8 @@ class Compressor:
         self._odd = odd_marker(k)
         self._pair = pair_marker(k)
         self._stack: list[int] = [stack_bottom(k)]
-        self._pending = False
         self._finished = False
         self._read = 0
-        self._written = 0
         self._pairs = 0
         self._clustered = 0
         self._open_run = 0
@@ -258,10 +263,10 @@ class Compressor:
         stack = self._stack
         push = stack.append
         pop = stack.pop
-        pending = self._pending
-        pairs = self._pairs
-        clustered = self._clustered
         run = self._open_run
+        pending = run & 1
+        pairs = self._pairs + (run >> 1)
+        clustered = self._clustered
         odd = self._odd
         pair = self._pair
         for a in word:
@@ -283,12 +288,10 @@ class Compressor:
                     emit(odd)
                     pending = False
                 emit(a)
-        self._pending = pending
-        self._pairs = pairs
+        self._pairs = pairs - (run >> 1)
         self._clustered = clustered
         self._open_run = run
         self._read += len(word)
-        self._written += len(out)
         return frozen(out)
 
     def consume(self, word) -> None:
@@ -299,11 +302,10 @@ class Compressor:
         run of ``w``, push or pop, counts as one pop run of the whole input,
         except a leading push run of ``w``, which comes back last and stays
         open.  Any other input is walked whole; its pop runs count as they
-        are, and its pushes follow from the change in stack depth.  A closed
+        are, and its pops follow from the change in stack depth.  A closed
         run of ``m`` pops codes to ``m // 2`` pair markers plus an odd marker
-        when ``m`` is odd; ``R // 2`` pairs of the run ``R`` open on entry
-        were counted before it.  Both routes leave the same counters, state
-        and stack as ``feed``.
+        when ``m`` is odd, and only closed runs are stored.  Both routes
+        leave the same counters, state and stack as ``feed``.
         """
         word = self._start_feed(word)
         stack = self._stack
@@ -319,7 +321,6 @@ class Compressor:
             singles = pop_singles + push_singles + (last == 1)
             odd = pop_singles + pop_odd + push_singles + push_odd + (last & 1)
             total = entry_run + half
-            pushes = half
             if starts_popping:
                 open_run = 0
             else:
@@ -331,17 +332,13 @@ class Compressor:
             depth = len(stack)
             singles, pop_odd, _, _, last, popping = self._census(word, length)
             odd = singles + pop_odd
-            pushes = (length + len(stack) - depth) // 2
-            total = entry_run + length - pushes
+            total = entry_run + (length - len(stack) + depth) // 2
             open_run = last if popping else 0
         closed = total - open_run
-        pairs = (closed - odd) // 2 + open_run // 2 - entry_run // 2
-        self._pending = bool(open_run & 1)
         self._open_run = open_run
-        self._pairs += pairs
+        self._pairs += (closed - odd) // 2
         self._clustered += closed - singles
         self._read += length
-        self._written += pushes + pairs + odd
 
     def _census(self, word, end: int) -> tuple[int, int, int, int, int, bool]:
         """Walk ``word[:end]`` on the stack and tally its maximal runs.
@@ -390,13 +387,13 @@ class Compressor:
         if self._finished:
             raise CodecError("compressor session already flushed")
         self._finished = True
-        if self._open_run >= 2:
-            self._clustered += self._open_run
+        run = self._open_run
         self._open_run = 0
+        self._pairs += run >> 1
+        if run >= 2:
+            self._clustered += run
         out = packed_buffer(self.k + 2)
-        if self._pending:
-            self._pending = False
-            self._written += 1
+        if run & 1:
             out.append(self._odd)
         return frozen(out)
 
@@ -407,7 +404,7 @@ class Compressor:
 
     @property
     def state(self) -> int:
-        return 1 if self._pending else 0
+        return self._open_run & 1
 
     @property
     def stack(self) -> tuple[int, ...]:
@@ -419,11 +416,11 @@ class Compressor:
 
     @property
     def symbols_written(self) -> int:
-        return self._written
+        return self._read - self.savings - (self._open_run & 1)
 
     @property
     def savings(self) -> int:
-        return self._pairs
+        return self._pairs + (self._open_run >> 1)
 
     @property
     def clustered_pops(self) -> int:
@@ -545,9 +542,8 @@ def compress_run(word, k: int) -> tuple[list[int], "Configuration", "RunTrace"]:
     """Compress through the transducer table, keeping the run trace; always flushed.
 
     Slower than :func:`compress` but exposes the per-position push/pop
-    record consumed by :mod:`pdtcomp.analysis`.  A flushed odd marker is
-    appended to the final trace entry, since it is the retirement of that
-    position's pending pop.
+    kinds read by :func:`pdtcomp.analysis.pop_run_account`.  A flushed odd
+    marker counts in the trace's ``symbols_written``.
     """
     from . import engine
     from .engine import Configuration
@@ -557,7 +553,6 @@ def compress_run(word, k: int) -> tuple[list[int], "Configuration", "RunTrace"]:
     out = list(out)
     if config.state == 1:
         out.append(odd_marker(k))
-        trace.outputs[-1] = trace.outputs[-1] + (odd_marker(k),)
         trace.symbols_written += 1
         config = Configuration(0, config.stack)
     return out, config, trace

@@ -131,20 +131,14 @@ class RunResult(NamedTuple):
 
 @dataclass
 class RunTrace:
-    """Per-consumed-position record of a run.
+    """Step kinds and symbol counts of a run.
 
-    ``kinds[i]``, ``outputs[i]`` and ``depths[i]`` describe the processing
-    of input position ``i + 1``: the kind of the consuming transition, the
-    full output emitted while handling that position (including any
-    input-free moves fired immediately after it), and the stack depth once
-    those moves have settled.  Output emitted by input-free moves before
-    the first read is kept in ``initial_output``.
+    ``kinds[i]`` is the kind (``PUSH`` or ``POP``) of the transition that
+    consumed input position ``i + 1``; ``symbols_written`` counts every
+    output symbol, those of input-free moves included.
     """
 
     kinds: bytearray = field(default_factory=bytearray)
-    outputs: list[tuple[int, ...]] = field(default_factory=list)
-    depths: list[int] = field(default_factory=list)
-    initial_output: tuple[int, ...] = ()
     symbols_read: int = 0
     symbols_written: int = 0
 
@@ -266,12 +260,12 @@ def run(
     steps = spec._steps
     eps = spec._eps
     out: list[int] = []
+    emit = out.extend
     tr = RunTrace()
     position = 0
 
-    def drain() -> list[int]:
+    def drain() -> None:
         nonlocal state
-        drained: list[int] = []
         budget = max(64, 4 * len(stack) + 4 * len(spec.states))
         while stack:
             t = eps.get((state, stack[-1]))
@@ -282,14 +276,10 @@ def run(
                 raise EngineError("input-free transition loop exceeded the drain budget")
             del stack[-1]
             stack.extend(t.push)
-            drained.extend(t.output)
+            emit(t.output)
             state = t.next_state
-        return drained
 
-    pre = drain()
-    out.extend(pre)
-    tr.initial_output = tuple(pre)
-
+    drain()
     for a in word:
         position += 1
         if not stack:
@@ -300,14 +290,10 @@ def run(
         push, output, state, kind = move
         del stack[-1]
         stack.extend(push)
-        out.extend(output)
+        emit(output)
         if stack and (state, stack[-1]) in eps:
-            drained = drain()
-            out.extend(drained)
-            output += tuple(drained)
+            drain()
         tr.kinds.append(kind)
-        tr.outputs.append(output)
-        tr.depths.append(len(stack))
 
     tr.symbols_read = position
     tr.symbols_written = len(out)

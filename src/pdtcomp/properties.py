@@ -68,7 +68,7 @@ def segment_census(k: int, n: int) -> SegmentCensus:
     segment = seqgen.mirrored_segment(k, n)
     _, _, trace = codec.compress_run(segment, k)
     savings, clustered = analysis.pop_run_account(trace)
-    singletons = analysis.block_stats(segment).singletons
+    singletons = analysis.block_stats(segment)
     return SegmentCensus(singletons, analysis.expected_singletons(k, n), savings, clustered)
 
 

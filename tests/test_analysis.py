@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pdtcomp import analysis
 from pdtcomp.analysis import (
-    BlockStats,
     PopRunAccount,
     block_stats,
     expected_singletons,
@@ -26,25 +25,23 @@ from pdtcomp.seqgen import iter_mirrored_segments, lex_concat, mirrored_segment
 
 
 def brute_block_stats(word):
-    """Oracle: scan runs with an explicit index loop."""
-    histogram = {}
+    """Oracle: scan runs with an explicit index loop; h, the runs of length 1."""
+    singletons = 0
     i = 0
     while i < len(word):
         j = i
         while j < len(word) and word[j] == word[i]:
             j += 1
-        histogram[j - i] = histogram.get(j - i, 0) + 1
+        singletons += j - i == 1
         i = j
-    return BlockStats(sum(histogram.values()), histogram, histogram.get(1, 0))
+    return singletons
 
 
 def test_block_stats_examples():
-    stats = block_stats([0, 1, 1, 0])
-    assert stats.total == 3
-    assert stats.singletons == 2
-    assert stats.histogram == {1: 2, 2: 1}
-    stats = block_stats([0, 0, 0])
-    assert stats.total == 1 and stats.singletons == 0 and stats.histogram == {3: 1}
+    assert block_stats([0, 1, 1, 0]) == 2
+    assert block_stats([0, 0, 0]) == 0
+    assert block_stats([4]) == 1
+    assert block_stats([0, 1, 0, 0]) == 2
     with pytest.raises(ValueError):
         block_stats([])
 
@@ -76,7 +73,7 @@ def test_block_stats_reads_wide_symbols(w):
 
 def test_block_stats_single_long_run():
     for word in (bytes(200_000), array("H", [300]) * 200_000, [3] * 200_000):
-        assert block_stats(word) == BlockStats(1, {200_000: 1}, 0)
+        assert block_stats(word) == 0
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
@@ -98,13 +95,6 @@ def test_block_stats_rejects_symbols_outside_16_bits():
             block_stats(word)
 
 
-def test_block_stats_histogram_weighted_sum_is_length():
-    for k, n in [(2, 4), (3, 3), (5, 2)]:
-        seg = mirrored_segment(k, n)
-        stats = block_stats(seg)
-        assert sum(length * count for length, count in stats.histogram.items()) == len(seg)
-
-
 def test_expected_singletons_values():
     assert expected_singletons(3, 3) == 72
     assert expected_singletons(2, 3) == 12
@@ -115,13 +105,13 @@ def test_expected_singletons_values():
 
 @pytest.mark.parametrize("k,n", [(2, 3), (2, 5), (3, 3), (3, 4), (7, 3), (9, 3)])
 def test_expected_singletons_matches_census(k, n):
-    assert block_stats(mirrored_segment(k, n)).singletons == expected_singletons(k, n)
+    assert block_stats(mirrored_segment(k, n)) == expected_singletons(k, n)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 3), (5, 4)])
 def test_segment_singletons_double_the_half_segment(k, n):
     w = lex_concat(k, n)
-    assert block_stats(w + w[::-1]).singletons == 2 * block_stats(w).singletons
+    assert block_stats(w + w[::-1]) == 2 * block_stats(w)
 
 
 def test_pop_run_account_examples():
@@ -141,7 +131,7 @@ def test_savings_bound_chain_small_grid(k):
         seg = mirrored_segment(k, n)
         _, _, trace = compress_run(seg, k)
         savings, clustered = pop_run_account(trace)
-        singles = block_stats(seg).singletons
+        singles = block_stats(seg)
         assert 3 * savings >= clustered
         assert 2 * clustered >= singles
         assert 6 * savings >= singles
@@ -220,7 +210,7 @@ def test_segment_reports_match_trace_accounting():
             account = pop_run_account(trace)
             assert r.savings == account.savings
             assert r.clustered_pops == account.clustered_pops
-            assert r.singletons == block_stats(seg).singletons
+            assert r.singletons == block_stats(seg)
             if r.block >= 3:
                 assert r.expected_singletons == expected_singletons(k, r.block)
             else:

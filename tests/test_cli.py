@@ -318,6 +318,28 @@ def test_file_commands_load_neither_engine_nor_analysis(tmp_path):
     assert Path(paths[2]).read_bytes() == Path(paths[0]).read_bytes()
 
 
+MEASURE_COMMAND_SCRIPT = """
+import sys
+from pdtcomp.cli import cli_dispatch
+assert cli_dispatch(sys.argv[1:]) == 0
+print("pdtcomp.engine" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ratio", "--k", "3", "--n-max", "4", "--csv", "-"], ["bound", "--k-min", "2", "--k-max", "8"]],
+    ids=["ratio", "bound"],
+)
+def test_measure_commands_do_not_load_the_engine(argv):
+    done = subprocess.run(
+        [sys.executable, "-c", MEASURE_COMMAND_SCRIPT, *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "False"
+
+
 def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

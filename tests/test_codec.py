@@ -1,5 +1,6 @@
 """The concrete codec: table construction, round trips, coding accounting."""
 
+import copy
 from array import array
 from itertools import groupby
 
@@ -361,6 +362,27 @@ def test_flushed_savings_identity(k, data):
     session.feed(w)
     session.flush()
     assert session.symbols_read - session.symbols_written == session.savings
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_derived_counters_match_the_emitted_codes(k, data):
+    # written, savings and state follow from the open pop run; pin them to the codes emitted
+    w = data.draw(words(k))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(w)), max_size=5)))
+    session = Compressor(k)
+    out = []
+    prev = 0
+    for cut in cuts + [len(w)]:
+        out += session.feed(w[prev:cut])
+        prev = cut
+        assert session.symbols_written == len(out)
+        assert session.savings == out.count(pair_marker(k))
+        assert list(copy.deepcopy(session).flush()) == [odd_marker(k)] * session.state
+    out += session.flush()
+    assert session.symbols_written == len(out)
+    assert session.savings == out.count(pair_marker(k))
+    assert session.state == 0
 
 
 SESSION_ATTRS = ("symbols_read", "symbols_written", "savings", "clustered_pops", "state", "stack")

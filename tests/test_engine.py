@@ -181,7 +181,8 @@ def test_run_all_pushes():
     out, config, trace = run(build_compressor(2), [0, 1, 0])
     assert out == (0, 1, 0)
     assert config == Configuration(0, (bottom, 0, 1, 0))
-    assert trace.depths == [2, 3, 4]
+    assert bytes(trace.kinds) == bytes([PUSH, PUSH, PUSH])
+    assert trace.symbols_written == 3
 
 
 def test_run_reports_offending_position():
@@ -219,7 +220,7 @@ def test_run_drains_epsilon_before_first_read():
     out, config, trace = run(spec, [])
     assert out == (5,)
     assert config == Configuration(1, (8,))
-    assert trace.initial_output == (5,)
+    assert len(trace) == 0
     assert trace.symbols_written == 1
 
 
@@ -285,8 +286,7 @@ def test_rerun_is_identical(k, raw):
     second = run(spec, word)
     assert first.output == second.output
     assert first.config == second.config
-    assert first.trace.outputs == second.trace.outputs
-    assert first.trace.depths == second.trace.depths
+    assert first.trace == second.trace
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,28 +295,30 @@ def test_trace_totals_match_step_sums(k, raw):
     word = [a % k for a in raw]
     out, _, trace = run(build_compressor(k), word)
     assert trace.symbols_read == len(trace) == len(word)
-    assert trace.symbols_written == len(trace.initial_output) + sum(
-        len(o) for o in trace.outputs
-    )
     assert trace.symbols_written == len(out)
+    # every push echoes its symbol; pops emit only markers
+    assert trace.kinds.count(PUSH) == sum(b < k for b in out)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.lists(st.integers(0, 3), max_size=80))
 def test_stack_never_empties_under_compressor(k, raw):
     word = [a % k for a in raw]
-    _, _, trace = run(build_compressor(k), word)
-    assert all(d >= 1 for d in trace.depths)
+    spec = build_compressor(k)
+    config = initial_configuration(spec)
+    for a in word:
+        _, config, _ = run(spec, [a], start=config)
+        assert config.stack[0] == stack_bottom(k)
 
 
 def reference_run(spec, word):
     """Oracle for ``run``: one ``step`` at a time, input-free moves drained eagerly.
 
-    Returns ``(output, config, kinds, outputs, depths, error)``, where
-    ``error`` is ``(type, position)`` of the first failure, else None.
+    Returns ``(output, config, kinds, error)``, where ``error`` is
+    ``(type, position)`` of the first failure, else None.
     """
     config = initial_configuration(spec)
-    out, kinds, outputs, depths = [], [], [], []
+    out, kinds = [], []
 
     def drain(config):
         emitted = []
@@ -336,20 +338,18 @@ def reference_run(spec, word):
         try:
             config, moved, consumed = step(spec, config, a)
         except (NoTransitionError, EmptyStackError) as exc:
-            return out, config, kinds, outputs, depths, (type(exc), position)
+            return out, config, kinds, (type(exc), position)
         assert consumed
         # the top is replaced by the pushed word: a non-empty one (a push) keeps the depth or grows it
         kinds.append(PUSH if len(config.stack) >= depth else POP)
         config, emitted = drain(config)
-        moved = tuple(moved) + tuple(emitted)
         out.extend(moved)
-        outputs.append(moved)
-        depths.append(len(config.stack))
-    return out, config, kinds, outputs, depths, None
+        out.extend(emitted)
+    return out, config, kinds, None
 
 
 def assert_run_matches_reference(spec, word):
-    out, config, kinds, outputs, depths, error = reference_run(spec, word)
+    out, config, kinds, error = reference_run(spec, word)
     if error is not None:
         with pytest.raises(error[0]) as exc:
             run(spec, word)
@@ -360,8 +360,6 @@ def assert_run_matches_reference(spec, word):
     assert result.output == tuple(out)
     assert result.config == config
     assert list(result.trace.kinds) == kinds
-    assert result.trace.outputs == outputs
-    assert result.trace.depths == depths
     assert result.trace.symbols_read == len(word)
     assert result.trace.symbols_written == len(out)
 
@@ -412,8 +410,7 @@ def test_run_drains_chained_input_free_moves_after_each_read():
     out, config, trace = run(spec, [0, 0])
     assert out == (1, 2, 2, 2) * 2
     assert config == Configuration(1, (9,))
-    assert trace.outputs == [(1, 2, 2, 2)] * 2
-    assert trace.depths == [1, 1]
+    assert trace.symbols_written == 8
     assert bytes(trace.kinds) == bytes([PUSH, PUSH])
     assert_run_matches_reference(spec, [0, 0, 0])
 

@@ -7,7 +7,6 @@ import pdtcomp
 
 PUBLIC_NAMES = [
     "AlphabetError",
-    "BlockStats",
     "Compressor",
     "Configuration",
     "Decompressor",
