@@ -11,6 +11,9 @@ This module measures what the codec actually does:
   closed-form bound ``ratio_bound`` and its exact integer-arithmetic
   version ``sufficiency_exact``.
 
+Both run tallies are counts of byte patterns (``bytes.count``) over one mark
+per adjacent symbol pair or per engine step; no Python loop visits a run.
+
 Ratio convention: a prefix of ``n`` symbols over a k-symbol alphabet coded
 into ``m`` symbols over a (k+2)-symbol alphabet scores
 ``rho = m * log(k + 2) / (n * log k)``; values below 1 mean the coded
@@ -41,16 +44,16 @@ _NONZERO = bytes([0]) + bytes([1]) * 255
 def _run_census(data: memoryview, width: int, end: int) -> tuple[int, int]:
     """Length-1 runs among the first ``end`` symbols of the byte view ``data``.
 
-    Returns the number of closed runs of length 1 and the length of the
-    last, still open run.  Adjacent symbols are compared in bulk,
-    ``_CENSUS_CHUNK`` pairs at a time: XOR the chunk with itself shifted by
-    one symbol, mark each unequal pair (a nonzero byte of its XOR) with
-    ``\x01`` and split there, so each piece is a run minus one and an empty
-    piece is a run of length 1; the first piece of a chunk continues the
-    run carried in, and the last stays open into the next.
+    Returns the number of closed runs of length 1 and the last mark, 1 when
+    the last, still open run has length 1.  Adjacent symbols are compared in
+    bulk, ``_CENSUS_CHUNK`` pairs at a time: XOR the chunk with itself
+    shifted by one symbol and mark each unequal pair (a nonzero byte of its
+    XOR) with ``\x01``, each equal one with ``\x00``.  Behind the mark
+    carried from the previous chunk (a virtual ``\x01`` before the first
+    symbol), each adjacent ``\x01\x01`` closes a run of length 1.
     """
     singles = 0
-    carry = 0
+    last = 1
     step = _CENSUS_CHUNK
     for i in range(0, end - 1, step):
         size = min(step, end - 1 - i) * width
@@ -59,14 +62,10 @@ def _run_census(data: memoryview, width: int, end: int) -> tuple[int, int]:
         x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
         if width == 2:
             x |= x >> 8
-        pieces = x.to_bytes(size, "big")[width - 1 :: width].translate(_NONZERO).split(b"\x01")
-        if len(pieces) == 1:
-            carry += len(pieces[0])
-            continue
-        last = pieces.pop()
-        singles += pieces.count(b"") - (carry > 0 and not pieces[0])
-        carry = len(last)
-    return singles, carry + 1
+        marks = bytes((last,)) + x.to_bytes(size, "big")[width - 1 :: width].translate(_NONZERO)
+        singles += marks.count(1) - marks.count(b"\x00\x01") - last
+        last = marks[-1]
+    return singles, last
 
 
 def block_stats(word: Sequence[int]) -> int:
@@ -89,7 +88,7 @@ def block_stats(word: Sequence[int]) -> int:
         singles, last = _run_census(data, view.itemsize, half or len(word))
     if half:
         return 2 * singles
-    return singles + (last == 1)
+    return singles + last
 
 
 def expected_singletons(k: int, n: int) -> int:
@@ -117,21 +116,16 @@ class PopRunAccount(NamedTuple):
 
 
 def pop_run_account(trace: "RunTrace") -> PopRunAccount:
-    from .engine import POP
+    """Savings and clustered pops of ``trace``, counted as step-kind patterns.
 
-    savings = trace.symbols_read - trace.symbols_written
-    clustered = 0
-    run = 0
-    for kind in trace.kinds:
-        if kind == POP:
-            run += 1
-        else:
-            if run >= 2:
-                clustered += run
-            run = 0
-    if run >= 2:
-        clustered += run
-    return PopRunAccount(savings, clustered)
+    Behind one leading ``PUSH``, every pop run starts at a ``PUSH POP`` and
+    every run of two or more pops at a ``PUSH POP POP``.
+    """
+    from .engine import POP, PUSH
+
+    kinds = bytes((PUSH,)) + trace.kinds
+    singles = kinds.count(bytes((PUSH, POP))) - kinds.count(bytes((PUSH, POP, POP)))
+    return PopRunAccount(len(trace) - trace.symbols_written, kinds.count(POP) - singles)
 
 
 def ratio_bound(k: int) -> float:

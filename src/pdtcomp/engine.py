@@ -131,15 +131,15 @@ class RunResult(NamedTuple):
 
 @dataclass
 class RunTrace:
-    """Step kinds and symbol counts of a run.
+    """Step kinds and written count of a run.
 
     ``kinds[i]`` is the kind (``PUSH`` or ``POP``) of the transition that
-    consumed input position ``i + 1``; ``symbols_written`` counts every
-    output symbol, those of input-free moves included.
+    consumed input position ``i + 1``, so ``len(trace)`` counts the symbols
+    read; ``symbols_written`` counts every output symbol, those of
+    input-free moves included.
     """
 
     kinds: bytearray = field(default_factory=bytearray)
-    symbols_read: int = 0
     symbols_written: int = 0
 
     def __len__(self) -> int:
@@ -295,6 +295,5 @@ def run(
             drain()
         tr.kinds.append(kind)
 
-    tr.symbols_read = position
     tr.symbols_written = len(out)
     return RunResult(tuple(out), Configuration(state, tuple(stack)), tr)

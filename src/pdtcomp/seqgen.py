@@ -124,8 +124,8 @@ def iter_mirrored_segments(
 ) -> Iterator[tuple[int, Sequence[int]]]:
     """Yield ``(n, segment)`` for n = 1 .. n_max, materializing one at a time.
 
-    An ``n_max`` below 1, an unknown variant or a seed for the unshuffled
-    paired-lex variant raises before the first segment.
+    An ``n_max`` below 1 or past the cap, an unknown variant or a seed for
+    the unshuffled paired-lex variant raises before the first segment.
     """
     if n_max < 1:
         raise ValueError(f"need n-max >= 1, got {n_max}")
@@ -133,6 +133,7 @@ def iter_mirrored_segments(
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == PAIRED_LEX and seed is not None:
         raise ValueError(f"a seed orders only the {PAIRED_ENUM} variant, not {PAIRED_LEX}")
+    _check_block(check_alphabet_size(k), n_max)  # n * k**n grows with n: covers every segment
     for n in range(1, n_max + 1):
         if variant == PAIRED_LEX:
             yield n, mirrored_segment(k, n)

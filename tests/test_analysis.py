@@ -21,6 +21,7 @@ from pdtcomp.analysis import (
     sufficiency_exact,
 )
 from pdtcomp.codec import Compressor, compress_run
+from pdtcomp.engine import POP, PUSH, RunTrace
 from pdtcomp.seqgen import iter_mirrored_segments, lex_concat, mirrored_segment
 
 
@@ -123,6 +124,27 @@ def test_pop_run_account_examples():
     _, _, trace = compress_run(seg, 3)
     account = pop_run_account(trace)
     assert account.savings >= expected_singletons(3, 3) // 6 == 12
+
+
+def test_pop_run_account_pop_runs_at_both_ends():
+    kinds = [POP, POP, PUSH, POP, PUSH, PUSH, POP, POP, POP]
+    assert pop_run_account(RunTrace(bytearray(kinds), 5)) == PopRunAccount(4, 5)
+    kinds = [POP, PUSH, POP, POP, PUSH, POP]
+    assert pop_run_account(RunTrace(bytearray(kinds), 4)) == PopRunAccount(2, 2)
+    assert pop_run_account(RunTrace(bytearray([POP]), 1)) == PopRunAccount(0, 0)
+    assert pop_run_account(RunTrace(bytearray([POP, POP]), 1)) == PopRunAccount(1, 2)
+    assert pop_run_account(RunTrace()) == PopRunAccount(0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(0, 4), max_size=80))
+def test_pop_run_account_matches_the_session(k, raw):
+    word = [a % k for a in raw]
+    session = Compressor(k)
+    session.feed(word)
+    session.flush()
+    account = pop_run_account(compress_run(word, k)[2])
+    assert account == PopRunAccount(session.savings, session.clustered_pops)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8])

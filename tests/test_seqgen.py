@@ -73,6 +73,16 @@ def test_horizon_cap(monkeypatch):
         next(iter_mirrored_segments(201, 1, variant=PAIRED_ENUM))
 
 
+@pytest.mark.parametrize("variant", [PAIRED_LEX, PAIRED_ENUM])
+def test_n_max_past_the_cap_is_an_error_before_the_first(variant, monkeypatch):
+    built = []
+    monkeypatch.setattr(seqgen, "lex_concat", lambda k, n: built.append(n))
+    monkeypatch.setattr(seqgen, "_enum_segment", lambda k, n, seed: built.append(n))
+    with pytest.raises(HorizonError, match="segment n=10 holds"):
+        next(iter_mirrored_segments(5, 10, variant=variant))
+    assert built == []
+
+
 def test_large_alphabet_uses_wide_buffer():
     w = lex_concat(300, 1)
     assert len(w) == 300
