@@ -32,6 +32,15 @@ census the same way.  Other input takes the same census over the whole
 word, and only its pop runs are accounted, so the compressor has two
 per-symbol loops: the census, and ``feed``, the only one that emits output.
 
+A long fold walk takes two cores.  From ``_SPLIT_MIN`` symbols of ``w``,
+where ``os.fork`` exists, two CPUs are usable and no other thread runs, a
+forked worker walks the second half of ``w`` on a fresh stack while the
+session walks the first (:meth:`Compressor._fold_census`).  The worker's
+tallies count only when an exact check shows that its steps were the
+session's own; otherwise the session walks the rest itself, as it does
+wherever it cannot fork.  The counters come out identical either way, and
+the worker ends before ``consume`` returns.
+
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
 (``bytes``, or ``array('H')`` past 256 codes) and range-checks its symbols.
@@ -44,9 +53,11 @@ The engine is imported only by the table builders and :func:`compress_run`,
 so the sessions load without it.
 """
 
+import os
+import sys
 from array import array
 from functools import lru_cache
-from itertools import compress as select, count, islice
+from itertools import compress as select, count
 from operator import eq
 from typing import TYPE_CHECKING
 
@@ -200,6 +211,12 @@ def frozen(buffer: bytearray | array) -> bytes | array:
 _MIRROR_CHUNK = 1 << 15
 
 
+def _first_repeat(word, start: int, end: int) -> int:
+    """First ``i`` in ``[start, end)`` with ``word[i] == word[i - 1]``, else ``end``; ``start >= 1``."""
+    view = memoryview(word)
+    return next(select(count(start), map(eq, view[start:end], view[start - 1 : end])), end)
+
+
 def mirror_half(word) -> int:
     """Length of ``w`` when ``word`` is ``w + w[::-1]`` with ``w`` non-empty, else 0.
 
@@ -218,6 +235,64 @@ def mirror_half(word) -> int:
             return 0
         i = j
     return half
+
+
+# A fold walk of at least this many symbols may take two cores (Compressor._fold_census),
+# and its worker rebuilds the top of the stack from this many symbols before its seam.
+_SPLIT_MIN = 1 << 18
+_SPLIT_LEAD = 256
+_CLOSED = (0, 0, 0, 0, 0, False)  # census state at a run boundary
+_REPLY_BYTES = 8 * array("q").itemsize  # a census, a depth and a guard depth
+
+
+def _may_fork() -> bool:
+    """Whether ``os.fork`` exists, two CPUs are usable and no other thread runs."""
+    threading = sys.modules.get("threading")
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+def _forked(work) -> tuple[int, int] | None:
+    """Run ``work`` in a forked child: its pid and a pipe end to read the bytes it returns.
+
+    The child always ends in ``os._exit`` and writes nothing if ``work``
+    raises.  None when the pipe or the fork cannot be made.
+    """
+    try:
+        reader, writer = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        return None
+    if pid == 0:
+        try:
+            os.write(writer, work())
+        finally:
+            os._exit(0)
+    os.close(writer)
+    return pid, reader
+
+
+class _Guard:
+    """A stack entry a worker's walk must not reach: comparing it raises."""
+
+    def __eq__(self, other):
+        raise LookupError("the walk reached the guarded stack depth")
+
+
+def _fold_tallies(census) -> tuple[int, int]:
+    """Runs of length 1 and runs of odd length, push and pop alike, of a census; its open run closes."""
+    pop_singles, pop_odd, push_singles, push_odd, last = census[:5]
+    singles = pop_singles + push_singles
+    return singles + (last == 1), singles + pop_odd + push_odd + (last & 1)
 
 
 class Compressor:
@@ -301,36 +376,36 @@ class Compressor:
         palindrome ``w + w[::-1]`` is folded: only ``w`` is walked, and each
         run of ``w``, push or pop, counts as one pop run of the whole input,
         except a leading push run of ``w``, which comes back last and stays
-        open.  Any other input is walked whole; its pop runs count as they
-        are, and its pops follow from the change in stack depth.  A closed
-        run of ``m`` pops codes to ``m // 2`` pair markers plus an odd marker
-        when ``m`` is odd, and only closed runs are stored.  Both routes
-        leave the same counters, state and stack as ``feed``.
+        open.  A long ``w`` may be walked on two cores
+        (:meth:`_fold_census`), with the same result.  Any other input is
+        walked whole; its pop runs count as they are, and its pops follow
+        from the change in stack depth.  A closed run of ``m`` pops codes to
+        ``m // 2`` pair markers plus an odd marker when ``m`` is odd, and
+        only closed runs are stored.  Both routes leave the same counters,
+        state and stack as ``feed``.
         """
         word = self._start_feed(word)
         stack = self._stack
         entry_run = self._open_run
+        entering = (0, 0, 0, 0, entry_run, entry_run > 0)
         length = len(word)
         half = mirror_half(word)
         if half:
             entry = stack.copy()
             starts_popping = stack[-1] == word[0]
-            pop_singles, pop_odd, push_singles, push_odd, last, _ = self._census(word, half)
+            singles, odd = self._fold_census(word, half, entering)
             stack.clear()
             stack.extend(entry)
-            singles = pop_singles + push_singles + (last == 1)
-            odd = pop_singles + pop_odd + push_singles + push_odd + (last & 1)
             total = entry_run + half
             if starts_popping:
                 open_run = 0
             else:
-                # first i >= 1 with word[i] == word[i-1]: where the leading push run ends
-                open_run = next(select(count(1), map(eq, islice(word, 1, half), word)), half)
+                open_run = _first_repeat(word, 1, half)  # where the leading push run ends
                 odd -= open_run & 1
                 singles -= open_run == 1
         else:
             depth = len(stack)
-            singles, pop_odd, _, _, last, popping = self._census(word, length)
+            singles, pop_odd, _, _, last, popping = self._census(stack, word, 0, length, entering)
             odd = singles + pop_odd
             total = entry_run + (length - len(stack) + depth) // 2
             open_run = last if popping else 0
@@ -340,22 +415,85 @@ class Compressor:
         self._clustered += closed - singles
         self._read += length
 
-    def _census(self, word, end: int) -> tuple[int, int, int, int, int, bool]:
-        """Walk ``word[:end]`` on the stack and tally its maximal runs.
+    def _fold_census(self, word, half: int, state) -> tuple[int, int]:
+        """Runs of length 1 and runs of odd length, push and pop alike, of the walk of ``word[:half]``.
 
-        The walk starts inside the pop run open on entry, so a first pop
-        extends it.  Returns ``(pop_singles, pop_odd, push_singles,
-        push_odd, last, popping)``: the closed pop runs and closed push runs
-        of length 1 and of odd length >= 3, then the length of the last run
-        and whether it pops.
+        From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are
+        usable and no other thread runs, a forked worker
+        (:meth:`_tail_census`) walks the second part while this process
+        walks the first.  A forked worker reads ``word`` in place; a spawned
+        one would have to be sent it.  The seam is the first equal adjacent
+        pair ``_SPLIT_LEAD`` or more symbols after the middle: every walk
+        switches between pushes and pops there, so each part's runs close at
+        it.  The worker starts at the middle on a fresh stack.  From there
+        on, the real stack is the one at the middle with the worker's stack
+        on top, less the ``cancelled`` bottom symbols of the worker's stack
+        and as many top symbols of the real one.  The two walks step alike
+        while the worker's stack stays deeper than ``cancelled``.  So the
+        worker's tallies count only if it never reached the guard it set at
+        half its depth at the seam, and ``cancelled`` is below that depth.
+        Otherwise, and on any ``OSError``, this process walks the rest
+        itself.
         """
         stack = self._stack
+        middle = half // 2
+        seam = half
+        if half >= _SPLIT_MIN and _may_fork():
+            seam = _first_repeat(word, middle + _SPLIT_LEAD, half)
+        worker = _forked(lambda: self._tail_census(word, middle, seam, half)) if seam < half else None
+        if not worker:
+            return _fold_tallies(self._census(stack, word, 0, half, state))
+        pid, reader = worker
+        try:
+            state = self._census(stack, word, 0, middle, state)
+            depth = len(stack)
+            state = self._census(stack, word, middle, seam, state)
+            reply = os.read(reader, _REPLY_BYTES)
+        except BaseException:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            raise
+        finally:
+            os.close(reader)
+            os.waitpid(pid, 0)
+        if len(reply) == _REPLY_BYTES:
+            *tail, tail_depth, guard = array("q", reply)
+            cancelled = (depth + tail_depth - len(stack)) // 2
+            if cancelled < guard:
+                ours, theirs = _fold_tallies(state), _fold_tallies(tail)
+                return ours[0] + theirs[0], ours[1] + theirs[1]
+        return _fold_tallies(self._census(stack, word, seam, half, state))
+
+    def _tail_census(self, word, middle: int, seam: int, half: int) -> bytes:
+        """The worker's walk: ``word[middle:seam]`` on a fresh stack, then ``word[seam:half]``.
+
+        Before the second census the stack entry at half the depth becomes a
+        guard that raises when compared, so a walk that comes down to it
+        raises.  Returns the second census, the depth at the seam and the
+        guard's depth, as ``array('q')`` bytes.
+        """
+        stack = [stack_bottom(self.k)]
+        self._census(stack, word, middle, seam, _CLOSED)
+        depth = len(stack) - 1
+        stack[depth // 2] = _Guard()
+        tail = self._census(stack, word, seam, half, _CLOSED)
+        return array("q", (*tail, depth, depth // 2)).tobytes()
+
+    @staticmethod
+    def _census(stack, word, start: int, end: int, state) -> tuple[int, int, int, int, int, bool]:
+        """Walk ``word[start:end]`` on ``stack`` and tally its maximal runs.
+
+        ``state`` and the result are ``(pop_singles, pop_odd, push_singles,
+        push_odd, run, popping)``: the closed pop runs and closed push runs
+        of length 1 and of odd length >= 3, then the length of the open run
+        and whether it pops.  The walk continues the tallies and the open
+        run of ``state``, so a first step of the open run's kind extends it.
+        """
+        pop_singles, pop_odd, push_singles, push_odd, run, popping = state
         push = stack.append
         pop = stack.pop
-        run = self._open_run
-        popping = run > 0
-        pop_singles = pop_odd = push_singles = push_odd = 0
-        for a in islice(word, end):
+        for a in memoryview(word)[start:end]:
             if stack[-1] == a:
                 pop()
                 if popping:

@@ -1,6 +1,8 @@
 """The concrete codec: table construction, round trips, coding accounting."""
 
 import copy
+import os
+import threading
 from array import array
 from itertools import groupby
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdtcomp import engine
+from pdtcomp import codec, engine
 from pdtcomp.analysis import block_stats
 from pdtcomp.codec import (
     AlphabetError,
@@ -29,7 +31,7 @@ from pdtcomp.codec import (
 )
 from pdtcomp.engine import Configuration, run, step
 from pdtcomp.rewrite import normal_form
-from pdtcomp.seqgen import cyclic_pattern_counts
+from pdtcomp.seqgen import cyclic_pattern_counts, lex_concat
 from pdtcomp.streamio import ROLE_PLAIN, encode_stream
 
 words = lambda k, n=120: st.lists(st.integers(0, k - 1), max_size=n)
@@ -434,17 +436,174 @@ def test_consume_folds_wide_alphabet_arrays(data):
         assert snapshot(counted) == snapshot(fed)
 
 
-def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
-    calls = []
+def census_spans(monkeypatch) -> list[tuple[int, int]]:
+    """The ``(start, end)`` of every census walked in this process from now on."""
+    spans = []
     census = Compressor._census
-    monkeypatch.setattr(
-        Compressor, "_census", lambda self, *a: calls.append(a) or census(self, *a)
-    )
+
+    def spy(stack, word, start, end, state):
+        spans.append((start, end))
+        return census(stack, word, start, end, state)
+
+    monkeypatch.setattr(Compressor, "_census", staticmethod(spy))
+    return spans
+
+
+def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
+    spans = census_spans(monkeypatch)
     session = Compressor(3)
     session.consume([0, 1, 2, 2, 1, 0])
     session.consume([0, 1, 2, 2, 1, 1])
     session.consume([0, 1, 0])
-    assert [end for _, end in calls] == [3, 6, 3]
+    assert spans == [(0, 3), (0, 6), (0, 3)]
+
+
+def split_early(monkeypatch) -> None:
+    """Fold walks of 8 symbols and more split, with a lead of 4 symbols."""
+    monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
+    monkeypatch.setattr(codec, "_SPLIT_LEAD", 4)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fed_and_consumed(k, parts, kind=bytes):
+    fed = Compressor(k)
+    counted = Compressor(k)
+    for part in parts:
+        fed.feed(part)
+        counted.consume(kind(part))
+        assert snapshot(counted) == snapshot(fed)
+
+
+def walk(entry, steps):
+    """The word read after ``entry`` that pops the stack top at each step ``-1`` and reads the others."""
+    stack = normal_form(entry)
+    word = []
+    for a in steps:
+        if a < 0:
+            if not stack:
+                continue
+            a = stack[-1]
+        word.append(a)
+        if stack and stack[-1] == a:
+            stack.pop()
+        else:
+            stack.append(a)
+    return word
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_split_consume_matches_feed(k, data):
+    # Walks that pop half the time cross the entry stack and the worker's guard often, so they
+    # take both the join and the fallback; lex halves join or fall back by (k, n).
+    prefix = data.draw(words(k, 40))
+    steps = st.lists(st.one_of(st.just(-1), st.integers(0, k - 1)), min_size=16, max_size=200)
+    lex = st.integers(2, 4).map(lambda n: list(lex_concat(k, n)))
+    w = data.draw(st.one_of(steps.map(lambda s: walk(prefix, s)), lex))
+    other = data.draw(words(k, 200))
+    with pytest.MonkeyPatch.context() as mp:
+        split_early(mp)
+        fed_and_consumed(k, (prefix, w + w[::-1], other, other + other[::-1]))
+    assert_no_child_left()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_consume_matches_feed_on_wide_alphabet_arrays(data):
+    symbols = st.lists(st.sampled_from([0, 1, 2, 298, 299]), max_size=120)
+    prefix, w = data.draw(symbols), data.draw(symbols)
+    with pytest.MonkeyPatch.context() as mp:
+        split_early(mp)
+        fed_and_consumed(300, (prefix, w + w[::-1]), lambda part: array("H", part))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "k, n, parent_spans",
+    [
+        # the worker's census of [seam, half) counts: this process walks up to the seam only
+        (4, 4, lambda middle, seam, half: [(0, middle), (middle, seam)]),
+        # the lead cancels into the entry stack below the worker's guard: this process walks on
+        (2, 6, lambda middle, seam, half: [(0, middle), (middle, seam), (seam, half)]),
+    ],
+    ids=["join", "fallback"],
+)
+def test_split_consume_joins_or_falls_back(monkeypatch, k, n, parent_spans):
+    split_early(monkeypatch)
+    w = list(lex_concat(k, n))
+    half = len(w)
+    middle = half // 2
+    seam = codec._first_repeat(bytes(w), middle + 4, half)
+    assert seam < half
+    spans = census_spans(monkeypatch)
+    fed_and_consumed(k, ([1, 0], w + w[::-1]))
+    assert spans == [(0, 2)] + parent_spans(middle, seam, half)
+    assert_no_child_left()
+
+
+def test_split_consume_reaps_its_worker_when_the_walk_raises(monkeypatch):
+    split_early(monkeypatch)
+    census = Compressor._census
+
+    def interrupted(stack, word, start, end, state):
+        if start == 0 and end < len(word) // 2:  # this process's first part of a split walk
+            raise RuntimeError("interrupted")
+        return census(stack, word, start, end, state)
+
+    monkeypatch.setattr(Compressor, "_census", staticmethod(interrupted))
+    w = bytes(lex_concat(4, 4))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        Compressor(4).consume(w + w[::-1])
+    assert_no_child_left()
+
+
+def os_error(*args):
+    raise OSError("unavailable")
+
+
+def no_fork_expected():
+    raise AssertionError("forked while another thread runs")
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        lambda mp: mp.delattr(os, "fork"),
+        lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}),
+        lambda mp: mp.setattr(os, "fork", os_error),
+        lambda mp: mp.setattr(os, "pipe", os_error),
+    ],
+    ids=["no-fork", "one-cpu", "fork-fails", "pipe-fails"],
+)
+def test_split_consume_walks_in_one_process_where_it_cannot_fork(monkeypatch, host):
+    split_early(monkeypatch)
+    host(monkeypatch)
+    w = list(lex_concat(4, 4))
+    spans = census_spans(monkeypatch)
+    fed_and_consumed(4, (w + w[::-1],))
+    assert spans == [(0, len(w))]
+    assert_no_child_left()
+
+
+def test_split_consume_walks_in_one_process_while_another_thread_runs(monkeypatch):
+    split_early(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork_expected)
+    w = list(lex_concat(4, 4))
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        spans = census_spans(monkeypatch)
+        fed_and_consumed(4, (w + w[::-1],))
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert spans == [(0, len(w))]
 
 
 @settings(max_examples=150, deadline=None)
