@@ -26,7 +26,7 @@ as for every other layer.
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half, packed
 from .seqgen import PAIRED_LEX, iter_mirrored_segments
@@ -189,10 +189,6 @@ class SegmentReport:
     def bound_ok(self) -> bool:
         return 6 * self.savings >= self.singletons
 
-    @property
-    def point(self) -> RatioPoint:
-        return RatioPoint(self.block, self.prefix_symbols, self.output_symbols, self.rho)
-
 
 def _rho(k: int, read: int, written: int) -> float:
     return written * math.log(k + 2) / (read * math.log(k))
@@ -263,11 +259,3 @@ def ratio_series(
         RatioPoint(n, s.symbols_read, s.symbols_written, _rho(k, s.symbols_read, s.symbols_written))
         for n, _, s in _consumed_segments(k, n_max, variant, seed)
     ]
-
-
-def min_checkpoint_rho(points: Iterable[RatioPoint]) -> float:
-    """Smallest checkpoint ratio from segment 3 onwards, past the short first segments."""
-    candidates = [p.rho for p in points if p.block >= 3]
-    if not candidates:
-        raise ValueError("no checkpoints at or beyond segment 3")
-    return min(candidates)

@@ -193,8 +193,8 @@ def _cmd_ratio(args) -> int:
             fh.write(buffer.getvalue())
     final = reports[-1]
     summary = f"final rho={final.rho:.6f} at n={final.block}"
-    if any(r.block >= 3 for r in reports):
-        low = analysis.min_checkpoint_rho([r.point for r in reports])
+    low = min((r.rho for r in reports if r.block >= 3), default=None)
+    if low is not None:
         summary += f", min rho (n>=3)={low:.6f}"
     print(summary, file=sys.stderr)
     return 0

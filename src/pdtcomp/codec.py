@@ -242,7 +242,7 @@ def mirror_half(word) -> int:
 _SPLIT_MIN = 1 << 18
 _SPLIT_LEAD = 256
 _CLOSED = (0, 0, 0, 0, 0, False)  # census state at a run boundary
-_REPLY_BYTES = 8 * array("q").itemsize  # a census, a depth and a guard depth
+_REPLY_BYTES = 7 * array("q").itemsize  # a census and the worker's depth at the seam
 
 
 def _may_fork() -> bool:
@@ -458,9 +458,9 @@ class Compressor:
             os.close(reader)
             os.waitpid(pid, 0)
         if len(reply) == _REPLY_BYTES:
-            *tail, tail_depth, guard = array("q", reply)
+            *tail, tail_depth = array("q", reply)
             cancelled = (depth + tail_depth - len(stack)) // 2
-            if cancelled < guard:
+            if cancelled < tail_depth // 2:
                 ours, theirs = _fold_tallies(state), _fold_tallies(tail)
                 return ours[0] + theirs[0], ours[1] + theirs[1]
         return _fold_tallies(self._census(stack, word, seam, half, state))
@@ -470,15 +470,15 @@ class Compressor:
 
         Before the second census the stack entry at half the depth becomes a
         guard that raises when compared, so a walk that comes down to it
-        raises.  Returns the second census, the depth at the seam and the
-        guard's depth, as ``array('q')`` bytes.
+        raises.  Returns the second census and the depth at the seam, as
+        ``array('q')`` bytes.
         """
         stack = [stack_bottom(self.k)]
         self._census(stack, word, middle, seam, _CLOSED)
         depth = len(stack) - 1
         stack[depth // 2] = _Guard()
         tail = self._census(stack, word, seam, half, _CLOSED)
-        return array("q", (*tail, depth, depth // 2)).tobytes()
+        return array("q", (*tail, depth)).tobytes()
 
     @staticmethod
     def _census(stack, word, start: int, end: int, state) -> tuple[int, int, int, int, int, bool]:

@@ -146,10 +146,6 @@ class RunTrace:
         return len(self.kinds)
 
 
-def initial_configuration(spec: TransducerSpec) -> Configuration:
-    return Configuration(spec.initial_state, (spec.start_symbol,))
-
-
 def validate(spec: TransducerSpec) -> list[str]:
     """Check a transducer description, returning violations as messages.
 
@@ -231,16 +227,12 @@ def step(
     return Configuration(next_state, config.stack[:-1] + push), output, True
 
 
-def run(
-    spec: TransducerSpec,
-    word: Iterable[int],
-    *,
-    start: Configuration | None = None,
-) -> RunResult:
+def run(spec: TransducerSpec, word: Iterable[int]) -> RunResult:
     """Run the transducer over ``word`` and collect output and trace.
 
-    Input-free moves are drained eagerly: before the first read and after
-    every consumed symbol (hence also after the last one).  Each read is one
+    The run starts in the initial state on the start symbol.  Input-free
+    moves are drained eagerly: before the first read and after every
+    consumed symbol (hence also after the last one).  Each read is one
     lookup in the spec's precompiled step table, and the drain runs only
     when the new (state, top) has an input-free move, so a table without
     such moves (the compressor's) costs no drain per symbol.  The run may
@@ -250,13 +242,8 @@ def run(
     description does not validate.
     """
     _require_valid(spec)
-    if start is None:
-        state = spec.initial_state
-        stack = [spec.start_symbol]
-    else:
-        state = start.state
-        stack = list(start.stack)
-
+    state = spec.initial_state
+    stack = [spec.start_symbol]
     steps = spec._steps
     eps = spec._eps
     out: list[int] = []

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from pdtcomp import analysis
 from pdtcomp.analysis import (
     PopRunAccount,
+    RatioPoint,
     block_stats,
     expected_singletons,
-    min_checkpoint_rho,
     pop_run_account,
     ratio_bound,
     ratio_series,
@@ -258,12 +258,8 @@ def test_enum_variant_reports_have_no_closed_form():
 def test_ratio_series_matches_segment_reports():
     for variant, seed in [("paired-lex", None), ("paired-enum", 4)]:
         lean = ratio_series(3, 4, variant=variant, seed=seed)
-        full = [r.point for r in segment_reports(3, 4, variant=variant, seed=seed)]
+        full = [
+            RatioPoint(r.block, r.prefix_symbols, r.output_symbols, r.rho)
+            for r in segment_reports(3, 4, variant=variant, seed=seed)
+        ]
         assert lean == full
-
-
-def test_min_checkpoint_rho():
-    points = ratio_series(5, 5)
-    assert min_checkpoint_rho(points) == min(p.rho for p in points if p.block >= 3)
-    with pytest.raises(ValueError):
-        min_checkpoint_rho(points[:2])

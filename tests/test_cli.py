@@ -354,13 +354,16 @@ def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):
     assert row3[:3] == ["3", "paired-lex", "3"]
     assert row3[7] == "72"  # exact closed-form run count at n=3
     assert row3[10] == "true"
-    err = capsys.readouterr().err
-    assert "final rho=" in err
+    reports = analysis.segment_reports(3, 4)
+    low = min(r.rho for r in reports if r.block >= 3)
+    summary = f"final rho={reports[-1].rho:.6f} at n=4, min rho (n>=3)={low:.6f}\n"
+    assert capsys.readouterr().err == summary * 2
 
 
 def test_ratio_csv_to_stdout(capsys):
     assert dispatch("ratio", "--k", "2", "--n-max", "2", "--csv", "-") == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == f"final rho={analysis.segment_reports(2, 2)[-1].rho:.6f} at n=2\n"  # no segment 3
     assert out.startswith("k,variant,n,")
     rows = out.strip().splitlines()
     assert len(rows) == 3

@@ -24,7 +24,6 @@ from pdtcomp.engine import (
     NoTransitionError,
     Transition,
     TransducerSpec,
-    initial_configuration,
     run,
     step,
     validate,
@@ -151,7 +150,7 @@ def test_step_rejects_invalid_spec():
         ),
     )
     with pytest.raises(InvalidSpecError):
-        step(spec, initial_configuration(spec), 0)
+        step(spec, Configuration(spec.initial_state, (spec.start_symbol,)), 0)
 
 
 def test_step_empty_stack():
@@ -164,7 +163,7 @@ def test_run_empty_input():
     spec = build_compressor(2)
     out, config, trace = run(spec, [])
     assert out == ()
-    assert config == initial_configuration(spec)
+    assert config == Configuration(spec.initial_state, (spec.start_symbol,))
     assert len(trace) == 0
     assert trace.symbols_written == 0
 
@@ -259,24 +258,6 @@ def test_stack_depth_accounting_per_transition():
             assert len(config.stack) == len(stack) - 1 + len(t.push)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 5),
-    st.lists(st.integers(0, 4), max_size=60),
-    st.data(),
-)
-def test_streaming_consistency(k, raw, data):
-    word = [a % k for a in raw]
-    cut = data.draw(st.integers(0, len(word)))
-    spec = build_compressor(k)
-    whole = run(spec, word)
-    head = run(spec, word[:cut])
-    tail = run(spec, word[cut:], start=head.config)
-    assert head.output + tail.output == whole.output
-    assert tail.config == whole.config
-    assert bytes(head.trace.kinds) + bytes(tail.trace.kinds) == bytes(whole.trace.kinds)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.lists(st.integers(0, 4), max_size=80))
 def test_rerun_is_identical(k, raw):
@@ -305,10 +286,8 @@ def test_trace_totals_match_step_sums(k, raw):
 def test_stack_never_empties_under_compressor(k, raw):
     word = [a % k for a in raw]
     spec = build_compressor(k)
-    config = initial_configuration(spec)
-    for a in word:
-        _, config, _ = run(spec, [a], start=config)
-        assert config.stack[0] == stack_bottom(k)
+    for cut in range(len(word) + 1):
+        assert run(spec, word[:cut]).config.stack[0] == stack_bottom(k)
 
 
 def reference_run(spec, word):
@@ -317,7 +296,7 @@ def reference_run(spec, word):
     Returns ``(output, config, kinds, error)``, where ``error`` is
     ``(type, position)`` of the first failure, else None.
     """
-    config = initial_configuration(spec)
+    config = Configuration(spec.initial_state, (spec.start_symbol,))
     out, kinds = [], []
 
     def drain(config):

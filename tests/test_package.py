@@ -1,6 +1,11 @@
 """The public surface of the top-level package."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pdtcomp
@@ -8,36 +13,28 @@ import pdtcomp
 PUBLIC_NAMES = [
     "AlphabetError",
     "Compressor",
-    "Configuration",
     "Decompressor",
     "MalformedStreamError",
-    "PopRunAccount",
-    "RatioPoint",
-    "RunTrace",
-    "SegmentReport",
-    "TransducerSpec",
-    "Transition",
-    "block_stats",
     "build_compressor",
     "build_decompressor",
     "compress",
-    "compress_run",
     "decode_stream",
     "decompress",
     "encode_stream",
-    "expected_singletons",
     "lex_concat",
     "mirrored_segment",
-    "normal_form",
-    "pop_run_account",
-    "ratio_bound",
-    "ratio_series",
-    "run",
-    "segment_reports",
-    "step",
-    "sufficiency_exact",
-    "validate",
 ]
+
+LOADED_MODULES = ["pdtcomp", "pdtcomp.codec", "pdtcomp.seqgen", "pdtcomp.streamio"]
+
+FRESH_IMPORT_SCRIPT = """
+import json, sys
+import pdtcomp
+print(json.dumps({
+    "modules": sorted(m for m in sys.modules if m == "pdtcomp" or m.startswith("pdtcomp.")),
+    "names": [name for name in dir(pdtcomp) if not name.startswith("_")],
+}))
+"""
 
 
 def public_names() -> list[str]:
@@ -58,10 +55,16 @@ def test_each_public_name_is_its_module_object():
         value = getattr(pdtcomp, name)
         owner = importlib.import_module(value.__module__)
         assert getattr(owner, name) is value, name
-    assert public_names() == PUBLIC_NAMES  # resolving the lazy names adds none
 
 
-def test_lazy_modules_resolve_as_attributes():
-    for name in ("analysis", "engine", "rewrite"):
-        assert getattr(pdtcomp, name) is importlib.import_module(f"pdtcomp.{name}")
-        assert name in dir(pdtcomp)
+def test_import_loads_only_the_codec_generators_and_stream_formats():
+    env = dict(os.environ)
+    src = str(Path(pdtcomp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout)
+    assert fresh["modules"] == LOADED_MODULES
+    assert sorted(fresh["names"]) == sorted([*PUBLIC_NAMES, "codec", "seqgen", "streamio"])
