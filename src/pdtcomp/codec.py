@@ -32,14 +32,24 @@ census the same way.  Other input takes the same census over the whole
 word, and only its pop runs are accounted, so the compressor has two
 per-symbol loops: the census, and ``feed``, the only one that emits output.
 
-A long fold walk takes two cores.  From ``_SPLIT_MIN`` symbols of ``w``,
-where ``os.fork`` exists, two CPUs are usable and no other thread runs, a
-forked worker walks the second half of ``w`` on a fresh stack while the
-session walks the first (:meth:`Compressor._fold_census`).  The worker's
-tallies count only when an exact check shows that its steps were the
-session's own; otherwise the session walks the rest itself, as it does
-wherever it cannot fork.  The counters come out identical either way, and
-the worker ends before ``consume`` returns.
+Long walks take two cores: the fold walk of ``consume``, and ``feed`` in
+either direction.  From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two
+CPUs are usable and no other thread runs, a forked worker walks the second
+part of the word while the session walks the first (:func:`_fork_join`).
+The fold's worker starts on a fresh stack.  A feed splits only a ``bytes``
+or ``bytearray`` word whose output fits bytes, and its worker starts from
+the exact state at its seam: the compressor's stack is rebuilt by deleting
+equal adjacent pairs (:func:`_reduced`), and the decompressor's depth
+follows from counting its markers.  A worker's part counts only when an
+exact check shows that its steps were the session's own; otherwise the
+session walks the rest itself, as it does wherever it cannot fork.  Words
+made of pairs ``u + u[::-1]`` (paired-enum files) join in both directions
+up to k = 9; from k = 10 the deletion passes, one per symbol, outlast their
+budget and the compressor stays in one process.  Paired-lex words are
+compressed in one process, since the symbols before the seam do not reduce,
+and their decoding falls back, since its stack at the seam is deeper than
+its worker can know.  Output, counters and errors come out identical either
+way, and the worker ends before the call returns.
 
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
@@ -53,6 +63,7 @@ The engine is imported only by the table builders and :func:`compress_run`,
 so the sessions load without it.
 """
 
+import marshal
 import os
 import sys
 from array import array
@@ -237,12 +248,17 @@ def mirror_half(word) -> int:
     return half
 
 
-# A fold walk of at least this many symbols may take two cores (Compressor._fold_census),
-# and its worker rebuilds the top of the stack from this many symbols before its seam.
+# A walk of at least this many symbols may take two cores: the fold (Compressor._fold_census)
+# and a feed of a byte word (Compressor.feed, Decompressor.feed).  The fold's worker and the
+# decompressor's worker rebuild the top of the stack from this many symbols before their seam.
 _SPLIT_MIN = 1 << 18
 _SPLIT_LEAD = 256
+# Pair deletion (_reduced) gives up once its passes have read this many times the symbols it
+# started from.  A compressor's feed splits only where the _SPLIT_WINDOW symbols before its seam
+# reduce to an eighth of their length or less.
+_SPLIT_PASSES = 12
+_SPLIT_WINDOW = 1 << 12
 _CLOSED = (0, 0, 0, 0, 0, False)  # census state at a run boundary
-_REPLY_BYTES = 7 * array("q").itemsize  # a census and the worker's depth at the seam
 
 
 def _may_fork() -> bool:
@@ -256,11 +272,49 @@ def _may_fork() -> bool:
     )
 
 
-def _forked(work) -> tuple[int, int] | None:
-    """Run ``work`` in a forked child: its pid and a pipe end to read the bytes it returns.
+def _splits(word, out) -> bool:
+    """Whether a feed of ``word`` into ``out`` may take two cores.
 
-    The child always ends in ``os._exit`` and writes nothing if ``work``
-    raises.  None when the pipe or the fork cannot be made.
+    From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word coded
+    into a ``bytearray``, where :func:`_may_fork` holds.
+    """
+    return (
+        len(word) >= _SPLIT_MIN
+        and isinstance(word, (bytes, bytearray))
+        and isinstance(out, bytearray)
+        and _may_fork()
+    )
+
+
+def _reduced(word: bytes, k: int) -> bytes | None:
+    """``word`` with equal adjacent pairs deleted until none is left, or None past the budget.
+
+    Deletion is confluent, so the result is the stack a compressor is left
+    with (above its bottom) after reading ``word``.  Each pass deletes the
+    pairs of one symbol; the passes give up, returning None, once they have
+    read ``_SPLIT_PASSES`` times the length of ``word``.
+    """
+    budget = _SPLIT_PASSES * len(word)
+    pairs = [bytes((a, a)) for a in range(k)]
+    size = -1
+    while size != len(word):
+        size = len(word)
+        for pair in pairs:
+            budget -= len(word)
+            if budget < 0:
+                return None
+            word = word.replace(pair, b"")
+    return word
+
+
+def _fork_join(work, own):
+    """Run ``work`` in a forked worker while this process runs ``own``: both results.
+
+    The worker sends what ``work`` returns, marshalled, and writes all of
+    it; its result is None when ``work`` raised or the worker did not exit
+    cleanly.  The worker is killed when ``own`` or the read raises, and
+    always reaped before this returns.  None, and ``own`` not run, when the
+    pipe or the fork cannot be made.
     """
     try:
         reader, writer = os.pipe()
@@ -273,12 +327,27 @@ def _forked(work) -> tuple[int, int] | None:
         os.close(writer)
         return None
     if pid == 0:
+        status = 1
         try:
-            os.write(writer, work())
+            reply = memoryview(marshal.dumps(work()))
+            while reply:
+                reply = reply[os.write(writer, reply) :]
+            status = 0
         finally:
-            os._exit(0)
+            os._exit(status)
     os.close(writer)
-    return pid, reader
+    try:
+        ours = own()
+        reply = b"".join(iter(lambda: os.read(reader, 1 << 20), b""))
+    except BaseException:
+        from signal import SIGKILL
+
+        os.kill(pid, SIGKILL)
+        raise
+    finally:
+        os.close(reader)
+        status = os.waitpid(pid, 0)[1]
+    return ours, marshal.loads(reply) if status == 0 else None
 
 
 class _Guard:
@@ -331,9 +400,52 @@ class Compressor:
         self._open_run = 0
 
     def feed(self, word) -> bytes | array:
-        """Compress ``word``; the codes emitted for it, packed."""
+        """Compress ``word``; the codes emitted for it, packed.
+
+        A long byte word may be coded on two cores, with the same result
+        (:meth:`_seam` says where).  This session codes ``word[:seam]`` while
+        a forked worker (:meth:`_tail_codes`) rebuilds the stack at the seam
+        and codes the rest.  The worker's codes and state count only when its
+        stack at the seam is this session's; otherwise, and where the worker
+        gives up or cannot start, this session codes the rest itself.
+        """
         word = self._start_feed(word)
         out = packed_buffer(self.k + 2)
+        end = len(word)
+        seam = self._seam(word, out)
+        joined = None
+        if seam < end:
+            joined = _fork_join(lambda: self._tail_codes(word, seam), lambda: self._code(out, word[:seam]))
+        if not joined:
+            self._code(out, word)
+        elif not self._join(out, joined[1]):
+            self._code(out, word[seam:])
+        self._read += end
+        return frozen(out)
+
+    def _seam(self, word, out) -> int:
+        """Where ``feed`` splits ``word`` coded into ``out``; the end of ``word`` where it does not.
+
+        From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word coded
+        to bytes (k up to 254), where ``os.fork`` exists, two CPUs are usable
+        and no other thread runs, the seam is the first equal adjacent pair
+        from 5/8 of the word on.  Every walk switches between pushes and pops
+        there, so a run closes at the seam.  The word splits only when the
+        ``_SPLIT_WINDOW`` symbols before the seam reduce to an eighth of their
+        length or less, as words made of pairs ``u + u[::-1]`` do.  A word
+        whose window does not reduce, such as a paired-lex one, would leave
+        the worker over its budget, and the fork alone costs the session time.
+        """
+        end = len(word)
+        if not _splits(word, out):
+            return end
+        seam = _first_repeat(word, end * 5 // 8, end)
+        window = word[max(seam - _SPLIT_WINDOW, 0) : seam]
+        reduced = _reduced(window, self.k)
+        return seam if reduced is not None and 8 * len(reduced) <= len(window) else end
+
+    def _code(self, out, word) -> None:
+        """Code ``word`` into ``out`` from the session's stack and open run: the one loop that emits."""
         emit = out.append
         stack = self._stack
         push = stack.append
@@ -366,8 +478,40 @@ class Compressor:
         self._pairs = pairs - (run >> 1)
         self._clustered = clustered
         self._open_run = run
-        self._read += len(word)
-        return frozen(out)
+
+    def _tail_codes(self, word, seam: int) -> tuple | None:
+        """The worker's part of a split feed: the codes and state of ``word[seam:]``.
+
+        The stack is the pair-deletion normal form of all that was read, so
+        the worker rebuilds the stack at the seam as :func:`_reduced` of the
+        entry stack and ``word[:seam]``, and gives up, returning None, where
+        that does.  From the seam on it codes on the rebuilt stack with no run
+        open.  Returns the codes, the closed pair markers and clustered pops,
+        the open run, and the stack at the seam and at the end, as ``bytes``.
+        """
+        reduced = _reduced(bytes(self._stack[1:]) + word[:seam], self.k)
+        if reduced is None:
+            return None
+        self._stack[1:] = reduced
+        self._open_run = self._pairs = self._clustered = 0
+        out = packed_buffer(self.k + 2)
+        self._code(out, word[seam:])
+        return bytes(out), self._pairs, self._clustered, self._open_run, reduced, bytes(self._stack[1:])
+
+    def _join(self, out, reply) -> bool:
+        """Take a worker's part when its stack at the seam is this session's; whether it was."""
+        if reply is None:
+            return False
+        codes, pairs, clustered, run, seam_stack, stack = reply
+        if bytes(self._stack[1:]) != seam_stack:
+            return False
+        self._close_run(out)
+        out += codes
+        self._pairs += pairs
+        self._clustered += clustered
+        self._open_run = run
+        self._stack[1:] = stack
+        return True
 
     def consume(self, word) -> None:
         """Like ``feed`` but only the counters are updated.
@@ -440,45 +584,36 @@ class Compressor:
         seam = half
         if half >= _SPLIT_MIN and _may_fork():
             seam = _first_repeat(word, middle + _SPLIT_LEAD, half)
-        worker = _forked(lambda: self._tail_census(word, middle, seam, half)) if seam < half else None
-        if not worker:
-            return _fold_tallies(self._census(stack, word, 0, half, state))
-        pid, reader = worker
-        try:
-            state = self._census(stack, word, 0, middle, state)
-            depth = len(stack)
-            state = self._census(stack, word, middle, seam, state)
-            reply = os.read(reader, _REPLY_BYTES)
-        except BaseException:
-            from signal import SIGKILL
 
-            os.kill(pid, SIGKILL)
-            raise
-        finally:
-            os.close(reader)
-            os.waitpid(pid, 0)
-        if len(reply) == _REPLY_BYTES:
-            *tail, tail_depth = array("q", reply)
+        def own():
+            head = self._census(stack, word, 0, middle, state)
+            depth = len(stack)
+            return self._census(stack, word, middle, seam, head), depth
+
+        joined = _fork_join(lambda: self._tail_census(word, middle, seam, half), own) if seam < half else None
+        if not joined:
+            return _fold_tallies(self._census(stack, word, 0, half, state))
+        (state, depth), reply = joined
+        if reply is not None:
+            *tail, tail_depth = reply
             cancelled = (depth + tail_depth - len(stack)) // 2
             if cancelled < tail_depth // 2:
                 ours, theirs = _fold_tallies(state), _fold_tallies(tail)
                 return ours[0] + theirs[0], ours[1] + theirs[1]
         return _fold_tallies(self._census(stack, word, seam, half, state))
 
-    def _tail_census(self, word, middle: int, seam: int, half: int) -> bytes:
+    def _tail_census(self, word, middle: int, seam: int, half: int) -> tuple:
         """The worker's walk: ``word[middle:seam]`` on a fresh stack, then ``word[seam:half]``.
 
         Before the second census the stack entry at half the depth becomes a
         guard that raises when compared, so a walk that comes down to it
-        raises.  Returns the second census and the depth at the seam, as
-        ``array('q')`` bytes.
+        raises.  Returns the second census and the depth at the seam.
         """
         stack = [stack_bottom(self.k)]
         self._census(stack, word, middle, seam, _CLOSED)
         depth = len(stack) - 1
         stack[depth // 2] = _Guard()
-        tail = self._census(stack, word, seam, half, _CLOSED)
-        return array("q", (*tail, depth)).tobytes()
+        return (*self._census(stack, word, seam, half, _CLOSED), depth)
 
     @staticmethod
     def _census(stack, word, start: int, end: int, state) -> tuple[int, int, int, int, int, bool]:
@@ -525,15 +660,19 @@ class Compressor:
         if self._finished:
             raise CodecError("compressor session already flushed")
         self._finished = True
+        out = packed_buffer(self.k + 2)
+        self._close_run(out)
+        return frozen(out)
+
+    def _close_run(self, out) -> None:
+        """Close the open pop run: count it, and emit its odd marker into ``out`` if it is odd."""
         run = self._open_run
         self._open_run = 0
         self._pairs += run >> 1
         if run >= 2:
             self._clustered += run
-        out = packed_buffer(self.k + 2)
         if run & 1:
             out.append(self._odd)
-        return frozen(out)
 
     def _start_feed(self, word):
         if self._finished:
@@ -590,19 +729,51 @@ class Decompressor:
         self._failed = False  # set while decoding; stays set if decoding raised
 
     def feed(self, word) -> bytes | array:
-        """Decode ``word``; the symbols it stands for, packed."""
+        """Decode ``word``; the symbols it stands for, packed.
+
+        A long byte word may be decoded on two cores, with the same result,
+        where :meth:`Compressor.feed` splits (k up to 256 here): this session
+        decodes the first half of the codes while a forked worker
+        (:meth:`_tail_decode`) decodes the second half on the top of the
+        stack.  The worker's symbols count only when that top is this
+        session's; otherwise, where the worker fails and where it cannot
+        start, this session decodes the rest itself, so a malformed stream
+        raises the same error at the same position and leaves the same failed
+        session.
+        """
         if self._failed:
             raise CodecError("decompressor session already failed on a malformed stream")
         word = packed(word, self.k + 2, "coded symbol")
         out = packed_buffer(self.k)
+        end = len(word)
+        seam = end // 2 if _splits(word, out) else end
+        state = self._read, self._odd_at
+        self._failed = True
+        joined = None
+        if seam < end:
+            joined = _fork_join(
+                lambda: self._tail_decode(word, seam), lambda: self._decode(out, word[:seam], *state)
+            )
+        if not joined:
+            state = self._decode(out, word, *state)
+        else:
+            state = self._join(out, joined[1]) or self._decode(out, word[seam:], *joined[0])
+        self._failed = False
+        self._read, self._odd_at = state
+        self._written += len(out)
+        return frozen(out)
+
+    def _decode(self, out, word, position: int, odd_at: int) -> tuple[int, int]:
+        """Decode ``word`` into ``out`` on the session's stack: the position and last odd marker after it.
+
+        ``position`` is the number of codes read before ``word``, and
+        ``odd_at`` the position of the last odd marker among them.
+        """
         emit = out.append
         stack = self._stack
         push = stack.append
         pop = stack.pop
         k = self.k
-        position = self._read
-        odd_at = self._odd_at
-        self._failed = True
         for b in word:
             position += 1
             if b < k:
@@ -630,11 +801,54 @@ class Decompressor:
                     )
                 emit(pop())
                 emit(pop())
-        self._failed = False
-        self._read = position
-        self._odd_at = odd_at
-        self._written += len(out)
-        return frozen(out)
+        return position, odd_at
+
+    def _tail_decode(self, word, seam: int) -> tuple:
+        """The worker's part of a split feed: the symbols of ``word[seam:]`` and the state they leave.
+
+        A plain code pushes, an odd marker pops one symbol and a pair marker
+        two, so the depth at the seam follows from two counts.  The worker
+        decodes the ``_SPLIT_LEAD`` codes before the seam onto an unknown
+        stack: the pushes that survive are the top of the stack at the seam.
+        When they make up the whole depth, the stack is exact and its bottom
+        is the bottom sentinel; otherwise the bottom is a guard, and reaching
+        it raises.  The last odd marker before the seam is found by search.
+        Any error ends the worker.  Returns the symbols, that top and whether
+        it was the whole stack, the position and last odd marker at the end,
+        and the stack above its bottom.
+        """
+        k = self.k
+        top = []
+        for b in word[max(seam - _SPLIT_LEAD, 0) : seam]:
+            if b < k:
+                top.append(b)
+            else:
+                del top[k - 1 - b :]  # an odd marker pops one symbol, a pair marker two
+        depth = len(self._stack) - 1 + seam - 2 * word.count(k, 0, seam) - 3 * word.count(k + 1, 0, seam)
+        exact = depth == len(top)
+        self._stack = [stack_bottom(k) if exact else _Guard(), *top]
+        last_odd = word.rfind(k, 0, seam)
+        odd_at = self._read + last_odd + 1 if last_odd >= 0 else self._odd_at
+        out = packed_buffer(k)
+        state = self._decode(out, word[seam:], self._read + seam, odd_at)
+        return bytes(out), bytes(top), exact, state, bytes(self._stack[1:])
+
+    def _join(self, out, reply) -> tuple[int, int] | None:
+        """Take a worker's part when the top it started from is this session's.
+
+        Returns the position and last odd marker after it, or None.
+        """
+        if reply is None:
+            return None
+        symbols, top, exact, state, stack = reply
+        stack_at_seam = self._stack
+        depth = len(stack_at_seam) - len(top)
+        if depth < 1 or exact != (depth == 1) or bytes(stack_at_seam[depth:]) != top:
+            return None
+        del stack_at_seam[depth:]
+        stack_at_seam += stack
+        out += symbols
+        return state
 
     @property
     def stack(self) -> tuple[int, ...]:

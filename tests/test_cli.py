@@ -109,6 +109,29 @@ def test_gen_and_compress_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(coded.read_bytes()).hexdigest() == coded_sha
 
 
+@pytest.fixture
+def split_feeds(monkeypatch):
+    """Feeds of 8 codes and more split between two processes; lists each worker started."""
+    monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
+    monkeypatch.setattr(codec, "_SPLIT_LEAD", 4)
+    monkeypatch.setattr(codec, "_SPLIT_WINDOW", 0)
+    started = []
+    fork_join = codec._fork_join
+
+    def counted(work, own):
+        started.append(work)
+        return fork_join(work, own)
+
+    monkeypatch.setattr(codec, "_fork_join", counted)
+    return started
+
+
+@pytest.mark.parametrize("name", GOLDEN_STREAMS)
+def test_split_gen_and_compress_bytes_are_pinned(tmp_path, split_feeds, name):
+    test_gen_and_compress_bytes_are_pinned(tmp_path, name)
+    assert len(split_feeds) == (name != "k300-wide")  # wide files are array('H') words
+
+
 def test_wide_alphabet_files_roundtrip(tmp_path):
     plain = tmp_path / "plain.pdt"
     coded = tmp_path / "coded.pdt"
@@ -168,6 +191,11 @@ def test_compress_decompress_files_roundtrip(tmp_path):
     assert role == streamio.ROLE_CODED and k == 4
     plain_symbols = streamio.decode_stream(plain.read_bytes()).symbols
     assert symbols == compress(plain_symbols, 4)  # both packed as bytes
+
+
+def test_split_compress_decompress_files_roundtrip(tmp_path, split_feeds):
+    test_compress_decompress_files_roundtrip(tmp_path)
+    assert len(split_feeds) == 3  # compress, decompress and the check's compress
 
 
 def test_compress_text_example(tmp_path):

@@ -31,7 +31,7 @@ from pdtcomp.codec import (
 )
 from pdtcomp.engine import Configuration, run, step
 from pdtcomp.rewrite import normal_form
-from pdtcomp.seqgen import cyclic_pattern_counts, lex_concat
+from pdtcomp.seqgen import cyclic_pattern_counts, iter_mirrored_segments, lex_concat, mirrored_segment
 from pdtcomp.streamio import ROLE_PLAIN, encode_stream
 
 words = lambda k, n=120: st.lists(st.integers(0, k - 1), max_size=n)
@@ -459,9 +459,10 @@ def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
 
 
 def split_early(monkeypatch) -> None:
-    """Fold walks of 8 symbols and more split, with a lead of 4 symbols."""
+    """Walks of 8 symbols and more split, with a lead of 4 symbols, whatever precedes a feed's seam."""
     monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
     monkeypatch.setattr(codec, "_SPLIT_LEAD", 4)
+    monkeypatch.setattr(codec, "_SPLIT_WINDOW", 0)
 
 
 def assert_no_child_left():
@@ -569,7 +570,7 @@ def no_fork_expected():
     raise AssertionError("forked while another thread runs")
 
 
-@pytest.mark.parametrize(
+cannot_fork = pytest.mark.parametrize(
     "host",
     [
         lambda mp: mp.delattr(os, "fork"),
@@ -579,6 +580,9 @@ def no_fork_expected():
     ],
     ids=["no-fork", "one-cpu", "fork-fails", "pipe-fails"],
 )
+
+
+@cannot_fork
 def test_split_consume_walks_in_one_process_where_it_cannot_fork(monkeypatch, host):
     split_early(monkeypatch)
     host(monkeypatch)
@@ -604,6 +608,254 @@ def test_split_consume_walks_in_one_process_while_another_thread_runs(monkeypatc
         other.join(timeout=10)
     assert not other.is_alive()
     assert spans == [(0, len(w))]
+
+
+def feed_spans(monkeypatch) -> list[int]:
+    """The length of every part a feed codes or decodes in this process from now on."""
+    spans = []
+    code, decode = Compressor._code, Decompressor._decode
+
+    def spy_code(session, out, word):
+        spans.append(len(word))
+        return code(session, out, word)
+
+    def spy_decode(session, out, word, position, odd_at):
+        spans.append(len(word))
+        return decode(session, out, word, position, odd_at)
+
+    monkeypatch.setattr(Compressor, "_code", spy_code)
+    monkeypatch.setattr(Decompressor, "_decode", spy_decode)
+    return spans
+
+
+def coded_in_parts(k, parts):
+    """Each part's codes and the session after it, then the flush's."""
+    session = Compressor(k)
+    steps = [(session.feed(part), snapshot(session)) for part in parts]
+    return steps + [(session.flush(), snapshot(session))]
+
+
+def decoded_in_parts(k, parts):
+    """Each part's symbols, or the error it raised, and the session after it."""
+    session = Decompressor(k)
+    steps = []
+    for part in parts:
+        try:
+            out = session.feed(part)
+        except CodecError as error:
+            out = f"{type(error).__name__}: {error}"
+        steps.append((out, session.stack, session.symbols_read, session.symbols_written))
+    return steps
+
+
+def cut(word, cuts):
+    bounds = [0, *sorted(cuts), len(word)]
+    return [word[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def paired_enum(k, n):
+    """The seeded paired-enum segment of order n: every length-n word u as u + u[::-1]."""
+    segments = iter_mirrored_segments(k, n, variant="paired-enum", seed=1)
+    return bytes(next(segment for m, segment in segments if m == n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_split_feed_matches_one_process(k, data):
+    # Pieces u + u[::-1] reduce in a few pair-deletion passes, so the compressor joins; paired-lex
+    # palindromes from k = 3 on outlast the worker's passes and fall back.  The decompressor joins
+    # where its lead holds the whole stack or the walk stays above its guard.  The prefix leaves an
+    # entry stack and an open run, and a corrupted code may land in either process's part.
+    prefix = data.draw(words(k, 40))
+    pieces = st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), min_size=2, max_size=30)
+    paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
+    lex = st.integers(2, 4).map(lambda n: list(mirrored_segment(k, n)))
+    steps = st.lists(st.one_of(st.just(-1), st.integers(0, k - 1)), min_size=16, max_size=200)
+    long = data.draw(st.one_of(paired, lex, steps.map(lambda s: walk(prefix, s))))
+    cuts = data.draw(st.lists(st.integers(0, len(long)), max_size=2))
+    parts = [bytes(part) for part in (prefix, *cut(long, cuts), data.draw(words(k, 60)))]
+    expected = coded_in_parts(k, parts)
+    coded = bytearray(b"".join(out for out, _ in expected))
+    if coded and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(coded) - 1))
+        coded[i] = (coded[i] + data.draw(st.integers(1, k + 1))) % (k + 2)
+    chunks = cut(bytes(coded), data.draw(st.lists(st.integers(0, len(coded)), max_size=2)))
+    expected_decoded = decoded_in_parts(k, chunks)
+    with pytest.MonkeyPatch.context() as mp:
+        split_early(mp)
+        assert coded_in_parts(k, parts) == expected
+        assert decoded_in_parts(k, chunks) == expected_decoded
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "session, k, word, parent_spans",
+    [
+        # the stack at the seam reduces within the worker's passes: this process codes up to the seam
+        (Compressor, 3, paired_enum(3, 3), lambda seam, end: [seam]),
+        # it does not: this process codes on from the seam
+        (Compressor, 4, bytes(mirrored_segment(4, 3)), lambda seam, end: [seam, end - seam]),
+        # the worker's lead holds the whole stack at the middle: this process decodes up to it
+        (Decompressor, 3, compress(paired_enum(3, 3), 3), lambda seam, end: [seam]),
+        # the worker's decoding reaches its guard: this process decodes on from the middle
+        (Decompressor, 4, compress(mirrored_segment(4, 3), 4), lambda seam, end: [seam, end - seam]),
+    ],
+    ids=["compressor-join", "compressor-fallback", "decompressor-join", "decompressor-fallback"],
+)
+def test_split_feed_joins_or_falls_back(monkeypatch, session, k, word, parent_spans):
+    expected = session(k).feed(word)
+    split_early(monkeypatch)
+    end = len(word)
+    seam = codec._first_repeat(word, end * 5 // 8, end) if session is Compressor else end // 2
+    spans = feed_spans(monkeypatch)
+    assert session(k).feed(word) == expected
+    assert spans == parent_spans(seam, end)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "k, word, parent_spans",
+    [
+        # paired words reduce in the window before the seam, and so does all that precedes it
+        (3, paired_enum(3, 3), lambda seam, end: [seam]),
+        # a paired-lex palindrome does not: it is coded in one process, with no worker
+        (4, bytes(mirrored_segment(4, 3)), lambda seam, end: [end]),
+        # the window reduces, but the paired-lex word before it outlasts the worker's passes
+        (2, bytes(lex_concat(2, 10)) + paired_enum(2, 9), lambda seam, end: [seam, end - seam]),
+    ],
+    ids=["paired", "paired-lex", "paired-after-lex"],
+)
+def test_split_compress_forks_where_the_window_before_its_seam_reduces(monkeypatch, k, word, parent_spans):
+    expected = compress(word, k)
+    split_early(monkeypatch)
+    monkeypatch.setattr(codec, "_SPLIT_WINDOW", 64)
+    spans = feed_spans(monkeypatch)
+    assert compress(word, k) == expected
+    end = len(word)
+    assert spans == parent_spans(codec._first_repeat(word, end * 5 // 8, end), end)
+    assert_no_child_left()
+
+
+def test_split_decompress_raises_the_one_process_error_from_the_workers_part(monkeypatch):
+    coded = compress(paired_enum(3, 3), 3)
+    i = len(coded) * 3 // 4
+    corrupted = coded[:i] + bytes([odd_marker(3), odd_marker(3)]) + coded[i:]
+    error = f"marker at position {i + 1} directly after an odd marker"  # past the middle
+    one = Decompressor(3)
+    with pytest.raises(MalformedStreamError, match=error):
+        one.feed(corrupted)
+    split_early(monkeypatch)
+    spans = feed_spans(monkeypatch)
+    session = Decompressor(3)
+    with pytest.raises(MalformedStreamError, match=error):
+        session.feed(corrupted)
+    half = len(corrupted) // 2
+    assert spans == [half, len(corrupted) - half]  # the worker failed; this process decoded on
+    assert (session.stack, session.symbols_read, session.symbols_written) == (
+        one.stack,
+        one.symbols_read,
+        one.symbols_written,
+    )
+    with pytest.raises(CodecError, match="already failed"):
+        session.feed([0])
+    assert_no_child_left()
+
+
+def test_split_decompress_checks_the_odd_marker_before_its_seam(monkeypatch):
+    # Seven pushes and an odd marker, then a second odd marker and seven pushes: the worker's part
+    # decodes on the top its lead leaves, so only the odd marker before the seam rejects it.
+    word = bytes([0, 1, 0, 1, 0, 1, 0, odd_marker(3), odd_marker(3), 2, 0, 2, 0, 2, 0, 2])
+    error = "marker at position 9 directly after an odd marker"
+    with pytest.raises(MalformedStreamError, match=error):
+        Decompressor(3).feed(word)
+    split_early(monkeypatch)
+    spans = feed_spans(monkeypatch)
+    with pytest.raises(MalformedStreamError, match=error):
+        Decompressor(3).feed(word)
+    assert spans == [8, 8]
+    assert_no_child_left()
+
+
+def test_split_decompress_keeps_the_workers_last_odd_marker(monkeypatch):
+    coded = compress(paired_enum(3, 3), 3)
+    j = coded.rindex(odd_marker(3), 0, len(coded) * 3 // 4)
+    split_early(monkeypatch)
+    spans = feed_spans(monkeypatch)
+    session = Decompressor(3)
+    session.feed(coded[: j + 1])  # ends in an odd marker of the worker's part
+    assert spans == [(j + 1) // 2]
+    error = f"marker at position {j + 2} directly after an odd marker"
+    with pytest.raises(MalformedStreamError, match=error):
+        session.feed([pair_marker(3)])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "session, name, word",
+    [(Compressor, "_code", paired_enum(3, 3)), (Decompressor, "_decode", compress(paired_enum(3, 3), 3))],
+    ids=["compressor", "decompressor"],
+)
+def test_split_feed_reaps_its_worker_when_this_process_raises(monkeypatch, session, name, word):
+    split_early(monkeypatch)
+    part = getattr(session, name)
+
+    def interrupted(self, out, part_word, *state):
+        if len(part_word) < len(word):  # this process's part of a split feed
+            raise RuntimeError("interrupted")
+        return part(self, out, part_word, *state)
+
+    monkeypatch.setattr(session, name, interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        session(3).feed(word)
+    assert_no_child_left()
+
+
+@cannot_fork
+def test_split_feed_runs_in_one_process_where_it_cannot_fork(monkeypatch, host):
+    word = paired_enum(3, 3)
+    coded = compress(word, 3)
+    split_early(monkeypatch)
+    host(monkeypatch)
+    spans = feed_spans(monkeypatch)
+    assert decompress(compress(word, 3), 3) == word
+    assert spans == [len(word), len(coded)]
+    assert_no_child_left()
+
+
+def test_split_feed_runs_in_one_process_while_another_thread_runs(monkeypatch):
+    word = paired_enum(3, 3)
+    coded = compress(word, 3)
+    split_early(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork_expected)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        spans = feed_spans(monkeypatch)
+        assert decompress(compress(word, 3), 3) == word
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert spans == [len(word), len(coded)]
+
+
+def test_split_feed_runs_in_one_process_where_a_word_or_its_output_is_not_bytes(monkeypatch):
+    split_early(monkeypatch)
+    spans = feed_spans(monkeypatch)
+    wide = array("H", [0, 1, 299, 299, 1, 0, 2, 3, 3, 2])
+    assert decompress(compress(wide, 300), 300) == wide
+    narrow = bytes([0, 1, 2, 2, 1, 0, 3, 4, 4, 3])  # its codes at k = 255 pass a byte
+    assert decompress(compress(narrow, 255), 255) == narrow
+    assert spans == [10, 8, 10, 8]
+    assert_no_child_left()
+
+
+def test_fork_join_reads_a_reply_past_the_pipe_buffer_whole():
+    reply = bytes(range(256)) * 4096  # 1 MiB
+    assert codec._fork_join(lambda: reply, lambda: "ours") == ("ours", reply)
+    assert codec._fork_join(lambda: 1 // 0, lambda: "ours") == ("ours", None)
+    assert_no_child_left()
 
 
 @settings(max_examples=150, deadline=None)
