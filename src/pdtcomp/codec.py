@@ -45,10 +45,10 @@ exact check shows that its steps were the session's own; otherwise the
 session walks the rest itself, as it does wherever it cannot fork.  Words
 made of pairs ``u + u[::-1]`` (paired-enum files) join in both directions
 up to k = 9; from k = 10 the deletion passes, one per symbol, outlast their
-budget and the compressor stays in one process.  Paired-lex words are
-compressed in one process, since the symbols before the seam do not reduce,
-and their decoding falls back, since its stack at the seam is deeper than
-its worker can know.  Output, counters and errors come out identical either
+budget and the compressor stays in one process.  Paired-lex words stay in
+one process both ways: the symbols before the compressor's seam do not
+reduce, and the second half of their codes pops far below what a decoding
+worker can rebuild.  Output, counters and errors come out identical either
 way, and the worker ends before the call returns.
 
 Every word, here and in generation, the census and the stream formats,
@@ -445,7 +445,13 @@ class Compressor:
         return seam if reduced is not None and 8 * len(reduced) <= len(window) else end
 
     def _code(self, out, word) -> None:
-        """Code ``word`` into ``out`` from the session's stack and open run: the one loop that emits."""
+        """Code ``word`` into ``out`` from the session's stack and open run: the one loop that emits.
+
+        The top of the stack lives in a local during the walk and is back on
+        the list when the call returns: CPython 3.11 specializes ``list[i]``
+        only for non-negative ``i``, so reading ``stack[-1]`` per symbol would
+        run the generic subscript.
+        """
         emit = out.append
         stack = self._stack
         push = stack.append
@@ -456,9 +462,10 @@ class Compressor:
         clustered = self._clustered
         odd = self._odd
         pair = self._pair
+        top = pop()
         for a in word:
-            if stack[-1] == a:
-                pop()
+            if a == top:
+                top = pop()
                 run += 1
                 if pending:
                     emit(pair)
@@ -467,7 +474,8 @@ class Compressor:
                 else:
                     pending = True
             else:
-                push(a)
+                push(top)
+                top = a
                 if run >= 2:
                     clustered += run
                 run = 0
@@ -475,6 +483,7 @@ class Compressor:
                     emit(odd)
                     pending = False
                 emit(a)
+        push(top)
         self._pairs = pairs - (run >> 1)
         self._clustered = clustered
         self._open_run = run
@@ -624,13 +633,20 @@ class Compressor:
         of length 1 and of odd length >= 3, then the length of the open run
         and whether it pops.  The walk continues the tallies and the open
         run of ``state``, so a first step of the open run's kind extends it.
+
+        The top of the stack lives in a local during the walk and is back on
+        the list when the call returns (a worker whose walk reaches its guard
+        drops its stack): CPython 3.11 specializes ``list[i]`` only for
+        non-negative ``i``, so reading ``stack[-1]`` per symbol would run the
+        generic subscript.
         """
         pop_singles, pop_odd, push_singles, push_odd, run, popping = state
         push = stack.append
         pop = stack.pop
+        top = pop()
         for a in memoryview(word)[start:end]:
-            if stack[-1] == a:
-                pop()
+            if a == top:
+                top = pop()
                 if popping:
                     run += 1
                     continue
@@ -640,7 +656,8 @@ class Compressor:
                     push_odd += 1
                 popping = True
             else:
-                push(a)
+                push(top)
+                top = a
                 if not popping:
                     run += 1
                     continue
@@ -650,6 +667,7 @@ class Compressor:
                     pop_odd += 1
                 popping = False
             run = 1
+        push(top)
         return pop_singles, pop_odd, push_singles, push_odd, run, popping
 
     def flush(self) -> bytes | array:
@@ -731,22 +749,21 @@ class Decompressor:
     def feed(self, word) -> bytes | array:
         """Decode ``word``; the symbols it stands for, packed.
 
-        A long byte word may be decoded on two cores, with the same result,
-        where :meth:`Compressor.feed` splits (k up to 256 here): this session
-        decodes the first half of the codes while a forked worker
-        (:meth:`_tail_decode`) decodes the second half on the top of the
-        stack.  The worker's symbols count only when that top is this
-        session's; otherwise, where the worker fails and where it cannot
-        start, this session decodes the rest itself, so a malformed stream
-        raises the same error at the same position and leaves the same failed
-        session.
+        A long byte word may be decoded on two cores, with the same result
+        (:meth:`_seam` says where): this session decodes the first half of
+        the codes while a forked worker (:meth:`_tail_decode`) decodes the
+        second half on the top of the stack.  The worker's symbols count only
+        when that top is this session's; otherwise, where the worker fails and
+        where it cannot start, this session decodes the rest itself, so a
+        malformed stream raises the same error at the same position and leaves
+        the same failed session.
         """
         if self._failed:
             raise CodecError("decompressor session already failed on a malformed stream")
         word = packed(word, self.k + 2, "coded symbol")
         out = packed_buffer(self.k)
         end = len(word)
-        seam = end // 2 if _splits(word, out) else end
+        seam = self._seam(word, out)
         state = self._read, self._odd_at
         self._failed = True
         joined = None
@@ -763,44 +780,77 @@ class Decompressor:
         self._written += len(out)
         return frozen(out)
 
+    def _seam(self, word, out) -> int:
+        """Where ``feed`` splits ``word`` decoded into ``out``; the end of ``word`` where it does not.
+
+        Where :func:`_splits` holds and the markers fit a byte (k up to 254),
+        the seam is the middle of ``word``, unless the codes after it take the
+        stack more than ``_SPLIT_LEAD`` symbols below its depth there.  A
+        plain code pushes, an odd marker pops one symbol and a pair marker
+        two, so that change of depth follows from two counts.  A worker that
+        starts at the middle knows at most the ``_SPLIT_LEAD`` symbols on top
+        of the stack there, so it would fall back for certain.  The codes of
+        a paired-lex file end that far below their middle.
+        """
+        end = len(word)
+        if self.k >= 255 or not _splits(word, out):
+            return end
+        k = self.k
+        seam = end // 2
+        change = end - seam - 2 * word.count(k, seam) - 3 * word.count(k + 1, seam)
+        return seam if change + _SPLIT_LEAD >= 0 else end
+
     def _decode(self, out, word, position: int, odd_at: int) -> tuple[int, int]:
         """Decode ``word`` into ``out`` on the session's stack: the position and last odd marker after it.
 
         ``position`` is the number of codes read before ``word``, and
         ``odd_at`` the position of the last odd marker among them.
+
+        The top of the stack lives in a local during the walk and is back on
+        the list when the call returns or raises, so a ``MalformedStreamError``
+        leaves the stack as it was when the bad code was read.  CPython 3.11
+        specializes ``list[i]`` only for non-negative ``i``, so reading
+        ``stack[-1]`` per symbol would run the generic subscript.
         """
         emit = out.append
         stack = self._stack
         push = stack.append
         pop = stack.pop
         k = self.k
-        for b in word:
-            position += 1
-            if b < k:
-                if stack[-1] == b:
+        top = pop()
+        try:
+            for b in word:
+                position += 1
+                if b < k:
+                    if top == b:
+                        raise MalformedStreamError(
+                            f"plain symbol {b} at position {position} equals the stack top"
+                        )
+                    push(top)
+                    top = b
+                    emit(b)
+                elif odd_at == position - 1:
                     raise MalformedStreamError(
-                        f"plain symbol {b} at position {position} equals the stack top"
+                        f"marker at position {position} directly after an odd marker"
                     )
-                push(b)
-                emit(b)
-            elif odd_at == position - 1:
-                raise MalformedStreamError(
-                    f"marker at position {position} directly after an odd marker"
-                )
-            elif b == k:
-                if len(stack) < 2:
-                    raise MalformedStreamError(
-                        f"odd marker at position {position} with no matched symbol pending"
-                    )
-                odd_at = position
-                emit(pop())
-            else:
-                if len(stack) < 3:
-                    raise MalformedStreamError(
-                        f"pair marker at position {position} with fewer than two matched symbols pending"
-                    )
-                emit(pop())
-                emit(pop())
+                elif b == k:
+                    if not stack:
+                        raise MalformedStreamError(
+                            f"odd marker at position {position} with no matched symbol pending"
+                        )
+                    odd_at = position
+                    emit(top)
+                    top = pop()
+                else:
+                    if len(stack) < 2:
+                        raise MalformedStreamError(
+                            f"pair marker at position {position} with fewer than two matched symbols pending"
+                        )
+                    emit(top)
+                    emit(pop())
+                    top = pop()
+        finally:
+            push(top)
         return position, odd_at
 
     def _tail_decode(self, word, seam: int) -> tuple:

@@ -2,6 +2,7 @@
 
 import copy
 import os
+import random
 import threading
 from array import array
 from itertools import groupby
@@ -355,6 +356,47 @@ def test_decompressor_session_fails_for_good_after_a_malformed_stream():
         session.feed([0])
 
 
+@pytest.mark.parametrize(
+    "word, error, stack",
+    [
+        ([0, 1, 1], "equals the stack top", (5, 0, 1)),
+        ([0, 3, 3], "directly after an odd marker", (5,)),
+        ([0, 4], "fewer than two matched symbols", (5, 0)),
+        ([0, 1, 2, 4, 4, 4], "fewer than two matched symbols", (5, 0)),
+        ([3], "no matched symbol pending", (5,)),
+    ],
+    ids=["plain-equals-top", "marker-after-odd", "pair-over-one", "pair-after-pairs", "odd-over-none"],
+)
+def test_a_malformed_stream_leaves_the_stack_where_decoding_stopped(word, error, stack):
+    # The decoder walks with the stack top in a local; it is back on the stack when an error leaves.
+    session = Decompressor(3)
+    with pytest.raises(MalformedStreamError, match=error):
+        session.feed(word)
+    assert (session.stack, session.symbols_read, session.symbols_written) == (stack, 0, 0)
+
+
+def test_an_empty_word_leaves_the_stack_whole():
+    fed, counted, decoded = Compressor(3), Compressor(3), Decompressor(3)
+    fed.feed([0, 1, 2])
+    counted.consume([0, 1, 2])
+    decoded.feed([0, 1, 2])
+    for session in (fed, counted, decoded):
+        session.feed(b"")
+    counted.consume(b"")
+    assert fed.stack == counted.stack == decoded.stack == (5, 0, 1, 2)
+
+
+def test_a_guard_that_becomes_the_top_raises():
+    # 0 == guard: int.__eq__ answers NotImplemented and the guard's reflected __eq__ raises.
+    with pytest.raises(LookupError):
+        Compressor._census([stack_bottom(3), codec._Guard(), 1], b"\x01\x00", 0, 2, codec._CLOSED)
+    session = Decompressor(3)
+    session._stack = [codec._Guard(), 1]
+    with pytest.raises(LookupError):
+        session._decode(bytearray(), bytes([odd_marker(3), 0]), 0, -1)
+    assert len(session._stack) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_flushed_savings_identity(k, data):
@@ -697,10 +739,27 @@ def test_split_feed_matches_one_process(k, data):
         (Compressor, 4, bytes(mirrored_segment(4, 3)), lambda seam, end: [seam, end - seam]),
         # the worker's lead holds the whole stack at the middle: this process decodes up to it
         (Decompressor, 3, compress(paired_enum(3, 3), 3), lambda seam, end: [seam]),
-        # the worker's decoding reaches its guard: this process decodes on from the middle
-        (Decompressor, 4, compress(mirrored_segment(4, 3), 4), lambda seam, end: [seam, end - seam]),
+        # the codes after the middle pop below the worker's lead and push back above it: the worker
+        # reaches its guard, and this process decodes on from the middle
+        (
+            Decompressor,
+            3,
+            bytes([0, 1] * 4 + [pair_marker(3)] * 3 + [2, 0] * 3 + [2]),
+            lambda seam, end: [seam, end - seam],
+        ),
+        # pushes only: the worker's walk stays above the guard below its lead, and joins
+        (Decompressor, 3, bytes([0, 1] * 4 + [2, 0] * 4), lambda seam, end: [seam]),
+        # a paired-lex palindrome's codes end far below the depth at the middle: no worker is forked
+        (Decompressor, 4, compress(mirrored_segment(4, 3), 4), lambda seam, end: [end]),
     ],
-    ids=["compressor-join", "compressor-fallback", "decompressor-join", "decompressor-fallback"],
+    ids=[
+        "compressor-join",
+        "compressor-fallback",
+        "decompressor-join",
+        "decompressor-fallback",
+        "decompressor-join-above-the-guard",
+        "decompressor-paired-lex",
+    ],
 )
 def test_split_feed_joins_or_falls_back(monkeypatch, session, k, word, parent_spans):
     expected = session(k).feed(word)
@@ -710,6 +769,36 @@ def test_split_feed_joins_or_falls_back(monkeypatch, session, k, word, parent_sp
     spans = feed_spans(monkeypatch)
     assert session(k).feed(word) == expected
     assert spans == parent_spans(seam, end)
+    assert_no_child_left()
+
+
+def decoded_joins(monkeypatch) -> list[bool]:
+    """Whether each worker a decoding feed forks from now on has its part taken."""
+    joins = []
+    join = Decompressor._join
+
+    def spy(session, out, reply):
+        state = join(session, out, reply)
+        joins.append(state is not None)
+        return state
+
+    monkeypatch.setattr(Decompressor, "_join", spy)
+    return joins
+
+
+def test_split_decompress_forks_only_where_its_worker_may_join(monkeypatch):
+    # At _SPLIT_LEAD = 256: paired-lex codes pop far below the lead, paired-enum files drain to the
+    # bare bottom at every word, and a random word's stack at the middle is deeper than the lead but
+    # its second half stays above it.
+    lex = bytes(mirrored_segment(5, 7))
+    segments = iter_mirrored_segments(5, 7, variant="paired-enum", seed=3)
+    enum = b"".join(bytes(segment) for _, segment in segments)
+    noise = bytes(random.Random(5).choices(range(5), k=1 << 19))
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    joined = decoded_joins(monkeypatch)
+    for word in (lex, enum, noise):
+        assert decompress(compress(word, 5), 5) == word
+    assert joined == [True, True]
     assert_no_child_left()
 
 
@@ -847,7 +936,9 @@ def test_split_feed_runs_in_one_process_where_a_word_or_its_output_is_not_bytes(
     assert decompress(compress(wide, 300), 300) == wide
     narrow = bytes([0, 1, 2, 2, 1, 0, 3, 4, 4, 3])  # its codes at k = 255 pass a byte
     assert decompress(compress(narrow, 255), 255) == narrow
-    assert spans == [10, 8, 10, 8]
+    plain = bytes([0, 1, 2, 3, 4, 3, 2, 1, 0, 1])  # at k = 255 the pair marker passes a byte
+    assert decompress(plain, 255) == plain
+    assert spans == [10, 8, 10, 8, 10]
     assert_no_child_left()
 
 
