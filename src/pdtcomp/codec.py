@@ -37,19 +37,22 @@ either direction.  From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two
 CPUs are usable and no other thread runs, a forked worker walks the second
 part of the word while the session walks the first (:func:`_fork_join`).
 The fold's worker starts on a fresh stack.  A feed splits only a ``bytes``
-or ``bytearray`` word whose output fits bytes, and its worker starts from
-the exact state at its seam: the compressor's stack is rebuilt by deleting
-equal adjacent pairs (:func:`_reduced`), and the decompressor's depth
-follows from counting its markers.  A worker's part counts only when an
-exact check shows that its steps were the session's own; otherwise the
-session walks the rest itself, as it does wherever it cannot fork.  Words
-made of pairs ``u + u[::-1]`` (paired-enum files) join in both directions
-up to k = 9; from k = 10 the deletion passes, one per symbol, outlast their
-budget and the compressor stays in one process.  Paired-lex words stay in
-one process both ways: the symbols before the compressor's seam do not
-reduce, and the second half of their codes pops far below what a decoding
-worker can rebuild.  Output, counters and errors come out identical either
-way, and the worker ends before the call returns.
+or ``bytearray`` word whose output fits bytes.  The compressor's worker
+starts from the exact stack at its seam, rebuilt by deleting equal adjacent
+pairs (:func:`_reduced`).  The decompressor's worker starts from the bare
+bottom, at a seam where counting the codes shows the stack is bare: a plain
+code pushes one symbol, an odd marker pops one and a pair marker two.  A
+worker's part counts only when an exact check shows that its steps were the
+session's own; otherwise the session walks the rest itself, as it does
+wherever it cannot fork.  So both feeds split words built from drained
+pieces.  Words made of pairs ``u + u[::-1]`` (paired-enum files) decode on
+two cores for every k up to 254, and code on two cores up to k = 9; from
+k = 10 the deletion passes, one per symbol, outlast their budget and the
+compressor stays in one process.  Paired-lex words stay in one process both
+ways: the symbols before the compressor's seam do not reduce, and their
+codes do not come back to the bare bottom near their middle.  Nor do random
+codes, which also decode in one process.  Output, counters and errors come
+out identical either way, and the worker ends before the call returns.
 
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
@@ -249,8 +252,9 @@ def mirror_half(word) -> int:
 
 
 # A walk of at least this many symbols may take two cores: the fold (Compressor._fold_census)
-# and a feed of a byte word (Compressor.feed, Decompressor.feed).  The fold's worker and the
-# decompressor's worker rebuild the top of the stack from this many symbols before their seam.
+# and a feed of a byte word (Compressor.feed, Decompressor.feed).  The fold's seam lies at least
+# _SPLIT_LEAD symbols past its middle; the decompressor looks for a bare seam among the
+# _SPLIT_LEAD codes from its middle.
 _SPLIT_MIN = 1 << 18
 _SPLIT_LEAD = 256
 # Pair deletion (_reduced) gives up once its passes have read this many times the symbols it
@@ -351,7 +355,7 @@ def _fork_join(work, own):
 
 
 class _Guard:
-    """A stack entry a worker's walk must not reach: comparing it raises."""
+    """A stack entry the fold's worker must not reach: comparing it raises."""
 
     def __eq__(self, other):
         raise LookupError("the walk reached the guarded stack depth")
@@ -750,10 +754,10 @@ class Decompressor:
         """Decode ``word``; the symbols it stands for, packed.
 
         A long byte word may be decoded on two cores, with the same result
-        (:meth:`_seam` says where): this session decodes the first half of
-        the codes while a forked worker (:meth:`_tail_decode`) decodes the
-        second half on the top of the stack.  The worker's symbols count only
-        when that top is this session's; otherwise, where the worker fails and
+        (:meth:`_seam` says where): this session decodes ``word[:seam]``
+        while a forked worker (:meth:`_tail_decode`) decodes the rest from
+        the bare bottom.  The worker's symbols count only when this session's
+        stack is bare at the seam; otherwise, where the worker fails and
         where it cannot start, this session decodes the rest itself, so a
         malformed stream raises the same error at the same position and leaves
         the same failed session.
@@ -784,21 +788,26 @@ class Decompressor:
         """Where ``feed`` splits ``word`` decoded into ``out``; the end of ``word`` where it does not.
 
         Where :func:`_splits` holds and the markers fit a byte (k up to 254),
-        the seam is the middle of ``word``, unless the codes after it take the
-        stack more than ``_SPLIT_LEAD`` symbols below its depth there.  A
-        plain code pushes, an odd marker pops one symbol and a pair marker
-        two, so that change of depth follows from two counts.  A worker that
-        starts at the middle knows at most the ``_SPLIT_LEAD`` symbols on top
-        of the stack there, so it would fall back for certain.  The codes of
-        a paired-lex file end that far below their middle.
+        the seam is the first of the ``_SPLIT_LEAD`` codes from the middle of
+        ``word`` before which the stack is bare.  A plain code pushes, an odd
+        marker pops one symbol and a pair marker two, so the depth at the
+        middle follows from the entry depth and two counts, and each code
+        after it moves the depth by a known step.  Where the first half is
+        well formed, that depth is exact.  Every word of a paired-enum file
+        drains the stack; random and paired-lex codes do not come back to the
+        bottom near their middle, and are decoded in one process.
         """
         end = len(word)
         if self.k >= 255 or not _splits(word, out):
             return end
         k = self.k
-        seam = end // 2
-        change = end - seam - 2 * word.count(k, seam) - 3 * word.count(k + 1, seam)
-        return seam if change + _SPLIT_LEAD >= 0 else end
+        middle = end // 2
+        depth = len(self._stack) - 1 + middle - 2 * word.count(k, 0, middle) - 3 * word.count(k + 1, 0, middle)
+        for seam, b in enumerate(word[middle : middle + _SPLIT_LEAD], middle):
+            if depth == 0:
+                return seam
+            depth += 1 if b < k else k - 1 - b  # an odd marker pops one symbol, a pair marker two
+        return end
 
     def _decode(self, out, word, position: int, odd_at: int) -> tuple[int, int]:
         """Decode ``word`` into ``out`` on the session's stack: the position and last odd marker after it.
@@ -856,47 +865,26 @@ class Decompressor:
     def _tail_decode(self, word, seam: int) -> tuple:
         """The worker's part of a split feed: the symbols of ``word[seam:]`` and the state they leave.
 
-        A plain code pushes, an odd marker pops one symbol and a pair marker
-        two, so the depth at the seam follows from two counts.  The worker
-        decodes the ``_SPLIT_LEAD`` codes before the seam onto an unknown
-        stack: the pushes that survive are the top of the stack at the seam.
-        When they make up the whole depth, the stack is exact and its bottom
-        is the bottom sentinel; otherwise the bottom is a guard, and reaching
-        it raises.  The last odd marker before the seam is found by search.
-        Any error ends the worker.  Returns the symbols, that top and whether
-        it was the whole stack, the position and last odd marker at the end,
-        and the stack above its bottom.
+        The worker decodes from the bare bottom.  A marker right at the seam
+        would pop the bare bottom, so it fails the worker whatever came before
+        it, and the last odd marker before the seam is not needed.  Any error
+        ends the worker.  Returns the symbols, the position and last odd
+        marker at the end, and the stack above its bottom.
         """
-        k = self.k
-        top = []
-        for b in word[max(seam - _SPLIT_LEAD, 0) : seam]:
-            if b < k:
-                top.append(b)
-            else:
-                del top[k - 1 - b :]  # an odd marker pops one symbol, a pair marker two
-        depth = len(self._stack) - 1 + seam - 2 * word.count(k, 0, seam) - 3 * word.count(k + 1, 0, seam)
-        exact = depth == len(top)
-        self._stack = [stack_bottom(k) if exact else _Guard(), *top]
-        last_odd = word.rfind(k, 0, seam)
-        odd_at = self._read + last_odd + 1 if last_odd >= 0 else self._odd_at
-        out = packed_buffer(k)
-        state = self._decode(out, word[seam:], self._read + seam, odd_at)
-        return bytes(out), bytes(top), exact, state, bytes(self._stack[1:])
+        self._stack = [stack_bottom(self.k)]
+        out = packed_buffer(self.k)
+        state = self._decode(out, word[seam:], self._read + seam, -1)
+        return bytes(out), state, bytes(self._stack[1:])
 
     def _join(self, out, reply) -> tuple[int, int] | None:
-        """Take a worker's part when the top it started from is this session's.
+        """Take a worker's part when this session's stack is bare at the seam.
 
         Returns the position and last odd marker after it, or None.
         """
-        if reply is None:
+        if reply is None or len(self._stack) > 1:
             return None
-        symbols, top, exact, state, stack = reply
-        stack_at_seam = self._stack
-        depth = len(stack_at_seam) - len(top)
-        if depth < 1 or exact != (depth == 1) or bytes(stack_at_seam[depth:]) != top:
-            return None
-        del stack_at_seam[depth:]
-        stack_at_seam += stack
+        symbols, state, stack = reply
+        self._stack += stack
         out += symbols
         return state
 

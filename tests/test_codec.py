@@ -390,11 +390,6 @@ def test_a_guard_that_becomes_the_top_raises():
     # 0 == guard: int.__eq__ answers NotImplemented and the guard's reflected __eq__ raises.
     with pytest.raises(LookupError):
         Compressor._census([stack_bottom(3), codec._Guard(), 1], b"\x01\x00", 0, 2, codec._CLOSED)
-    session = Decompressor(3)
-    session._stack = [codec._Guard(), 1]
-    with pytest.raises(LookupError):
-        session._decode(bytearray(), bytes([odd_marker(3), 0]), 0, -1)
-    assert len(session._stack) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,7 +496,10 @@ def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
 
 
 def split_early(monkeypatch) -> None:
-    """Walks of 8 symbols and more split, with a lead of 4 symbols, whatever precedes a feed's seam."""
+    """Walks of 8 symbols and more split, with a lead of 4 symbols, whatever precedes a feed's seam.
+
+    The lead also bounds the decoder's search for a bare seam to the 4 codes from the middle.
+    """
     monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
     monkeypatch.setattr(codec, "_SPLIT_LEAD", 4)
     monkeypatch.setattr(codec, "_SPLIT_WINDOW", 0)
@@ -701,13 +699,26 @@ def paired_enum(k, n):
     return bytes(next(segment for m, segment in segments if m == n))
 
 
+def bare_seam(k, codes, entry=b"", lead=4):
+    """The first of the ``lead`` positions from the middle of ``codes`` before which decoding them
+    after ``entry``, one code at a time, leaves the stack bare; the end of ``codes`` if none is."""
+    session = Decompressor(k)
+    session.feed(entry)
+    middle = len(codes) // 2
+    for i in range(min(middle + lead, len(codes))):
+        if i >= middle and session.stack == (stack_bottom(k),):
+            return i
+        session.feed(codes[i : i + 1])
+    return len(codes)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_split_feed_matches_one_process(k, data):
     # Pieces u + u[::-1] reduce in a few pair-deletion passes, so the compressor joins; paired-lex
-    # palindromes from k = 3 on outlast the worker's passes and fall back.  The decompressor joins
-    # where its lead holds the whole stack or the walk stays above its guard.  The prefix leaves an
-    # entry stack and an open run, and a corrupted code may land in either process's part.
+    # palindromes from k = 3 on outlast the worker's passes and fall back.  The decompressor forks
+    # where its codes leave the stack bare near their middle.  The prefix leaves an entry stack and
+    # an open run, and a corrupted code may land in either process's part.
     prefix = data.draw(words(k, 40))
     pieces = st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), min_size=2, max_size=30)
     paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
@@ -737,19 +748,19 @@ def test_split_feed_matches_one_process(k, data):
         (Compressor, 3, paired_enum(3, 3), lambda seam, end: [seam]),
         # it does not: this process codes on from the seam
         (Compressor, 4, bytes(mirrored_segment(4, 3)), lambda seam, end: [seam, end - seam]),
-        # the worker's lead holds the whole stack at the middle: this process decodes up to it
+        # the stack is bare a code after the middle: this process decodes up to there
         (Decompressor, 3, compress(paired_enum(3, 3), 3), lambda seam, end: [seam]),
-        # the codes after the middle pop below the worker's lead and push back above it: the worker
-        # reaches its guard, and this process decodes on from the middle
+        # a pair marker after the last word pops the bare bottom: the worker fails, and this process
+        # decodes on from the seam to the same error
         (
             Decompressor,
             3,
-            bytes([0, 1] * 4 + [pair_marker(3)] * 3 + [2, 0] * 3 + [2]),
+            compress(paired_enum(3, 3), 3) + bytes([pair_marker(3)]),
             lambda seam, end: [seam, end - seam],
         ),
-        # pushes only: the worker's walk stays above the guard below its lead, and joins
-        (Decompressor, 3, bytes([0, 1] * 4 + [2, 0] * 4), lambda seam, end: [seam]),
-        # a paired-lex palindrome's codes end far below the depth at the middle: no worker is forked
+        # pushes only: the stack is never bare, and no worker is forked
+        (Decompressor, 3, bytes([0, 1] * 4 + [2, 0] * 4), lambda seam, end: [end]),
+        # a paired-lex palindrome's codes are far from the bottom at their middle: no worker is forked
         (Decompressor, 4, compress(mirrored_segment(4, 3), 4), lambda seam, end: [end]),
     ],
     ids=[
@@ -757,17 +768,24 @@ def test_split_feed_matches_one_process(k, data):
         "compressor-fallback",
         "decompressor-join",
         "decompressor-fallback",
-        "decompressor-join-above-the-guard",
+        "decompressor-pushes-only",
         "decompressor-paired-lex",
     ],
 )
 def test_split_feed_joins_or_falls_back(monkeypatch, session, k, word, parent_spans):
-    expected = session(k).feed(word)
+    def fed():
+        fresh = session(k)
+        try:
+            return fresh.feed(word), fresh.stack
+        except CodecError as error:
+            return f"{type(error).__name__}: {error}", fresh.stack
+
+    expected = fed()
     split_early(monkeypatch)
     end = len(word)
-    seam = codec._first_repeat(word, end * 5 // 8, end) if session is Compressor else end // 2
+    seam = codec._first_repeat(word, end * 5 // 8, end) if session is Compressor else bare_seam(k, word)
     spans = feed_spans(monkeypatch)
-    assert session(k).feed(word) == expected
+    assert fed() == expected
     assert spans == parent_spans(seam, end)
     assert_no_child_left()
 
@@ -787,9 +805,8 @@ def decoded_joins(monkeypatch) -> list[bool]:
 
 
 def test_split_decompress_forks_only_where_its_worker_may_join(monkeypatch):
-    # At _SPLIT_LEAD = 256: paired-lex codes pop far below the lead, paired-enum files drain to the
-    # bare bottom at every word, and a random word's stack at the middle is deeper than the lead but
-    # its second half stays above it.
+    # At _SPLIT_LEAD = 256: paired-enum files drain to the bare bottom at every word, while the stack
+    # of paired-lex codes and of a random word is far from the bottom near their middle.
     lex = bytes(mirrored_segment(5, 7))
     segments = iter_mirrored_segments(5, 7, variant="paired-enum", seed=3)
     enum = b"".join(bytes(segment) for _, segment in segments)
@@ -798,7 +815,7 @@ def test_split_decompress_forks_only_where_its_worker_may_join(monkeypatch):
     joined = decoded_joins(monkeypatch)
     for word in (lex, enum, noise):
         assert decompress(compress(word, 5), 5) == word
-    assert joined == [True, True]
+    assert joined == [True]
     assert_no_child_left()
 
 
@@ -833,13 +850,13 @@ def test_split_decompress_raises_the_one_process_error_from_the_workers_part(mon
     one = Decompressor(3)
     with pytest.raises(MalformedStreamError, match=error):
         one.feed(corrupted)
+    seam = bare_seam(3, corrupted)
     split_early(monkeypatch)
     spans = feed_spans(monkeypatch)
     session = Decompressor(3)
     with pytest.raises(MalformedStreamError, match=error):
         session.feed(corrupted)
-    half = len(corrupted) // 2
-    assert spans == [half, len(corrupted) - half]  # the worker failed; this process decoded on
+    assert spans == [seam, len(corrupted) - seam]  # the worker failed; this process decoded on
     assert (session.stack, session.symbols_read, session.symbols_written) == (
         one.stack,
         one.symbols_read,
@@ -850,32 +867,89 @@ def test_split_decompress_raises_the_one_process_error_from_the_workers_part(mon
     assert_no_child_left()
 
 
-def test_split_decompress_checks_the_odd_marker_before_its_seam(monkeypatch):
-    # Seven pushes and an odd marker, then a second odd marker and seven pushes: the worker's part
-    # decodes on the top its lead leaves, so only the odd marker before the seam rejects it.
-    word = bytes([0, 1, 0, 1, 0, 1, 0, odd_marker(3), odd_marker(3), 2, 0, 2, 0, 2, 0, 2])
-    error = "marker at position 9 directly after an odd marker"
-    with pytest.raises(MalformedStreamError, match=error):
-        Decompressor(3).feed(word)
-    split_early(monkeypatch)
-    spans = feed_spans(monkeypatch)
-    with pytest.raises(MalformedStreamError, match=error):
-        Decompressor(3).feed(word)
-    assert spans == [8, 8]
+def test_split_decompress_checks_the_odd_marker_before_its_seam():
+    # Three pushes, a pair marker and an odd marker leave the stack bare at the middle, and a marker
+    # follows: it fails the worker on the bare bottom, and this process decodes on from the seam to
+    # the one-process error, which names the odd marker before the seam.
+    error = "marker at position 6 directly after an odd marker"
+    for marker in (odd_marker(3), pair_marker(3)):
+        word = bytes([0, 1, 0, pair_marker(3), odd_marker(3), marker, 0, 1, 0, 1])
+        with pytest.raises(MalformedStreamError, match=error):
+            Decompressor(3).feed(word)
+        with pytest.MonkeyPatch.context() as mp:
+            split_early(mp)
+            spans = feed_spans(mp)
+            with pytest.raises(MalformedStreamError, match=error):
+                Decompressor(3).feed(word)
+        assert spans == [5, 5]
     assert_no_child_left()
 
 
 def test_split_decompress_keeps_the_workers_last_odd_marker(monkeypatch):
     coded = compress(paired_enum(3, 3), 3)
     j = coded.rindex(odd_marker(3), 0, len(coded) * 3 // 4)
+    seam = bare_seam(3, coded[: j + 1])
     split_early(monkeypatch)
     spans = feed_spans(monkeypatch)
     session = Decompressor(3)
     session.feed(coded[: j + 1])  # ends in an odd marker of the worker's part
-    assert spans == [(j + 1) // 2]
+    assert spans == [seam] and seam < j
     error = f"marker at position {j + 2} directly after an odd marker"
     with pytest.raises(MalformedStreamError, match=error):
         session.feed([pair_marker(3)])
+    assert_no_child_left()
+
+
+def test_split_decompress_counts_the_entry_stack(monkeypatch):
+    # The first feed leaves one symbol on the stack, so the second feed's depth at its middle counts
+    # it: a seam that ignored it would land where the stack holds one symbol, and the join would fail.
+    coded = compress(paired_enum(3, 3), 3)
+    first, second = coded[:1], coded[1:]
+    expected = decoded_in_parts(3, [first, second])
+    seam = bare_seam(3, second, entry=first)
+    split_early(monkeypatch)
+    spans = feed_spans(monkeypatch)
+    joined = decoded_joins(monkeypatch)
+    assert decoded_in_parts(3, [first, second]) == expected
+    assert expected[0][1] != (stack_bottom(3),)
+    assert spans == [1, seam] and joined == [True]
+    assert_no_child_left()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_a_decoding_seam_leaves_the_stack_bare(k, data):
+    pieces = st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), min_size=2, max_size=30)
+    paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
+    word = data.draw(st.one_of(paired, words(k, 200)))
+    coded = compress(word, k)
+    cut_at = data.draw(st.integers(0, len(coded)))
+    first, second = coded[:cut_at], coded[cut_at:]
+    session = Decompressor(k)
+    session.feed(first)
+    with pytest.MonkeyPatch.context() as mp:
+        split_early(mp)
+        mp.setattr(codec, "_may_fork", lambda: True)
+        seam = session._seam(second, bytearray())
+    if seam < len(second):
+        session.feed(second[:seam])
+        assert session.stack == (stack_bottom(k),)
+
+
+def test_split_decompress_joins_a_paired_enum_file_its_compress_codes_in_one_process(monkeypatch):
+    # At k = 12 the window before the compressor's seam outlasts the deletion passes, while every
+    # word of the file drains the decoder's stack.
+    segments = iter_mirrored_segments(12, 4, variant="paired-enum", seed=1)
+    word = b"".join(bytes(segment) for _, segment in segments)
+    monkeypatch.setattr(codec, "_SPLIT_MIN", 1 << 16)
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    assert len(word) >= codec._SPLIT_MIN
+    spans = feed_spans(monkeypatch)
+    joined = decoded_joins(monkeypatch)
+    coded = compress(word, 12)
+    assert decompress(coded, 12) == word
+    assert spans[0] == len(word) and spans[1] < len(coded)
+    assert joined == [True]
     assert_no_child_left()
 
 
