@@ -12,6 +12,12 @@ failure, 2 usage or I/O error.
 ``bound`` and ``verify`` handlers import :mod:`~pdtcomp.analysis` and
 :mod:`~pdtcomp.properties` when they run, and call them through their module
 attributes.  Of all commands only ``verify`` loads :mod:`~pdtcomp.engine`.
+
+``verify`` takes two cores where the codec's walks do
+(:func:`~pdtcomp.codec._may_fork`): the census rows run in the calling
+process while a forked worker (:func:`~pdtcomp.codec._fork_join`) runs the
+sampled and exhaustive checks.  Its rows print once both are done, and are
+the same, as is the exit status, where this process runs every check itself.
 """
 
 import argparse
@@ -223,8 +229,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("need n-max >= 3: the segment checks start at n = 3")
     if 3 * args.k_max**3 > seqgen.DEFAULT_BLOCK_CAP:
         raise ValueError(
-            f"k-max {args.k_max} is too large: its n = 3 segment holds more than "
-            f"{seqgen.DEFAULT_BLOCK_CAP} symbols"
+            f"k-max {args.k_max} is too large: its n = 3 segment holds {6 * args.k_max**3} symbols "
+            f"(twice 3 * k-max**3 = {3 * args.k_max**3}, above the cap of {seqgen.DEFAULT_BLOCK_CAP})"
         )
     if args.words < 1:
         raise ValueError("need words >= 1")
@@ -238,26 +244,54 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _verification_results(k_range, n_max: int, words: int, seed: int):
-    """Yield (property, scope, passed, detail) rows for the verify command."""
+def _verification_results(k_range, n_max: int, words: int, seed: int) -> list[tuple]:
+    """(property, scope, passed, detail) rows for the verify command, in print order.
+
+    The census rows (segment census, savings bounds) are computed in this
+    process while a forked worker computes the sampled and exhaustive rows,
+    where :func:`codec._may_fork` holds.  Where it does not, or the fork or
+    the worker fails, this process computes the worker's rows itself after
+    its own: the rows come out the same, and a check that raises raises here.
+    """
     from . import properties
 
-    for k in k_range:
-        scope = f"k={k}"
-        rng = random.Random(seed * 1_000_003 + k)
-        bad = properties.roundtrip_failures(k, properties.random_words(k, words, rng, 2000))
-        yield "round-trip", scope, bad == 0, f"{words} random words, {bad} failed"
-        bad = properties.stack_failures(k, properties.random_words(k, words, rng, 2000))
-        yield "stack-content", scope, bad == 0, f"{words} random words, {bad} failed"
-        ns = [n for n in range(3, n_max + 1) if n * k**n <= seqgen.DEFAULT_BLOCK_CAP]
-        censuses = [properties.segment_census(k, n) for n in ns]
-        grid = f"n={ns[0]}..{ns[-1]}"
-        yield "segment-census", scope, all(c.exact for c in censuses), f"{grid}, exact"
-        yield "savings-bounds", scope, all(c.bounds_hold for c in censuses), grid
-        ns, bad = properties.cyclic_failures(k, 100_000)
-        yield "cyclic-occurrences", scope, not bad, f"n={ns[0]}..{ns[-1]}, exhaustive"
-    checked, bad = properties.confluence_failures(3, 6)
-    yield "pair-confluence", "-", bad == 0, f"joins on {checked} reducible words, length <= 6, k <= 3"
+    def census():
+        rows = []
+        for k in k_range:
+            scope = f"k={k}"
+            ns = [n for n in range(3, n_max + 1) if n * k**n <= seqgen.DEFAULT_BLOCK_CAP]
+            censuses = [properties.segment_census(k, n) for n in ns]
+            grid = f"n={ns[0]}..{ns[-1]}"
+            rows.append((
+                ("segment-census", scope, all(c.exact for c in censuses), f"{grid}, exact"),
+                ("savings-bounds", scope, all(c.bounds_hold for c in censuses), grid),
+            ))
+        return rows
+
+    def sampled():
+        rows = []
+        for k in k_range:
+            scope = f"k={k}"
+            rng = random.Random(seed * 1_000_003 + k)
+            round_trip = properties.roundtrip_failures(k, properties.random_words(k, words, rng, 2000))
+            stack = properties.stack_failures(k, properties.random_words(k, words, rng, 2000))
+            ns, cyclic = properties.cyclic_failures(k, 100_000)
+            rows.append((
+                ("round-trip", scope, round_trip == 0, f"{words} random words, {round_trip} failed"),
+                ("stack-content", scope, stack == 0, f"{words} random words, {stack} failed"),
+                ("cyclic-occurrences", scope, not cyclic, f"n={ns[0]}..{ns[-1]}, exhaustive"),
+            ))
+        checked, bad = properties.confluence_failures(3, 6)
+        detail = f"joins on {checked} reducible words, length <= 6, k <= 3"
+        return rows, ("pair-confluence", "-", bad == 0, detail)
+
+    joined = codec._fork_join(sampled, census) if codec._may_fork() else None
+    census_rows, sampled_rows = joined or (census(), None)
+    per_k, confluence = sampled_rows or sampled()
+    rows = []
+    for (round_trip, stack, cyclic), (segment, bounds) in zip(per_k, census_rows):
+        rows += [round_trip, stack, segment, bounds, cyclic]
+    return [*rows, confluence]
 
 
 if __name__ == "__main__":

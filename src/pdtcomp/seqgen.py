@@ -43,7 +43,8 @@ def _check_block(k: int, n: int) -> int:
     size = n * k**n
     if size > DEFAULT_BLOCK_CAP:
         raise HorizonError(
-            f"segment n={n} holds {size} symbols, above the cap of {DEFAULT_BLOCK_CAP}"
+            f"segment n={n} holds {2 * size} symbols "
+            f"(twice n * k**n = {size}, above the cap of {DEFAULT_BLOCK_CAP})"
         )
     return size
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pdtcomp
-from pdtcomp import analysis, codec, streamio
+from pdtcomp import analysis, codec, properties, streamio
 from pdtcomp.cli import _build_parser, cli_dispatch
 from pdtcomp.codec import compress
 from pdtcomp.seqgen import iter_mirrored_segments
@@ -146,7 +146,7 @@ def test_wide_alphabet_files_roundtrip(tmp_path):
 
 def test_gen_respects_cap(tmp_path, capsys):
     out = tmp_path / "seq.pdt"
-    # segment 3 holds 3 * 300**3 = 81 M symbols, past the fixed cap of 2e7
+    # segment 3 holds 2 * 3 * 300**3 = 162 M symbols; its 3 * 300**3 = 81 M is past the fixed cap of 2e7
     assert dispatch("gen", "--k", "300", "--n-max", "3", "--out", str(out)) == 2
     assert "above the cap of 20000000" in capsys.readouterr().err
     assert not out.exists()
@@ -424,12 +424,131 @@ def test_verify_passes_and_prints_per_property(capsys, monkeypatch):
 
     counting(codec, "compress_run")
     counting(analysis, "block_stats")
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    forks = counted_forks(monkeypatch)
     assert dispatch("verify", "--k-min", "2", "--k-max", "3", "--n-max", "4", "--words", "40") == 0
     out = capsys.readouterr().out
     per_k = ["round-trip", "stack-content", "segment-census", "savings-bounds", "cyclic-occurrences"]
     assert [line.split()[0] for line in out.splitlines()] == per_k * 2 + ["pair-confluence"]
     assert "FAIL" not in out
     assert out.count("PASS") == 11
-    # each grid segment goes through the table and the run census exactly once
+    # one worker takes the sampled and exhaustive checks; each grid segment goes through the table
+    # and the run census exactly once, in this process
+    assert len(forks) == 1
     grid = [2 * n * k**n for k in (2, 3) for n in (3, 4)]
     assert seen == {"compress_run": grid, "block_stats": grid}
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of every worker this process forks from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def os_error(*args):
+    raise OSError("unavailable")
+
+
+def reply_lost(monkeypatch):
+    fork_join = codec._fork_join
+    monkeypatch.setattr(codec, "_fork_join", lambda work, own: (fork_join(work, own)[0], None))
+
+
+def worker_raises(monkeypatch):
+    parent = os.getpid()
+    confluence_failures = properties.confluence_failures
+
+    def failing_in_the_worker(k, max_len):
+        if os.getpid() != parent:
+            raise RuntimeError("the worker failed")
+        return confluence_failures(k, max_len)
+
+    monkeypatch.setattr(properties, "confluence_failures", failing_in_the_worker)
+
+
+# how each host runs verify, and the workers it forks; every host has two CPUs unless it says not
+VERIFY_HOSTS = {
+    "two-cores": (lambda mp: None, 1),
+    "no-fork": (lambda mp: mp.delattr(os, "fork"), 0),
+    "one-cpu": (lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}), 0),
+    "fork-fails": (lambda mp: mp.setattr(os, "fork", os_error), 0),
+    "pipe-fails": (lambda mp: mp.setattr(os, "pipe", os_error), 0),
+    "reply-lost": (reply_lost, 1),
+    "worker-raises": (worker_raises, 1),
+}
+
+VERIFY_ARGV = ["verify", "--k-min", "2", "--k-max", "3", "--n-max", "4", "--words", "40", "--seed", "5"]
+VERIFY_OUT = """\
+round-trip             k=2    PASS  40 random words, 0 failed
+stack-content          k=2    PASS  40 random words, 0 failed
+segment-census         k=2    PASS  n=3..4, exact
+savings-bounds         k=2    PASS  n=3..4
+cyclic-occurrences     k=2    PASS  n=1..12, exhaustive
+round-trip             k=3    PASS  40 random words, 0 failed
+stack-content          k=3    PASS  40 random words, 0 failed
+segment-census         k=3    PASS  n=3..4, exact
+savings-bounds         k=3    PASS  n=3..4
+cyclic-occurrences     k=3    PASS  n=1..8, exhaustive
+pair-confluence        -      PASS  joins on 1022 reducible words, length <= 6, k <= 3
+"""
+
+
+def failing_checks(monkeypatch):
+    """One sampled check fails on the k = 3 words of odd length, one census check at k = 2, n = 4."""
+    stack_failures, segment_census = properties.stack_failures, properties.segment_census
+
+    def odd_words_fail(k, words):
+        words = list(words)
+        return stack_failures(k, words) + (k == 3) * sum(len(w) % 2 for w in words)
+
+    def inexact(k, n):
+        census = segment_census(k, n)
+        return census._replace(singletons=census.singletons + 1) if (k, n) == (2, 4) else census
+
+    monkeypatch.setattr(properties, "stack_failures", odd_words_fail)
+    monkeypatch.setattr(properties, "segment_census", inexact)
+
+
+@pytest.mark.parametrize("host", VERIFY_HOSTS)
+@pytest.mark.parametrize(
+    "checks, status, out",
+    [
+        (lambda mp: None, 0, VERIFY_OUT),
+        (
+            failing_checks,
+            1,
+            VERIFY_OUT.replace(
+                "segment-census         k=2    PASS", "segment-census         k=2    FAIL"
+            ).replace(
+                "stack-content          k=3    PASS  40 random words, 0 failed",
+                "stack-content          k=3    FAIL  40 random words, 21 failed",
+            ),
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_verify_output_is_the_same_on_every_host(capsys, monkeypatch, host, checks, status, out):
+    checks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = counted_forks(monkeypatch)
+    set_up, workers = VERIFY_HOSTS[host]
+    set_up(monkeypatch)
+    assert dispatch(*VERIFY_ARGV) == status
+    assert capsys.readouterr() == (out, "")
+    assert len(forks) == workers
+    assert_no_child_left()
