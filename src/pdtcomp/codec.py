@@ -37,22 +37,19 @@ either direction.  From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two
 CPUs are usable and no other thread runs, a forked worker walks the second
 part of the word while the session walks the first (:func:`_fork_join`).
 The fold's worker starts on a fresh stack.  A feed splits only a ``bytes``
-or ``bytearray`` word whose output fits bytes.  The compressor's worker
-starts from the exact stack at its seam, rebuilt by deleting equal adjacent
-pairs (:func:`_reduced`).  The decompressor's worker starts from the bare
-bottom, at a seam where counting the codes shows the stack is bare: a plain
-code pushes one symbol, an odd marker pops one and a pair marker two.  A
-worker's part counts only when an exact check shows that its steps were the
-session's own; otherwise the session walks the rest itself, as it does
-wherever it cannot fork.  So both feeds split words built from drained
-pieces.  Words made of pairs ``u + u[::-1]`` (paired-enum files) decode on
-two cores for every k up to 254, and code on two cores up to k = 9; from
-k = 10 the deletion passes, one per symbol, outlast their budget and the
-compressor stays in one process.  Paired-lex words stay in one process both
-ways: the symbols before the compressor's seam do not reduce, and their
-codes do not come back to the bare bottom near their middle.  Nor do random
-codes, which also decode in one process.  Output, counters and errors come
-out identical either way, and the worker ends before the call returns.
+or ``bytearray`` word whose output fits bytes, and its worker starts from
+the bare bottom, at a seam near the middle where the session's stack should
+be bare.  The decompressor finds that seam by counting its codes: a plain
+code pushes one symbol, an odd marker pops one and a pair marker two.  The
+compressor reads it from the symbols before its middle alone
+(:func:`_bare_point`).  A worker's part counts only when the session's
+stack is bare at the seam; otherwise the session walks the rest itself, as
+it does wherever it cannot fork.  So both feeds split words built from
+drained pieces: words made of pairs ``u + u[::-1]`` (paired-enum files) code
+and decode on two cores for every k up to 254.  Paired-lex and random words
+stay in one process both ways, as their stack does not come back to the
+bare bottom near their middle.  Output, counters and errors come out
+identical either way, and the worker ends before the call returns.
 
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
@@ -70,6 +67,7 @@ import marshal
 import os
 import sys
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import compress as select, count
 from operator import eq
@@ -254,13 +252,9 @@ def mirror_half(word) -> int:
 # A walk of at least this many symbols may take two cores: the fold (Compressor._fold_census)
 # and a feed of a byte word (Compressor.feed, Decompressor.feed).  The fold's seam lies at least
 # _SPLIT_LEAD symbols past its middle; the decompressor looks for a bare seam among the
-# _SPLIT_LEAD codes from its middle.
+# _SPLIT_LEAD codes from its middle, the compressor among the _SPLIT_WINDOW symbols before it.
 _SPLIT_MIN = 1 << 18
 _SPLIT_LEAD = 256
-# Pair deletion (_reduced) gives up once its passes have read this many times the symbols it
-# started from.  A compressor's feed splits only where the _SPLIT_WINDOW symbols before its seam
-# reduce to an eighth of their length or less.
-_SPLIT_PASSES = 12
 _SPLIT_WINDOW = 1 << 12
 _CLOSED = (0, 0, 0, 0, 0, False)  # census state at a run boundary
 
@@ -290,25 +284,29 @@ def _splits(word, out) -> bool:
     )
 
 
-def _reduced(word: bytes, k: int) -> bytes | None:
-    """``word`` with equal adjacent pairs deleted until none is left, or None past the budget.
+def _bare_point(word, start: int, end: int) -> tuple[int, int]:
+    """The likeliest point of ``[start, end]`` where a walk of ``word`` leaves the stack bare, and its count.
 
-    Deletion is confluent, so the result is the stack a compressor is left
-    with (above its bottom) after reading ``word``.  Each pass deletes the
-    pairs of one symbol; the passes give up, returning None, once they have
-    read ``_SPLIT_PASSES`` times the length of ``word``.
+    Walked backwards from ``end``, the state at ``p`` is the reduced form of
+    ``word[p:end]``.  Whatever came before ``start``, two points have equal
+    states exactly when the stack is the same at both, and the state is the
+    stack at ``end`` exactly where the stack is bare.  Returns the point
+    nearest ``end`` with a most frequent state, and how many points have it.
     """
-    budget = _SPLIT_PASSES * len(word)
-    pairs = [bytes((a, a)) for a in range(k)]
-    size = -1
-    while size != len(word):
-        size = len(word)
-        for pair in pairs:
-            budget -= len(word)
-            if budget < 0:
-                return None
-            word = word.replace(pair, b"")
-    return word
+    trie = {}
+    below = []  # (state, front symbol) of each state the walk may pop back to
+    state, front = 0, -1
+    states = [state]
+    for a in word[start:end][::-1]:
+        if a == front:
+            state, front = below.pop()
+        else:
+            below.append((state, front))
+            state = trie.setdefault((state, a), len(trie) + 1)
+            front = a
+        states.append(state)
+    state, most = Counter(states).most_common(1)[0]
+    return end - states.index(state), most
 
 
 def _fork_join(work, own):
@@ -407,11 +405,11 @@ class Compressor:
         """Compress ``word``; the codes emitted for it, packed.
 
         A long byte word may be coded on two cores, with the same result
-        (:meth:`_seam` says where).  This session codes ``word[:seam]`` while
-        a forked worker (:meth:`_tail_codes`) rebuilds the stack at the seam
-        and codes the rest.  The worker's codes and state count only when its
-        stack at the seam is this session's; otherwise, and where the worker
-        gives up or cannot start, this session codes the rest itself.
+        (:meth:`_seam` says where): this session codes ``word[:seam]`` while
+        a forked worker (:meth:`_tail_codes`) codes the rest from the bare
+        bottom.  The worker's codes and state count only when this session's
+        stack is bare at the seam; otherwise, and where the worker fails or
+        cannot start, this session codes the rest itself.
         """
         word = self._start_feed(word)
         out = packed_buffer(self.k + 2)
@@ -430,23 +428,20 @@ class Compressor:
     def _seam(self, word, out) -> int:
         """Where ``feed`` splits ``word`` coded into ``out``; the end of ``word`` where it does not.
 
-        From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word coded
-        to bytes (k up to 254), where ``os.fork`` exists, two CPUs are usable
-        and no other thread runs, the seam is the first equal adjacent pair
-        from 5/8 of the word on.  Every walk switches between pushes and pops
-        there, so a run closes at the seam.  The word splits only when the
-        ``_SPLIT_WINDOW`` symbols before the seam reduce to an eighth of their
-        length or less, as words made of pairs ``u + u[::-1]`` do.  A word
-        whose window does not reduce, such as a paired-lex one, would leave
-        the worker over its budget, and the fork alone costs the session time.
+        Where :func:`_splits` holds, the seam is the point :func:`_bare_point`
+        picks among the ``_SPLIT_WINDOW`` symbols before the middle, and the
+        word splits only where its stack recurs at least once per 16 of them.
+        Every word of a paired-enum file drains the stack, so there the stack
+        that recurs is the bare one.  Paired-lex and random words do not come
+        back to one stack that often, and are coded in one process.
         """
         end = len(word)
         if not _splits(word, out):
             return end
-        seam = _first_repeat(word, end * 5 // 8, end)
-        window = word[max(seam - _SPLIT_WINDOW, 0) : seam]
-        reduced = _reduced(window, self.k)
-        return seam if reduced is not None and 8 * len(reduced) <= len(window) else end
+        middle = end // 2
+        start = max(middle - _SPLIT_WINDOW, 0)
+        seam, seen = _bare_point(word, start, middle)
+        return seam if 16 * seen >= middle - start else end
 
     def _code(self, out, word) -> None:
         """Code ``word`` into ``out`` from the session's stack and open run: the one loop that emits.
@@ -492,38 +487,34 @@ class Compressor:
         self._clustered = clustered
         self._open_run = run
 
-    def _tail_codes(self, word, seam: int) -> tuple | None:
-        """The worker's part of a split feed: the codes and state of ``word[seam:]``.
+    def _tail_codes(self, word, seam: int) -> tuple:
+        """The worker's part of a split feed: the codes of ``word[seam:]`` and the state they leave.
 
-        The stack is the pair-deletion normal form of all that was read, so
-        the worker rebuilds the stack at the seam as :func:`_reduced` of the
-        entry stack and ``word[:seam]``, and gives up, returning None, where
-        that does.  From the seam on it codes on the rebuilt stack with no run
-        open.  Returns the codes, the closed pair markers and clustered pops,
-        the open run, and the stack at the seam and at the end, as ``bytes``.
+        The worker codes from the bare bottom with no run open.  Returns the
+        codes, the closed pair markers and clustered pops, the open run, and
+        the stack above its bottom, as ``bytes``.
         """
-        reduced = _reduced(bytes(self._stack[1:]) + word[:seam], self.k)
-        if reduced is None:
-            return None
-        self._stack[1:] = reduced
+        self._stack = [stack_bottom(self.k)]
         self._open_run = self._pairs = self._clustered = 0
         out = packed_buffer(self.k + 2)
         self._code(out, word[seam:])
-        return bytes(out), self._pairs, self._clustered, self._open_run, reduced, bytes(self._stack[1:])
+        return bytes(out), self._pairs, self._clustered, self._open_run, bytes(self._stack[1:])
 
     def _join(self, out, reply) -> bool:
-        """Take a worker's part when its stack at the seam is this session's; whether it was."""
-        if reply is None:
+        """Take a worker's part when this session's stack is bare at the seam; whether it was.
+
+        The worker's first symbol then pushes onto the bare bottom, so it
+        closes this session's open run as it would have in one process.
+        """
+        if reply is None or len(self._stack) > 1:
             return False
-        codes, pairs, clustered, run, seam_stack, stack = reply
-        if bytes(self._stack[1:]) != seam_stack:
-            return False
+        codes, pairs, clustered, run, stack = reply
         self._close_run(out)
         out += codes
         self._pairs += pairs
         self._clustered += clustered
         self._open_run = run
-        self._stack[1:] = stack
+        self._stack += stack
         return True
 
     def consume(self, word) -> None:

@@ -111,10 +111,17 @@ def test_gen_and_compress_bytes_are_pinned(tmp_path, name):
 
 @pytest.fixture
 def split_feeds(monkeypatch):
-    """Feeds of 8 codes and more split between two processes; lists each worker started."""
+    """Feeds of 8 codes and more split between two processes; lists each worker started.
+
+    A compressor's feed forks at the point its bare-point finder picks, however rarely that point's
+    stack recurs.
+    """
     monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
     monkeypatch.setattr(codec, "_SPLIT_LEAD", 4)
-    monkeypatch.setattr(codec, "_SPLIT_WINDOW", 0)
+    bare_point = codec._bare_point
+    monkeypatch.setattr(
+        codec, "_bare_point", lambda word, start, end: (bare_point(word, start, end)[0], end - start)
+    )
     started = []
     fork_join = codec._fork_join
 

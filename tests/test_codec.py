@@ -5,6 +5,7 @@ import os
 import random
 import threading
 from array import array
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -496,13 +497,18 @@ def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
 
 
 def split_early(monkeypatch) -> None:
-    """Walks of 8 symbols and more split, with a lead of 4 symbols, whatever precedes a feed's seam.
+    """Walks of 8 symbols and more split, with a lead of 4 symbols.
 
-    The lead also bounds the decoder's search for a bare seam to the 4 codes from the middle.
+    The lead also bounds the decoder's search for a bare seam to the 4 codes from the middle.  A
+    compressor's feed forks at the point its bare-point finder picks, however rarely that point's
+    stack recurs.
     """
     monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
     monkeypatch.setattr(codec, "_SPLIT_LEAD", 4)
-    monkeypatch.setattr(codec, "_SPLIT_WINDOW", 0)
+    bare_point = codec._bare_point
+    monkeypatch.setattr(
+        codec, "_bare_point", lambda word, start, end: (bare_point(word, start, end)[0], end - start)
+    )
 
 
 def assert_no_child_left():
@@ -712,13 +718,47 @@ def bare_seam(k, codes, entry=b"", lead=4):
     return len(codes)
 
 
+def coding_seam(k, word, entry=b""):
+    """The point among the ``_SPLIT_WINDOW`` symbols before the middle of ``word`` where the stack of
+    a compressor fed ``entry`` and then ``word`` one symbol at a time is most often the same, nearest
+    the middle; and how many of those points have that stack."""
+    session = Compressor(k)
+    session.feed(entry)
+    middle = len(word) // 2
+    start = max(middle - codec._SPLIT_WINDOW, 0)
+    session.feed(word[:start])
+    stacks = [session.stack]
+    for i in range(start, middle):
+        session.feed(word[i : i + 1])
+        stacks.append(session.stack)
+    counts = Counter(stacks)
+    most = max(counts.values())
+    return max(p for p, stack in enumerate(stacks, start) if counts[stack] == most), most
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_a_coding_seam_is_the_stack_most_often_seen_nearest_the_middle(k, data):
+    # The finder walks the window backwards and never sees the entry stack or what precedes the
+    # window; the forward walk of the whole input gives the same point and count.
+    pieces = st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), min_size=2, max_size=30)
+    paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
+    word = bytes(data.draw(st.one_of(paired, words(k, 200))))
+    entry = bytes(data.draw(words(k, 20)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "_SPLIT_WINDOW", data.draw(st.sampled_from([8, 64, 4096])))
+        middle = len(word) // 2
+        found = codec._bare_point(word, max(middle - codec._SPLIT_WINDOW, 0), middle)
+        assert found == coding_seam(k, word, entry)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_split_feed_matches_one_process(k, data):
-    # Pieces u + u[::-1] reduce in a few pair-deletion passes, so the compressor joins; paired-lex
-    # palindromes from k = 3 on outlast the worker's passes and fall back.  The decompressor forks
-    # where its codes leave the stack bare near their middle.  The prefix leaves an entry stack and
-    # an open run, and a corrupted code may land in either process's part.
+    # Pieces u + u[::-1] drain the stack, so the compressor's worker joins where the finder picks a
+    # bare point; paired-lex palindromes and walks mostly fall back.  The decompressor forks where
+    # its codes leave the stack bare near their middle.  The prefix leaves an entry stack and an
+    # open run, and a corrupted code may land in either process's part.
     prefix = data.draw(words(k, 40))
     pieces = st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), min_size=2, max_size=30)
     paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
@@ -744,9 +784,10 @@ def test_split_feed_matches_one_process(k, data):
 @pytest.mark.parametrize(
     "session, k, word, parent_spans",
     [
-        # the stack at the seam reduces within the worker's passes: this process codes up to the seam
+        # the stack is bare at the seam: this process codes up to there
         (Compressor, 3, paired_enum(3, 3), lambda seam, end: [seam]),
-        # it does not: this process codes on from the seam
+        # the stack most often seen before a paired-lex palindrome's middle is not the bare one: this
+        # process codes on from the seam
         (Compressor, 4, bytes(mirrored_segment(4, 3)), lambda seam, end: [seam, end - seam]),
         # the stack is bare a code after the middle: this process decodes up to there
         (Decompressor, 3, compress(paired_enum(3, 3), 3), lambda seam, end: [seam]),
@@ -783,25 +824,51 @@ def test_split_feed_joins_or_falls_back(monkeypatch, session, k, word, parent_sp
     expected = fed()
     split_early(monkeypatch)
     end = len(word)
-    seam = codec._first_repeat(word, end * 5 // 8, end) if session is Compressor else bare_seam(k, word)
+    seam = coding_seam(k, word)[0] if session is Compressor else bare_seam(k, word)
     spans = feed_spans(monkeypatch)
     assert fed() == expected
     assert spans == parent_spans(seam, end)
     assert_no_child_left()
 
 
-def decoded_joins(monkeypatch) -> list[bool]:
-    """Whether each worker a decoding feed forks from now on has its part taken."""
+def feed_joins(monkeypatch, session) -> list[bool]:
+    """Whether each worker a feed of a ``session`` forks from now on has its part taken."""
     joins = []
-    join = Decompressor._join
+    join = session._join
 
-    def spy(session, out, reply):
-        state = join(session, out, reply)
-        joins.append(state is not None)
-        return state
+    def spy(self, out, reply):
+        taken = join(self, out, reply)
+        joins.append(taken not in (None, False))
+        return taken
 
-    monkeypatch.setattr(Decompressor, "_join", spy)
+    monkeypatch.setattr(session, "_join", spy)
     return joins
+
+
+def test_split_compress_forks_only_where_its_worker_may_join(monkeypatch):
+    # At _SPLIT_WINDOW = 4,096: every word u + u[::-1] of a paired-enum file drains the stack, so the
+    # bare stack recurs at least once per 16 symbols before the middle, and the seam lies within a
+    # word (2n = 14 symbols) of it.  No stack recurs that often before the middle of paired-lex words
+    # or of random words.
+    segments = iter_mirrored_segments(5, 7, variant="paired-enum", seed=3)
+    enum = b"".join(bytes(segment) for _, segment in segments)
+    lex = bytes(mirrored_segment(5, 7))
+    lex2 = b"".join(bytes(segment) for _, segment in iter_mirrored_segments(2, 15))
+    noise = [bytes(random.Random(5).choices(range(k), k=1 << 19)) for k in (2, 5)]
+    monkeypatch.setattr(codec, "_may_fork", lambda: False)
+    expected = compress(enum, 5)
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    spans = feed_spans(monkeypatch)
+    joined = feed_joins(monkeypatch, Compressor)
+    assert compress(enum, 5) == expected
+    middle = len(enum) // 2
+    assert len(spans) == 1 and middle - 14 <= spans[0] <= middle
+    assert joined == [True]
+    for k, word in ((5, lex), (2, lex2), (2, noise[0]), (5, noise[1])):
+        compress(word, k)
+        assert spans[-1] == len(word)
+    assert len(spans) == 5 and joined == [True]
+    assert_no_child_left()
 
 
 def test_split_decompress_forks_only_where_its_worker_may_join(monkeypatch):
@@ -812,7 +879,7 @@ def test_split_decompress_forks_only_where_its_worker_may_join(monkeypatch):
     enum = b"".join(bytes(segment) for _, segment in segments)
     noise = bytes(random.Random(5).choices(range(5), k=1 << 19))
     monkeypatch.setattr(codec, "_may_fork", lambda: True)
-    joined = decoded_joins(monkeypatch)
+    joined = feed_joins(monkeypatch, Decompressor)
     for word in (lex, enum, noise):
         assert decompress(compress(word, 5), 5) == word
     assert joined == [True]
@@ -822,23 +889,45 @@ def test_split_decompress_forks_only_where_its_worker_may_join(monkeypatch):
 @pytest.mark.parametrize(
     "k, word, parent_spans",
     [
-        # paired words reduce in the window before the seam, and so does all that precedes it
+        # paired words drain the stack in the window before the middle, so the bare stack recurs there
         (3, paired_enum(3, 3), lambda seam, end: [seam]),
-        # a paired-lex palindrome does not: it is coded in one process, with no worker
-        (4, bytes(mirrored_segment(4, 3)), lambda seam, end: [end]),
-        # the window reduces, but the paired-lex word before it outlasts the worker's passes
-        (2, bytes(lex_concat(2, 10)) + paired_enum(2, 9), lambda seam, end: [seam, end - seam]),
+        # for every k up to 254
+        (12, paired_enum(12, 3), lambda seam, end: [seam]),
+        (60, paired_enum(60, 2), lambda seam, end: [seam]),
+        # no stack recurs once per 16 symbols before a paired-lex palindrome's middle: it is coded in
+        # one process, with no worker
+        (4, bytes(mirrored_segment(4, 5)), lambda seam, end: [end]),
+        # paired words drain to the stack the paired-lex word before them leaves, which is not bare
+        (2, bytes(lex_concat(2, 9)) + paired_enum(2, 9), lambda seam, end: [seam, end - seam]),
     ],
-    ids=["paired", "paired-lex", "paired-after-lex"],
+    ids=["paired", "paired-k12", "paired-k60", "paired-lex", "paired-after-lex"],
 )
 def test_split_compress_forks_where_the_window_before_its_seam_reduces(monkeypatch, k, word, parent_spans):
     expected = compress(word, k)
-    split_early(monkeypatch)
-    monkeypatch.setattr(codec, "_SPLIT_WINDOW", 64)
+    monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
+    seam = coding_seam(k, word)[0]
     spans = feed_spans(monkeypatch)
     assert compress(word, k) == expected
-    end = len(word)
-    assert spans == parent_spans(codec._first_repeat(word, end * 5 // 8, end), end)
+    assert spans == parent_spans(seam, len(word))
+    assert_no_child_left()
+
+
+def test_split_compress_codes_on_where_its_seam_is_not_bare(monkeypatch):
+    # A finder patched to pick a point inside a pair u + u[::-1], after a prefix that leaves a stack
+    # and an open pop run: the worker's part is not taken, and this process codes on from there.
+    word = paired_enum(3, 3)
+    parts = [bytes([0, 1, 1]), word]
+    seam = 6 * (len(word) // 12) + 1
+    one = Compressor(3)
+    one.feed(parts[0] + word[:seam])
+    assert len(one.stack) > 1
+    expected = coded_in_parts(3, parts)
+    monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
+    monkeypatch.setattr(codec, "_bare_point", lambda word, start, end: (seam, end - start))
+    spans = feed_spans(monkeypatch)
+    joined = feed_joins(monkeypatch, Compressor)
+    assert coded_in_parts(3, parts) == expected
+    assert spans == [3, seam, len(word) - seam] and joined == [False]
     assert_no_child_left()
 
 
@@ -909,7 +998,7 @@ def test_split_decompress_counts_the_entry_stack(monkeypatch):
     seam = bare_seam(3, second, entry=first)
     split_early(monkeypatch)
     spans = feed_spans(monkeypatch)
-    joined = decoded_joins(monkeypatch)
+    joined = feed_joins(monkeypatch, Decompressor)
     assert decoded_in_parts(3, [first, second]) == expected
     assert expected[0][1] != (stack_bottom(3),)
     assert spans == [1, seam] and joined == [True]
@@ -936,20 +1025,20 @@ def test_a_decoding_seam_leaves_the_stack_bare(k, data):
         assert session.stack == (stack_bottom(k),)
 
 
-def test_split_decompress_joins_a_paired_enum_file_its_compress_codes_in_one_process(monkeypatch):
-    # At k = 12 the window before the compressor's seam outlasts the deletion passes, while every
-    # word of the file drains the decoder's stack.
+def test_split_feeds_join_a_paired_enum_file_at_k_12(monkeypatch):
+    # Every word of the file drains the stack, so both feeds fork at a bare seam and join.
     segments = iter_mirrored_segments(12, 4, variant="paired-enum", seed=1)
     word = b"".join(bytes(segment) for _, segment in segments)
     monkeypatch.setattr(codec, "_SPLIT_MIN", 1 << 16)
     monkeypatch.setattr(codec, "_may_fork", lambda: True)
     assert len(word) >= codec._SPLIT_MIN
     spans = feed_spans(monkeypatch)
-    joined = decoded_joins(monkeypatch)
+    coded_joined = feed_joins(monkeypatch, Compressor)
+    decoded_joined = feed_joins(monkeypatch, Decompressor)
     coded = compress(word, 12)
     assert decompress(coded, 12) == word
-    assert spans[0] == len(word) and spans[1] < len(coded)
-    assert joined == [True]
+    assert spans[0] < len(word) and spans[1] < len(coded) and len(spans) == 2
+    assert coded_joined == [True] and decoded_joined == [True]
     assert_no_child_left()
 
 
