@@ -51,6 +51,11 @@ stay in one process both ways, as their stack does not come back to the
 bare bottom near their middle.  Output, counters and errors come out
 identical either way, and the worker ends before the call returns.
 
+The feed loops carry only what decides the next code: the stack, its top
+and, coding, whether an odd marker is pending.  A feed's counters are then
+counted from its codes, and the decoder finds a marker after an odd marker
+before its loop and a bad code's position from the symbols emitted.
+
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
 (``bytes``, or ``array('H')`` past 256 codes) and range-checks its symbols.
@@ -229,6 +234,39 @@ def _first_repeat(word, start: int, end: int) -> int:
     return next(select(count(start), map(eq, view[start:end], view[start - 1 : end])), end)
 
 
+def _code_pairs(word, first: int, second: int, start: int, end: int):
+    """The indices ``i`` in ``[start, end)`` where ``word`` holds ``first`` and then ``second``.
+
+    Found at C level; in ``array('H')`` over its bytes, where a match across
+    two codes is passed over but may hide one a byte later.
+    """
+    if isinstance(word, array):
+        import re
+
+        pattern = re.compile(re.escape(array("H", (first, second)).tobytes()))
+        view = memoryview(word).cast("B")
+        start *= 2
+        while start < 2 * end:
+            for match in pattern.finditer(view, start, 2 * end):
+                if match.start() & 1:
+                    start = match.start() + 1
+                    break
+                yield match.start() // 2
+            else:
+                return
+    elif first < 256 and second < 256:
+        needle = bytes((first, second))
+        i = word.find(needle, start, end)
+        while i >= 0:
+            yield i
+            i = word.find(needle, i + 1, end)
+
+
+def _part(word, start: int, end: int):
+    """``word[start:end]`` not copied: ``word`` when whole (it iterates faster), else a ``memoryview``."""
+    return word if start == 0 and end == len(word) else memoryview(word)[start:end]
+
+
 def mirror_half(word) -> int:
     """Length of ``w`` when ``word`` is ``w + w[::-1]`` with ``w`` non-empty, else 0.
 
@@ -377,8 +415,10 @@ class Compressor:
 
     The session stores its stack, the symbols read, the length of the pop
     run still open, and the pair markers and clustered pops of the closed
-    pop runs.  Every other counter follows from these, the open run ``R``
-    contributing what it has emitted so far:
+    pop runs.  ``feed``'s loop carries only the stack, its top and whether an
+    odd marker is pending, and counts these from its codes afterwards;
+    ``consume`` counts them from its census.  Every other counter follows
+    from these, the open run ``R`` contributing what it has emitted so far:
 
     * ``savings``: pair markers emitted so far, ``R // 2`` of them in the
       open run; equals the difference between symbols read and symbols
@@ -407,21 +447,28 @@ class Compressor:
         A long byte word may be coded on two cores, with the same result
         (:meth:`_seam` says where): this session codes ``word[:seam]`` while
         a forked worker (:meth:`_tail_codes`) codes the rest from the bare
-        bottom.  The worker's codes and state count only when this session's
-        stack is bare at the seam; otherwise, and where the worker fails or
-        cannot start, this session codes the rest itself.
+        bottom.  The worker's codes count only when this session's stack is
+        bare at the seam; otherwise, and where the worker fails or cannot
+        start, this session codes the rest itself.
         """
         word = self._start_feed(word)
         out = packed_buffer(self.k + 2)
         end = len(word)
         seam = self._seam(word, out)
+        run = self._open_run
+        depth = len(self._stack)
         joined = None
         if seam < end:
-            joined = _fork_join(lambda: self._tail_codes(word, seam), lambda: self._code(out, word[:seam]))
+            joined = _fork_join(
+                lambda: self._tail_codes(word, seam), lambda: self._code(out, word, 0, seam, run & 1)
+            )
         if not joined:
-            self._code(out, word)
-        elif not self._join(out, joined[1]):
-            self._code(out, word[seam:])
+            pending = self._code(out, word, 0, end, run & 1)
+        elif self._join(out, *joined):
+            pending = joined[1][1]  # the worker's flag
+        else:
+            pending = self._code(out, word, seam, end, joined[0])
+        self._count_codes(out, end, run, pending, len(self._stack) - depth)
         self._read += end
         return frozen(out)
 
@@ -443,77 +490,94 @@ class Compressor:
         seam, seen = _bare_point(word, start, middle)
         return seam if 16 * seen >= middle - start else end
 
-    def _code(self, out, word) -> None:
-        """Code ``word`` into ``out`` from the session's stack and open run: the one loop that emits.
+    def _code(self, out, word, start: int, end: int, pending: bool) -> bool:
+        """Code ``word[start:end]`` into ``out`` on the session's stack: the one loop that emits.
 
-        The top of the stack lives in a local during the walk and is back on
-        the list when the call returns: CPython 3.11 specializes ``list[i]``
-        only for non-negative ``i``, so reading ``stack[-1]`` per symbol would
-        run the generic subscript.
+        Carries the stack, its top and ``pending``, whether an odd marker is
+        pending, which it returns.  The top lives in a local during the walk:
+        CPython 3.11 specializes ``list[i]`` only for non-negative ``i``, so
+        reading ``stack[-1]`` per symbol would run the generic subscript.
         """
         emit = out.append
         stack = self._stack
         push = stack.append
         pop = stack.pop
-        run = self._open_run
-        pending = run & 1
-        pairs = self._pairs + (run >> 1)
-        clustered = self._clustered
         odd = self._odd
         pair = self._pair
         top = pop()
-        for a in word:
+        for a in _part(word, start, end):
             if a == top:
                 top = pop()
-                run += 1
                 if pending:
                     emit(pair)
-                    pairs += 1
                     pending = False
                 else:
                     pending = True
             else:
                 push(top)
                 top = a
-                if run >= 2:
-                    clustered += run
-                run = 0
                 if pending:
                     emit(odd)
                     pending = False
                 emit(a)
         push(top)
-        self._pairs = pairs - (run >> 1)
-        self._clustered = clustered
-        self._open_run = run
+        return pending
+
+    def _count_codes(self, out, length: int, run: int, pending: bool, rise: int) -> None:
+        """Count a feed of ``length`` symbols from its codes ``out``.
+
+        ``run`` is the pop run open before, ``pending`` the flag after, and
+        ``rise`` the change of depth.  ``(length + rise) / 2`` symbols push,
+        and ``written = read - savings - state`` gives the pair markers.  The
+        codes after the last push are the open run's pair markers, and a run
+        of one pop is an odd marker not after a pair marker (nor after the
+        entry run, if that had two pops).
+        """
+        odd = self._odd
+        pair = self._pair
+        pushes = (length + rise) // 2
+        pairs = (run & 1) + length - len(out) - pending
+        odds = len(out) - pushes - pairs
+        if not pushes:
+            self._open_run = run + length
+            return
+        last = len(out) - 1
+        while out[last] == pair:
+            last -= 1
+        open_run = 2 * (len(out) - 1 - last) + pending
+        if isinstance(out, bytearray):
+            after_pairs = out.count(bytes((pair, odd)))
+        else:
+            after_pairs = sum(1 for _ in _code_pairs(out, pair, odd, 0, len(out)))
+        singles = odds - after_pairs - (out[0] == odd and run >= 2)
+        closed = run + length - pushes - open_run
+        self._pairs += (run >> 1) + pairs - (open_run >> 1)
+        self._clustered += closed - singles
+        self._open_run = open_run
 
     def _tail_codes(self, word, seam: int) -> tuple:
-        """The worker's part of a split feed: the codes of ``word[seam:]`` and the state they leave.
+        """The worker's part of a split feed: the codes of ``word[seam:]`` and the stack they leave.
 
-        The worker codes from the bare bottom with no run open.  Returns the
-        codes, the closed pair markers and clustered pops, the open run, and
-        the stack above its bottom, as ``bytes``.
+        The worker codes from the bare bottom with no odd marker pending.
+        Returns the codes, the pending flag and the stack above the bottom.
         """
         self._stack = [stack_bottom(self.k)]
-        self._open_run = self._pairs = self._clustered = 0
         out = packed_buffer(self.k + 2)
-        self._code(out, word[seam:])
-        return bytes(out), self._pairs, self._clustered, self._open_run, bytes(self._stack[1:])
+        pending = self._code(out, word, seam, len(word), False)
+        return out, pending, bytes(self._stack[1:])
 
-    def _join(self, out, reply) -> bool:
+    def _join(self, out, pending: bool, reply) -> bool:
         """Take a worker's part when this session's stack is bare at the seam; whether it was.
 
         The worker's first symbol then pushes onto the bare bottom, so it
-        closes this session's open run as it would have in one process.
+        emits the odd marker ``pending`` at the seam as one process would.
         """
         if reply is None or len(self._stack) > 1:
             return False
-        codes, pairs, clustered, run, stack = reply
-        self._close_run(out)
+        codes, _, stack = reply
+        if pending:
+            out.append(self._odd)
         out += codes
-        self._pairs += pairs
-        self._clustered += clustered
-        self._open_run = run
         self._stack += stack
         return True
 
@@ -727,10 +791,11 @@ class Decompressor:
     Output is packed for the limit ``k``: ``bytes`` up to k = 256, else
     ``array('H')``.
 
-    A ``MalformedStreamError`` ends the session: it leaves the stack part
-    way through the rejected call, so every later ``feed`` raises
-    ``CodecError``.  An ``AlphabetError`` is raised before any symbol is
-    decoded and leaves the session usable.
+    Its loop carries only the stack and its top.  A ``MalformedStreamError``
+    names a position worked out from the symbols emitted, and ends the
+    session: it leaves the stack part way through the rejected call, so every
+    later ``feed`` raises ``CodecError``.  An ``AlphabetError`` is raised
+    before any symbol is decoded and leaves the session usable.
     """
 
     def __init__(self, k: int):
@@ -738,7 +803,7 @@ class Decompressor:
         self._stack: list[int] = [stack_bottom(k)]
         self._read = 0
         self._written = 0
-        self._odd_at = -1  # position of the last odd marker read
+        self._after_odd = False  # whether the last code read was an odd marker
         self._failed = False  # set while decoding; stays set if decoding raised
 
     def feed(self, word) -> bytes | array:
@@ -759,19 +824,20 @@ class Decompressor:
         out = packed_buffer(self.k)
         end = len(word)
         seam = self._seam(word, out)
-        state = self._read, self._odd_at
         self._failed = True
         joined = None
         if seam < end:
             joined = _fork_join(
-                lambda: self._tail_decode(word, seam), lambda: self._decode(out, word[:seam], *state)
+                lambda: self._tail_decode(word, seam), lambda: self._decode(out, word, 0, seam)
             )
         if not joined:
-            state = self._decode(out, word, *state)
-        else:
-            state = self._join(out, joined[1]) or self._decode(out, word[seam:], *joined[0])
+            self._decode(out, word, 0, end)
+        elif not self._join(out, joined[1]):
+            self._decode(out, word, seam, end)
         self._failed = False
-        self._read, self._odd_at = state
+        self._read += end
+        if end:
+            self._after_odd = word[-1] == self.k
         self._written += len(out)
         return frozen(out)
 
@@ -800,84 +866,100 @@ class Decompressor:
             depth += 1 if b < k else k - 1 - b  # an odd marker pops one symbol, a pair marker two
         return end
 
-    def _decode(self, out, word, position: int, odd_at: int) -> tuple[int, int]:
-        """Decode ``word`` into ``out`` on the session's stack: the position and last odd marker after it.
+    def _decode(self, out, word, start: int, end: int) -> None:
+        """Decode ``word[start:end]`` into ``out`` on the session's stack.
 
-        ``position`` is the number of codes read before ``word``, and
-        ``odd_at`` the position of the last odd marker among them.
-
-        The top of the stack lives in a local during the walk and is back on
-        the list when the call returns or raises, so a ``MalformedStreamError``
-        leaves the stack as it was when the bad code was read.  CPython 3.11
-        specializes ``list[i]`` only for non-negative ``i``, so reading
-        ``stack[-1]`` per symbol would run the generic subscript.
+        The loop carries the stack and its top, and stops short of a marker
+        after an odd marker, found before it; a bad code's position follows
+        from the symbols emitted.  The top lives in a local, as in
+        :meth:`Compressor._code`, and is back on the stack when the loop stops,
+        so an error leaves the stack as it was at the bad code.
         """
         emit = out.append
         stack = self._stack
         push = stack.append
         pop = stack.pop
         k = self.k
+        emitted = len(out)
+        stop = self._after_odd_marker(word, start, end)
         top = pop()
-        try:
-            for b in word:
-                position += 1
-                if b < k:
-                    if top == b:
-                        raise MalformedStreamError(
-                            f"plain symbol {b} at position {position} equals the stack top"
-                        )
-                    push(top)
-                    top = b
-                    emit(b)
-                elif odd_at == position - 1:
-                    raise MalformedStreamError(
-                        f"marker at position {position} directly after an odd marker"
-                    )
-                elif b == k:
-                    if not stack:
-                        raise MalformedStreamError(
-                            f"odd marker at position {position} with no matched symbol pending"
-                        )
-                    odd_at = position
-                    emit(top)
-                    top = pop()
-                else:
-                    if len(stack) < 2:
-                        raise MalformedStreamError(
-                            f"pair marker at position {position} with fewer than two matched symbols pending"
-                        )
-                    emit(top)
-                    emit(pop())
-                    top = pop()
-        finally:
+        for b in _part(word, start, stop):
+            if b < k:
+                if top == b:
+                    break
+                push(top)
+                top = b
+                emit(b)
+            elif b == k:
+                if not stack:
+                    break
+                emit(top)
+                top = pop()
+            elif len(stack) < 2:
+                break
+            else:
+                emit(top)
+                emit(pop())
+                top = pop()
+        else:
             push(top)
-        return position, odd_at
+            if stop < end:
+                raise MalformedStreamError(
+                    f"marker at position {self._read + stop + 1} directly after an odd marker"
+                )
+            return
+        push(top)
+        position = self._position(word, start, len(out) - emitted)
+        if b < k:
+            raise MalformedStreamError(f"plain symbol {b} at position {position} equals the stack top")
+        if b == k:
+            raise MalformedStreamError(f"odd marker at position {position} with no matched symbol pending")
+        raise MalformedStreamError(
+            f"pair marker at position {position} with fewer than two matched symbols pending"
+        )
+
+    def _after_odd_marker(self, word, start: int, end: int) -> int:
+        """The first index in ``[start, end)`` of a marker after an odd marker, else ``end``."""
+        k = self.k
+        if start < end and word[start] >= k and (word[start - 1] == k if start else self._after_odd):
+            return start
+        return min(next(_code_pairs(word, k, marker, start, end), end - 1) + 1 for marker in (k, k + 1))
+
+    def _position(self, word, start: int, emitted: int) -> int:
+        """The position, from 1, of the code where a decode from ``start`` stopped after ``emitted`` symbols.
+
+        Each code emits one symbol and a pair marker two: the index is
+        ``start + emitted`` less the pair markers before it.
+        """
+        index = start + emitted
+        try:
+            while True:
+                start = word.index(self.k + 1, start, index) + 1
+                index -= 1
+        except ValueError:  # none left, or ``word`` cannot hold one
+            return self._read + index + 1
 
     def _tail_decode(self, word, seam: int) -> tuple:
-        """The worker's part of a split feed: the symbols of ``word[seam:]`` and the state they leave.
+        """The worker's part of a split feed: the symbols of ``word[seam:]`` and the stack they leave.
 
         The worker decodes from the bare bottom.  A marker right at the seam
         would pop the bare bottom, so it fails the worker whatever came before
-        it, and the last odd marker before the seam is not needed.  Any error
-        ends the worker.  Returns the symbols, the position and last odd
-        marker at the end, and the stack above its bottom.
+        it.  Any error ends the worker.  Returns the symbols and the stack
+        above its bottom.
         """
         self._stack = [stack_bottom(self.k)]
         out = packed_buffer(self.k)
-        state = self._decode(out, word[seam:], self._read + seam, -1)
-        return bytes(out), state, bytes(self._stack[1:])
+        self._decode(out, word, seam, len(word))
+        return out, bytes(self._stack[1:])
 
-    def _join(self, out, reply) -> tuple[int, int] | None:
-        """Take a worker's part when this session's stack is bare at the seam.
-
-        Returns the position and last odd marker after it, or None.
-        """
+    def _join(self, out, reply) -> bool:
+        """Take a worker's part when this session's stack is bare at the seam; whether it was."""
         if reply is None or len(self._stack) > 1:
-            return None
-        symbols, state, stack = reply
+            return False
+        symbols, stack = reply
         self._stack += stack
         out += symbols
-        return state
+        return True
 
     @property
     def stack(self) -> tuple[int, ...]:

@@ -661,13 +661,13 @@ def feed_spans(monkeypatch) -> list[int]:
     spans = []
     code, decode = Compressor._code, Decompressor._decode
 
-    def spy_code(session, out, word):
-        spans.append(len(word))
-        return code(session, out, word)
+    def spy_code(session, out, word, start, end, pending):
+        spans.append(end - start)
+        return code(session, out, word, start, end, pending)
 
-    def spy_decode(session, out, word, position, odd_at):
-        spans.append(len(word))
-        return decode(session, out, word, position, odd_at)
+    def spy_decode(session, out, word, start, end):
+        spans.append(end - start)
+        return decode(session, out, word, start, end)
 
     monkeypatch.setattr(Compressor, "_code", spy_code)
     monkeypatch.setattr(Decompressor, "_decode", spy_decode)
@@ -836,9 +836,9 @@ def feed_joins(monkeypatch, session) -> list[bool]:
     joins = []
     join = session._join
 
-    def spy(self, out, reply):
-        taken = join(self, out, reply)
-        joins.append(taken not in (None, False))
+    def spy(self, out, *reply):
+        taken = join(self, out, *reply)
+        joins.append(taken)
         return taken
 
     monkeypatch.setattr(session, "_join", spy)
@@ -1051,10 +1051,10 @@ def test_split_feed_reaps_its_worker_when_this_process_raises(monkeypatch, sessi
     split_early(monkeypatch)
     part = getattr(session, name)
 
-    def interrupted(self, out, part_word, *state):
-        if len(part_word) < len(word):  # this process's part of a split feed
+    def interrupted(self, out, part_word, start, end, *state):
+        if end - start < len(word):  # this process's part of a split feed
             raise RuntimeError("interrupted")
-        return part(self, out, part_word, *state)
+        return part(self, out, part_word, start, end, *state)
 
     monkeypatch.setattr(session, name, interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -1142,3 +1142,223 @@ def test_consume_rejects_out_of_range_symbol_inside_a_palindrome(k, kind, data):
     with pytest.raises(AlphabetError, match=f"input symbol {bad} outside"):
         session.consume(kind(x))
     assert snapshot(session) == before
+
+
+
+def coded_by_reference(k, parts):
+    """Each part's codes and the counters of ``SESSION_ATTRS`` after it, then the flush's.
+
+    The compressor's contract read one symbol at a time: a symbol equal to the top pops it, any
+    other is pushed and echoed, and a closed run of m pops codes to m // 2 pair markers, plus an
+    odd marker, sent with the next push, when m is odd.
+    """
+    stack, run, read, written, pairs, clustered = [stack_bottom(k)], 0, 0, 0, 0, 0
+    steps = []
+    for part in [*parts, None]:
+        codes = []
+        for a in part if part is not None else [None]:  # the flush closes the open run
+            if a is not None and a == stack[-1]:
+                stack.pop()
+                run += 1
+                if run % 2 == 0:
+                    codes.append(pair_marker(k))
+                continue
+            if run % 2:
+                codes.append(odd_marker(k))
+            pairs += run // 2
+            clustered += run if run >= 2 else 0
+            run = 0
+            if a is not None:
+                stack.append(a)
+                codes.append(a)
+        read += 0 if part is None else len(part)
+        written += len(codes)
+        counters = (read, written, pairs + run // 2, clustered + (run if run >= 2 else 0), run % 2)
+        steps.append((codes, (*counters, tuple(stack))))
+    return steps
+
+
+def runs_cut(k, word):
+    """Cuts of ``word`` inside its pop runs: after an odd number of pops, then after an even one."""
+    stack, run, cuts = [stack_bottom(k)], 0, ([], [])
+    for i, a in enumerate(word):
+        if a == stack[-1]:
+            if run:
+                cuts[run % 2 == 0].append(i)
+            stack.pop()
+            run += 1
+        else:
+            stack.append(a)
+            run = 0
+    return cuts
+
+
+WIDE_SYMBOLS = {2: [0, 1], 5: [0, 1, 2, 3, 4], 254: [0, 1, 2, 252, 253], 255: [0, 1, 253, 254], 300: [0, 1, 2, 298, 299]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
+@pytest.mark.parametrize("k", sorted(WIDE_SYMBOLS))
+def test_feed_counters_derived_from_the_codes_match_a_per_symbol_walk(k, split, data):
+    # Chunks end inside pop runs after odd and even numbers of pops, so sessions enter feeds with an
+    # odd marker pending and with a run of two or more open; some chunks are empty.  Byte output up
+    # to k = 254, array('H') output from k = 255; split, feeds of 8 symbols and more fork.
+    symbols = st.sampled_from(WIDE_SYMBOLS[k])
+    pieces = st.lists(st.lists(symbols, min_size=1, max_size=6), min_size=1, max_size=12)
+    paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
+    steps = st.lists(st.one_of(st.just(-1), symbols), max_size=160).map(lambda s: walk([], s))
+    word = data.draw(st.one_of(paired, steps, st.lists(symbols, max_size=160)))
+    odd_cuts, even_cuts = runs_cut(k, word)
+    cuts = data.draw(st.lists(st.integers(0, len(word)), max_size=3))
+    cuts += [data.draw(st.sampled_from(c)) for c in (odd_cuts, even_cuts) if c]
+    cuts += cuts[:1]  # an empty chunk
+    pack = (lambda part: array("H", part)) if k > 256 else bytes
+    parts = [pack(part) for part in cut(word, cuts)]
+    expected = coded_by_reference(k, parts)
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            split_early(mp)
+        session = Compressor(k)
+        got = [(list(session.feed(part)), snapshot(session)) for part in parts]
+        got.append((list(session.flush()), snapshot(session)))
+    assert got == expected
+    assert_no_child_left()
+
+
+def decoded_by_reference(k, chunks):
+    """``decoded_in_parts`` one code at a time, with each code's position counted as it is read.
+
+    A plain symbol equal to the top, an odd marker on the bare stack, a pair marker over fewer than
+    two symbols and a marker directly after an odd marker are malformed.  A malformed chunk leaves
+    the stack where decoding stopped and ends the session.
+    """
+    stack, read, written, after_odd, error = [stack_bottom(k)], 0, 0, False, None
+    steps = []
+    for chunk in chunks:
+        symbols = []
+        if error:
+            error = "CodecError: decompressor session already failed on a malformed stream"
+        for position, b in enumerate([] if error else chunk, read + 1):
+            if b < k and b == stack[-1]:
+                error = f"plain symbol {b} at position {position} equals the stack top"
+            elif b >= k and after_odd:
+                error = f"marker at position {position} directly after an odd marker"
+            elif b == k and len(stack) < 2:
+                error = f"odd marker at position {position} with no matched symbol pending"
+            elif b > k and len(stack) < 3:
+                error = f"pair marker at position {position} with fewer than two matched symbols pending"
+            if error:
+                error = f"MalformedStreamError: {error}"
+                break
+            if b < k:
+                stack.append(b)
+                symbols.append(b)
+            else:
+                symbols += [stack.pop() for _ in range(b - k + 1)]
+            after_odd = b == k
+        if not error:
+            read += len(chunk)
+            written += len(symbols)
+        steps.append((error or symbols, tuple(stack), read, written))
+    return steps
+
+
+MALFORMED = {
+    # kind: (whether the code at i may be the bad code's place, given the depth and the code before i)
+    "plain-equals-top": lambda depth, after_odd: depth >= 1,
+    "odd-over-none": lambda depth, after_odd: depth == 0 and not after_odd,
+    "pair-over-one": lambda depth, after_odd: depth <= 1 and not after_odd,
+    "odd-after-odd": lambda depth, after_odd: after_odd,
+    "pair-after-odd": lambda depth, after_odd: after_odd,
+}
+
+
+def with_bad_code(k, coded, kind, start):
+    """``coded`` with a code of ``kind`` put in at the first place from ``start`` it can go, and that place.
+
+    Codes after the bad one restore the depth a decoder's seam search counts from plain codes and
+    markers, so a split decode still finds its seam past a bad code.
+    """
+    stack, after_odd = [], False
+    for i, b in enumerate(coded):
+        if i >= start and MALFORMED[kind](len(stack), after_odd):
+            break
+        if b < k:
+            stack.append(b)
+        else:
+            del stack[k - 1 - b :]
+        after_odd = b == k
+    else:
+        i = len(coded)
+        assert MALFORMED[kind](len(stack), after_odd)
+    bad = (stack or [0])[-1] if kind == "plain-equals-top" else k if kind.startswith("odd") else k + 1
+    level = {k: [0], k + 1: [0, 1]}.get(bad, [k])
+    return [*coded[:i], bad, *level, *coded[i:]], i
+
+
+def paired_codes(k, seed, pieces=40):
+    """The codes of a word of pieces u + u[::-1] over a few symbols of ``WIDE_SYMBOLS[k]``."""
+    rng = random.Random(seed)
+    word = []
+    for _ in range(pieces):
+        u = rng.choices(WIDE_SYMBOLS[k][:3], k=rng.randint(1, 5))
+        word += u + u[::-1]
+    return list(compress(word, k))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("k", [5, 254, 300])
+def test_a_malformed_code_raises_at_its_position_wherever_it_lies_in_a_feed(k, kind, where):
+    # The bad code is the first, a middle or the last code of the second of three feeds; a marker
+    # after an odd marker as a feed's first code follows an odd marker that ended the feed before.
+    coded, i = with_bad_code(k, paired_codes(k, 1), kind, 60)
+    a, b = {"first": (i, i + 7), "middle": (i - 3, i + 4), "last": (i - 6, i + 1)}[where]
+    pack = (lambda part: array("H", part)) if k > 253 else bytes
+    chunks = [pack(coded[:a]), pack(coded[a:b]), pack(coded[b:])]
+    if kind.endswith("after-odd") and where == "first":
+        assert chunks[0][-1] == odd_marker(k)
+    expected = decoded_by_reference(k, chunks)
+    assert expected[1][0].startswith("MalformedStreamError") and f"position {i + 1} " in expected[1][0]
+    assert [(list(out) if not isinstance(out, str) else out, *rest) for out, *rest in decoded_in_parts(k, chunks)] == expected
+
+
+@pytest.mark.parametrize("part", ["session", "worker"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("k", [5, 254])
+def test_a_split_decode_raises_the_one_process_error_from_either_part(monkeypatch, k, kind, part):
+    # One feed of the whole stream, split at its bare seam: a bad code before the seam raises in this
+    # process, and one after it fails the worker, so this process decodes on to the same error.
+    good = paired_codes(k, 2, pieces=80)
+    coded, i = with_bad_code(k, good, kind, len(good) // 8 if part == "session" else len(good) * 3 // 4)
+    chunks = [bytes(coded)]
+    expected = decoded_by_reference(k, chunks)
+    seam = None if part == "session" else bare_seam(k, chunks[0], lead=64)
+    split_early(monkeypatch)
+    monkeypatch.setattr(codec, "_SPLIT_LEAD", 64)  # pieces of at most 10 symbols drain within it
+    spans = feed_spans(monkeypatch)
+    assert decoded_in_parts(k, chunks) == expected
+    if part == "session":
+        assert len(spans) == 1 and i < spans[0] < len(coded)
+    else:
+        assert seam <= i and spans == [seam, len(coded) - seam]
+    assert_no_child_left()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_code_pairs_pass_over_matches_that_straddle_two_codes(data):
+    # At k = 1284 the pair marker 0x0505 and the odd marker 0x0504 are the bytes 05 05 04 05 (little
+    # endian), which also lie across the codes 0x05xx, 0x0405 (1029) and 0xyy05.  Such a match must
+    # not count, nor hide the pair marker it ends in: [1280, 1029, k + 1, k] holds one at byte 1.
+    k = 1284
+    symbols = st.sampled_from([1280, 1029, 1281, 5, 3, k, k + 1])
+    codes = array("H", data.draw(st.lists(symbols, max_size=40)))
+    start, end = sorted(data.draw(st.lists(st.integers(0, len(codes)), min_size=2, max_size=2)))
+    expected = [i for i in range(start, end - 1) if codes[i : i + 2] == array("H", [k + 1, k])]
+    assert list(codec._code_pairs(codes, k + 1, k, start, end)) == expected
+    assert list(codec._code_pairs(bytes(c & 255 for c in codes), 5, 4, start, end)) == [
+        i for i in range(start, end - 1) if (codes[i] & 255, codes[i + 1] & 255) == (5, 4)
+    ]
+    assert list(codec._code_pairs(array("H", [1280, 1029, k + 1, k]), k + 1, k, 0, 4)) == [2]
