@@ -529,9 +529,9 @@ class Compressor:
         ``run`` is the pop run open before, ``pending`` the flag after, and
         ``rise`` the change of depth.  ``(length + rise) / 2`` symbols push,
         and ``written = read - savings - state`` gives the pair markers.  The
-        codes after the last push are the open run's pair markers, and a run
-        of one pop is an odd marker not after a pair marker (nor after the
-        entry run, if that had two pops).
+        codes after the last push are the open run's pair markers.  A run of
+        one pop is an odd marker that follows no pair marker and, as the
+        feed's first code, closes no entry run of two pops or more.
         """
         odd = self._odd
         pair = self._pair

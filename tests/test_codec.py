@@ -1144,7 +1144,6 @@ def test_consume_rejects_out_of_range_symbol_inside_a_palindrome(k, kind, data):
     assert snapshot(session) == before
 
 
-
 def coded_by_reference(k, parts):
     """Each part's codes and the counters of ``SESSION_ATTRS`` after it, then the flush's.
 
@@ -1193,18 +1192,25 @@ def runs_cut(k, word):
     return cuts
 
 
-WIDE_SYMBOLS = {2: [0, 1], 5: [0, 1, 2, 3, 4], 254: [0, 1, 2, 252, 253], 255: [0, 1, 253, 254], 300: [0, 1, 2, 298, 299]}
+# The symbols words are drawn from, per alphabet size: a few of the smallest and the largest.
+DRAWN_SYMBOLS = {
+    2: [0, 1],
+    5: [0, 1, 2, 3, 4],
+    254: [0, 1, 2, 252, 253],
+    255: [0, 1, 253, 254],
+    300: [0, 1, 2, 298, 299],
+}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 @pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
-@pytest.mark.parametrize("k", sorted(WIDE_SYMBOLS))
+@pytest.mark.parametrize("k", sorted(DRAWN_SYMBOLS))
 def test_feed_counters_derived_from_the_codes_match_a_per_symbol_walk(k, split, data):
     # Chunks end inside pop runs after odd and even numbers of pops, so sessions enter feeds with an
     # odd marker pending and with a run of two or more open; some chunks are empty.  Byte output up
     # to k = 254, array('H') output from k = 255; split, feeds of 8 symbols and more fork.
-    symbols = st.sampled_from(WIDE_SYMBOLS[k])
+    symbols = st.sampled_from(DRAWN_SYMBOLS[k])
     pieces = st.lists(st.lists(symbols, min_size=1, max_size=6), min_size=1, max_size=12)
     paired = pieces.map(lambda us: [a for u in us for a in u + u[::-1]])
     steps = st.lists(st.one_of(st.just(-1), symbols), max_size=160).map(lambda s: walk([], s))
@@ -1298,11 +1304,11 @@ def with_bad_code(k, coded, kind, start):
 
 
 def paired_codes(k, seed, pieces=40):
-    """The codes of a word of pieces u + u[::-1] over a few symbols of ``WIDE_SYMBOLS[k]``."""
+    """The codes of a word of pieces u + u[::-1] over a few symbols of ``DRAWN_SYMBOLS[k]``."""
     rng = random.Random(seed)
     word = []
     for _ in range(pieces):
-        u = rng.choices(WIDE_SYMBOLS[k][:3], k=rng.randint(1, 5))
+        u = rng.choices(DRAWN_SYMBOLS[k][:3], k=rng.randint(1, 5))
         word += u + u[::-1]
     return list(compress(word, k))
 
@@ -1321,7 +1327,8 @@ def test_a_malformed_code_raises_at_its_position_wherever_it_lies_in_a_feed(k, k
         assert chunks[0][-1] == odd_marker(k)
     expected = decoded_by_reference(k, chunks)
     assert expected[1][0].startswith("MalformedStreamError") and f"position {i + 1} " in expected[1][0]
-    assert [(list(out) if not isinstance(out, str) else out, *rest) for out, *rest in decoded_in_parts(k, chunks)] == expected
+    got = [(out if isinstance(out, str) else list(out), *rest) for out, *rest in decoded_in_parts(k, chunks)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("part", ["session", "worker"])
