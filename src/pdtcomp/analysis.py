@@ -25,7 +25,6 @@ as for every other layer.
 """
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half, packed
@@ -155,8 +154,7 @@ def sufficiency_exact(k: int) -> bool:
     return (k + 2) ** (e_coded // g) < k ** (e_plain // g)
 
 
-@dataclass(frozen=True)
-class RatioPoint:
+class RatioPoint(NamedTuple):
     """Cumulative ratio checkpoint at a segment boundary."""
 
     block: int
@@ -165,8 +163,7 @@ class RatioPoint:
     rho: float
 
 
-@dataclass(frozen=True)
-class SegmentReport:
+class SegmentReport(NamedTuple):
     """Per-segment measurement row.
 
     ``prefix_symbols`` / ``output_symbols`` / ``rho`` are cumulative over

@@ -192,13 +192,16 @@ def packed(word, limit: int, what: str):
     iterable becomes ``bytes`` when every symbol is below 256, else
     ``array('H')``, and a symbol that is not an integer raises ``TypeError``.
     The first symbol out of range raises ``AlphabetError``, named as ``what``.
+    Buffers are checked at C level; ``array('H')`` by :func:`_first_outside`.
     """
     if isinstance(word, (bytes, bytearray)):
         if limit >= 256 or not word.translate(None, bytes(range(limit))):
             return word
     elif isinstance(word, array) and word.typecode == "H":
-        if not word or max(word) < limit:
+        bad = _first_outside(word, limit)
+        if bad < 0:
             return word
+        raise AlphabetError(f"{what} {word[bad]} outside [0, {limit})")
     else:
         word = word if isinstance(word, list) else list(word)
         if not word:
@@ -208,6 +211,39 @@ def packed(word, limit: int, what: str):
             return bytes(word) if high < 256 else array("H", word)
     bad = next(a for a in word if not 0 <= a < limit)
     raise AlphabetError(f"{what} {bad} outside [0, {limit})")
+
+
+_RANGE_CHUNK = 1 << 16
+"""Symbols of an ``array('H')`` range-checked per step; bounds the check's temporaries."""
+
+
+def _first_outside(word: array, limit: int) -> int:
+    """Index of the first symbol of the ``array('H')`` ``word`` not below ``limit``, else -1.
+
+    Checked at C level over the array's bytes, ``_RANGE_CHUNK`` symbols at a
+    time, with no int per symbol.  A symbol's high byte settles it unless it
+    equals the high byte of ``limit``; then its low byte does.  Both bytes are
+    marked through tables (high: 0 below, 1 equal, 2 above; low: 2 below the
+    low byte of ``limit``, else 3), so a symbol lies outside exactly where
+    the AND of its two marks is nonzero.
+    """
+    if limit > 0xFFFF:
+        return -1
+    high, low = divmod(limit, 256)
+    high_marks = bytes(high) + b"\x01" + b"\x02" * (255 - high)
+    low_marks = b"\x02" * low + b"\x03" * (256 - low)
+    h = 1 if sys.byteorder == "little" else 0  # offset of a symbol's high byte
+    for start in range(0, len(word), _RANGE_CHUNK):
+        raw = word[start : start + _RANGE_CHUNK].tobytes()
+        highs = raw[h::2].translate(high_marks)
+        if highs.count(0) == len(highs):
+            continue
+        marks = int.from_bytes(highs, "little") & int.from_bytes(
+            raw[1 - h :: 2].translate(low_marks), "little"
+        )
+        if marks:
+            return start + ((marks & -marks).bit_length() - 1 >> 3)
+    return -1
 
 
 def packed_buffer(limit: int, size: int = 0) -> bytearray | array:

@@ -12,7 +12,6 @@ Symbols are plain non-negative integers.  Stack contents are written
 bottom-up: the top of the stack is the last element.
 """
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 EPSILON = None
@@ -60,15 +59,7 @@ class EmptyStackError(EngineError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One table entry: from (state, top) on input consume/emit/move.
-
-    ``push`` is written bottom-up and replaces the popped top symbol, so an
-    empty ``push`` is a pure pop and ``push == (top, a)`` stacks ``a`` on an
-    unchanged ``top``.
-    """
-
+class _Transition(NamedTuple):
     state: int
     top: int
     symbol: int | None
@@ -76,38 +67,79 @@ class Transition:
     next_state: int
     push: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "output", tuple(self.output))
-        object.__setattr__(self, "push", tuple(self.push))
+
+class Transition(_Transition):
+    """One table entry: from (state, top) on input consume/emit/move.
+
+    ``push`` is written bottom-up and replaces the popped top symbol, so an
+    empty ``push`` is a pure pop and ``push == (top, a)`` stacks ``a`` on an
+    unchanged ``top``.  A named tuple; ``output`` and ``push`` are made
+    tuples on construction, also by ``_make`` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, state, top, symbol, output, next_state, push):
+        return super().__new__(cls, state, top, symbol, tuple(output), next_state, tuple(push))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Machine snapshot: control state plus bottom-up stack content."""
-
+class _Configuration(NamedTuple):
     state: int
     stack: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "stack", tuple(self.stack))
+
+class Configuration(_Configuration):
+    """Machine snapshot: control state plus bottom-up stack content.
+
+    A named tuple; ``stack`` is made a tuple on construction, also by
+    ``_make`` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, state, stack):
+        return super().__new__(cls, state, tuple(stack))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class TransducerSpec:
-    """Immutable description of a deterministic pushdown transducer."""
+    """Description of a deterministic pushdown transducer, fixed once built.
 
-    input_alphabet: frozenset[int]
-    output_alphabet: frozenset[int]
-    stack_alphabet: frozenset[int]
-    states: frozenset[int]
-    initial_state: int
-    start_symbol: int
-    transitions: tuple[Transition, ...]
+    The alphabets and states are kept as frozen sets and the transitions as
+    a tuple.  The step table that ``run`` and ``step`` read is built once,
+    here, and :func:`validate` keeps its verdict on the spec, so a spec is
+    not to be changed after construction.
+    """
 
-    def __post_init__(self):
-        for name in ("input_alphabet", "output_alphabet", "stack_alphabet", "states"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+    __slots__ = (
+        "input_alphabet", "output_alphabet", "stack_alphabet", "states",
+        "initial_state", "start_symbol", "transitions", "_steps", "_eps", "_violations",
+    )
+
+    def __init__(
+        self,
+        input_alphabet: Iterable[int],
+        output_alphabet: Iterable[int],
+        stack_alphabet: Iterable[int],
+        states: Iterable[int],
+        initial_state: int,
+        start_symbol: int,
+        transitions: Iterable[Transition],
+    ):
+        self.input_alphabet = frozenset(input_alphabet)
+        self.output_alphabet = frozenset(output_alphabet)
+        self.stack_alphabet = frozenset(stack_alphabet)
+        self.states = frozenset(states)
+        self.initial_state = initial_state
+        self.start_symbol = start_symbol
+        self.transitions = tuple(transitions)
         # Step table: (state, top, symbol) -> (push, output, next_state, kind).
         steps: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
         eps: dict[tuple[int, int], Transition] = {}
@@ -119,8 +151,9 @@ class TransducerSpec:
                     (t.state, t.top, t.symbol),
                     (t.push, t.output, t.next_state, PUSH if t.push else POP),
                 )
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "_eps", eps)
+        self._steps = steps
+        self._eps = eps
+        self._violations = None  # set by validate
 
 
 class RunResult(NamedTuple):
@@ -129,21 +162,31 @@ class RunResult(NamedTuple):
     trace: "RunTrace"
 
 
-@dataclass
 class RunTrace:
     """Step kinds and written count of a run.
 
     ``kinds[i]`` is the kind (``PUSH`` or ``POP``) of the transition that
     consumed input position ``i + 1``, so ``len(trace)`` counts the symbols
     read; ``symbols_written`` counts every output symbol, those of
-    input-free moves included.
+    input-free moves included.  Two traces are equal when both fields are.
     """
 
-    kinds: bytearray = field(default_factory=bytearray)
-    symbols_written: int = 0
+    __slots__ = ("kinds", "symbols_written")
+
+    def __init__(self, kinds: bytearray | None = None, symbols_written: int = 0):
+        self.kinds = bytearray() if kinds is None else kinds
+        self.symbols_written = symbols_written
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kinds == other.kinds and self.symbols_written == other.symbols_written
+
+    def __repr__(self) -> str:
+        return f"RunTrace(kinds={self.kinds!r}, symbols_written={self.symbols_written!r})"
 
 
 def validate(spec: TransducerSpec) -> list[str]:
@@ -154,9 +197,8 @@ def validate(spec: TransducerSpec) -> list[str]:
     transition, and a (state, top) pair with an input-free transition has
     no symbol-consuming ones (nor a second input-free one).
     """
-    cached = getattr(spec, "_violations", None)
-    if cached is not None:
-        return list(cached)
+    if spec._violations is not None:
+        return list(spec._violations)
 
     out: list[str] = []
     if spec.initial_state not in spec.states:
@@ -191,7 +233,7 @@ def validate(spec: TransducerSpec) -> list[str]:
                 f"state {state}, top {top}: epsilon transition coexists with symbol-consuming ones"
             )
 
-    object.__setattr__(spec, "_violations", tuple(out))
+    spec._violations = tuple(out)
     return out
 
 
@@ -233,10 +275,12 @@ def run(spec: TransducerSpec, word: Iterable[int]) -> RunResult:
     The run starts in the initial state on the start symbol.  Input-free
     moves are drained eagerly: before the first read and after every
     consumed symbol (hence also after the last one).  Each read is one
-    lookup in the spec's precompiled step table, and the drain runs only
-    when the new (state, top) has an input-free move, so a table without
-    such moves (the compressor's) costs no drain per symbol.  The run may
-    legally end in any state; reaching end of input never raises by itself.
+    lookup in the spec's precompiled step table.  After a read the drain
+    runs only when the new (state, top) has an input-free move, and that is
+    probed only when the table has such moves at all, so a table without
+    them (the compressor's) costs no drain and no probe per symbol.  The run
+    may legally end in any state; reaching end of input never raises by
+    itself.
     Raises ``NoTransitionError`` / ``EmptyStackError`` with the 1-based
     offending input position, and ``InvalidSpecError`` up front if the
     description does not validate.
@@ -249,6 +293,7 @@ def run(spec: TransducerSpec, word: Iterable[int]) -> RunResult:
     out: list[int] = []
     emit = out.extend
     tr = RunTrace()
+    mark = tr.kinds.append
     position = 0
 
     def drain() -> None:
@@ -278,9 +323,9 @@ def run(spec: TransducerSpec, word: Iterable[int]) -> RunResult:
         del stack[-1]
         stack.extend(push)
         emit(output)
-        if stack and (state, stack[-1]) in eps:
+        if eps and stack and (state, stack[-1]) in eps:
             drain()
-        tr.kinds.append(kind)
+        mark(kind)
 
     tr.symbols_written = len(out)
     return RunResult(tuple(out), Configuration(state, tuple(stack)), tr)

@@ -12,6 +12,7 @@ from pdtcomp import analysis
 from pdtcomp.analysis import (
     PopRunAccount,
     RatioPoint,
+    SegmentReport,
     block_stats,
     expected_singletons,
     pop_run_account,
@@ -134,6 +135,17 @@ def test_pop_run_account_pop_runs_at_both_ends():
     assert pop_run_account(RunTrace(bytearray([POP]), 1)) == PopRunAccount(0, 0)
     assert pop_run_account(RunTrace(bytearray([POP, POP]), 1)) == PopRunAccount(1, 2)
     assert pop_run_account(RunTrace()) == PopRunAccount(0, 0)
+
+
+def test_report_rows_are_named_tuples():
+    point = RatioPoint(3, 10, 8, 0.5)
+    assert point == (3, 10, 8, 0.5)
+    assert repr(point) == "RatioPoint(block=3, symbols_read=10, symbols_written=8, rho=0.5)"
+    row = SegmentReport(3, 6, 10, 8, 0.5, 12, None, 2, 0)
+    assert row.singletons == 12 and row.savings == 2
+    assert row.bound_ok  # 6 * 2 >= 12
+    assert not row._replace(savings=1).bound_ok
+    assert not row._replace(singletons=13).bound_ok
 
 
 @settings(max_examples=100, deadline=None)

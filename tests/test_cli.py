@@ -359,8 +359,17 @@ MEASURE_COMMAND_SCRIPT = """
 import sys
 from pdtcomp.cli import cli_dispatch
 assert cli_dispatch(sys.argv[1:]) == 0
-print("pdtcomp.engine" in sys.modules, file=sys.stderr)
+print([name for name in ("pdtcomp.engine", "dataclasses") if name in sys.modules], file=sys.stderr)
 """
+
+
+def _measure_command_modules(argv):
+    done = subprocess.run(
+        [sys.executable, "-c", MEASURE_COMMAND_SCRIPT, *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -369,12 +378,12 @@ print("pdtcomp.engine" in sys.modules, file=sys.stderr)
     ids=["ratio", "bound"],
 )
 def test_measure_commands_do_not_load_the_engine(argv):
-    done = subprocess.run(
-        [sys.executable, "-c", MEASURE_COMMAND_SCRIPT, *argv],
-        capture_output=True, text=True, env=_package_env(), timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "False"
+    assert _measure_command_modules(argv) == "[]"
+
+
+def test_verify_loads_the_engine_but_not_dataclasses():
+    argv = ["verify", "--k-min", "2", "--k-max", "3", "--n-max", "3", "--words", "20"]
+    assert _measure_command_modules(argv) == "['pdtcomp.engine']"
 
 
 def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):

@@ -153,6 +153,30 @@ def test_packed_reads_buffers_in_place_and_packs_other_words():
         packed([0, -1], 5, "input symbol")
 
 
+@pytest.mark.parametrize("limit", [2, 255, 256, 257, 300, 512, 65535, 65536])
+def test_packed_checks_wide_words_at_the_limit(limit):
+    """An ``array('H')`` word is checked over its bytes; the first symbol past ``limit`` is named.
+
+    Every other symbol is the largest one allowed, so each chunk of the check
+    meets the high byte of ``limit`` and only the probe can lie outside.
+    """
+    size = codec._RANGE_CHUNK + 3
+    for probe in {limit - 1, limit, 255, 256, 65535} - {65536}:
+        for at in (0, 1, codec._RANGE_CHUNK - 1, codec._RANGE_CHUNK, size - 1):
+            word = array("H", [min(limit - 1, 65535)]) * size
+            word[at] = probe
+            if probe < limit:
+                assert packed(word, limit, "coded symbol") is word
+            else:
+                with pytest.raises(AlphabetError, match=rf"coded symbol {probe} outside \[0, {limit}\)"):
+                    packed(word, limit, "coded symbol")
+    if limit <= 65535:
+        word = array("H", [limit - 1]) * size
+        word[7], word[9], word[codec._RANGE_CHUNK + 1] = limit, 65535, 65535
+        with pytest.raises(AlphabetError, match=rf"coded symbol {limit} outside"):
+            packed(word, limit, "coded symbol")
+
+
 @pytest.mark.parametrize("word", [[1.0, 2.0], ["a"]], ids=["floats", "strings"])
 @pytest.mark.parametrize(
     "entry",

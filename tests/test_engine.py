@@ -22,6 +22,7 @@ from pdtcomp.engine import (
     EmptyStackError,
     InvalidSpecError,
     NoTransitionError,
+    RunTrace,
     Transition,
     TransducerSpec,
     run,
@@ -398,3 +399,43 @@ def test_run_chained_input_free_moves_hit_the_drain_budget():
     with pytest.raises(engine.EngineError, match="drain budget") as exc:
         run(chained_spec(loop=True), [0])
     assert type(exc.value) is engine.EngineError
+
+
+def test_transition_and_configuration_are_tuples_of_tuples():
+    t = Transition(0, 9, 1, [1], 0, [9, 1])
+    assert t.output == (1,) and t.push == (9, 1)
+    assert t == Transition(0, 9, 1, (1,), 0, iter([9, 1])) == (0, 9, 1, (1,), 0, (9, 1))
+    assert hash(t) == hash(Transition(0, 9, 1, (1,), 0, (9, 1)))
+    assert t != Transition(0, 9, 1, (1,), 1, (9, 1))
+    assert repr(t) == "Transition(state=0, top=9, symbol=1, output=(1,), next_state=0, push=(9, 1))"
+    assert t._replace(push=[9]).push == (9,) and Transition._make([0, 9, 1, [1], 0, []]).output == (1,)
+    c = Configuration(1, [9, 0])
+    assert c.stack == (9, 0)
+    assert c == Configuration(1, (9, 0)) and hash(c) == hash(Configuration(1, (9, 0)))
+    assert c != Configuration(0, (9, 0))
+    assert repr(c) == "Configuration(state=1, stack=(9, 0))"
+    assert c._replace(stack=[9]).stack == (9,)
+
+
+def test_run_trace_defaults_length_and_equality():
+    first, second = RunTrace(), RunTrace()
+    assert (first.kinds, first.symbols_written, len(first)) == (bytearray(), 0, 0)
+    assert first == second and first.kinds is not second.kinds
+    first.kinds.append(PUSH)
+    assert len(first) == 1 and first != second
+    assert first == RunTrace(bytearray([PUSH])) != RunTrace(bytearray([PUSH]), 1)
+    assert first != (bytearray([PUSH]), 0)
+    assert repr(first) == "RunTrace(kinds=bytearray(b'\\x00'), symbols_written=0)"
+
+
+def test_spec_builds_its_step_table_once_and_keeps_its_verdict():
+    spec = chained_spec(loop=False)
+    steps = spec._steps
+    verdict = validate(spec)
+    assert verdict == []
+    verdict.append("changed by the caller")
+    # Neither is rebuilt from the transitions once built.
+    spec.transitions = None
+    assert validate(spec) == []
+    assert run(spec, [0]).output == (1, 2, 2, 2)
+    assert spec._steps is steps
