@@ -36,10 +36,11 @@ Long walks take two cores: the fold walk of ``consume``, and ``feed`` in
 either direction.  From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two
 CPUs are usable and no other thread runs, a forked worker walks the second
 part of the word while the session walks the first (:func:`_fork_join`).
-The fold's worker starts on a fresh stack.  A feed splits only a ``bytes``
-or ``bytearray`` word whose output fits bytes, and its worker starts from
-the bare bottom, at a seam near the middle where the session's stack should
-be bare.  The decompressor finds that seam by counting its codes: a plain
+The fold walks a byte stack up to k = 253 (:func:`_fold_stack`), and its
+worker starts on a fresh one.  A feed splits only a ``bytes`` or
+``bytearray`` word whose output fits bytes, and its worker starts from the
+bare bottom, at a seam near the middle where the session's stack should be
+bare.  The decompressor finds that seam by counting its codes: a plain
 code pushes one symbol, an odd marker pops one and a pair marker two.  The
 compressor reads it from the symbols before its middle alone
 (:func:`_bare_point`).  A worker's part counts only when the session's
@@ -426,11 +427,10 @@ def _fork_join(work, own):
     return ours, marshal.loads(reply) if status == 0 else None
 
 
-class _Guard:
-    """A stack entry the fold's worker must not reach: comparing it raises."""
-
-    def __eq__(self, other):
-        raise LookupError("the walk reached the guarded stack depth")
+def _fold_stack(k: int, entries) -> bytearray | array:
+    """A fold walk's stack of ``entries``: a byte per entry up to k = 253, else the narrowest array."""
+    bottom = stack_bottom(k)
+    return bytearray(entries) if bottom < 256 else array("H" if bottom <= 0xFFFF else "I", entries)
 
 
 def _fold_tallies(census) -> tuple[int, int]:
@@ -630,7 +630,7 @@ class Compressor:
         from the change in stack depth.  A closed run of ``m`` pops codes to
         ``m // 2`` pair markers plus an odd marker when ``m`` is odd, and
         only closed runs are stored.  Both routes leave the same counters,
-        state and stack as ``feed``.
+        state and stack as ``feed``; the fold walks a copy of the stack.
         """
         word = self._start_feed(word)
         stack = self._stack
@@ -639,11 +639,8 @@ class Compressor:
         length = len(word)
         half = mirror_half(word)
         if half:
-            entry = stack.copy()
             starts_popping = stack[-1] == word[0]
             singles, odd = self._fold_census(word, half, entering)
-            stack.clear()
-            stack.extend(entry)
             total = entry_run + half
             if starts_popping:
                 open_run = 0
@@ -666,6 +663,7 @@ class Compressor:
     def _fold_census(self, word, half: int, state) -> tuple[int, int]:
         """Runs of length 1 and runs of odd length, push and pop alike, of the walk of ``word[:half]``.
 
+        The walk runs on a :func:`_fold_stack` copy of the session's stack.
         From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are
         usable and no other thread runs, a forked worker
         (:meth:`_tail_census`) walks the second part while this process
@@ -678,12 +676,12 @@ class Compressor:
         on top, less the ``cancelled`` bottom symbols of the worker's stack
         and as many top symbols of the real one.  The two walks step alike
         while the worker's stack stays deeper than ``cancelled``.  So the
-        worker's tallies count only if it never reached the guard it set at
-        half its depth at the seam, and ``cancelled`` is below that depth.
-        Otherwise, and on any ``OSError``, this process walks the rest
-        itself.
+        worker's tallies count only if its walk never came down to half its
+        depth at the seam, where it deleted its stack, and ``cancelled`` is
+        below that depth.  Otherwise, and on any ``OSError``, this process
+        walks the rest itself.
         """
-        stack = self._stack
+        stack = _fold_stack(self.k, self._stack)
         middle = half // 2
         seam = half
         if half >= _SPLIT_MIN and _may_fork():
@@ -709,14 +707,15 @@ class Compressor:
     def _tail_census(self, word, middle: int, seam: int, half: int) -> tuple:
         """The worker's walk: ``word[middle:seam]`` on a fresh stack, then ``word[seam:half]``.
 
-        Before the second census the stack entry at half the depth becomes a
-        guard that raises when compared, so a walk that comes down to it
-        raises.  Returns the second census and the depth at the seam.
+        Before the second census it deletes its stack up to and including the
+        entry at half the depth, so a walk that comes down to that depth pops
+        an empty stack and raises ``IndexError``, which fails the worker.
+        Returns the second census and the depth at the seam.
         """
-        stack = [stack_bottom(self.k)]
+        stack = _fold_stack(self.k, (stack_bottom(self.k),))
         self._census(stack, word, middle, seam, _CLOSED)
         depth = len(stack) - 1
-        stack[depth // 2] = _Guard()
+        del stack[: depth // 2 + 1]
         return (*self._census(stack, word, seam, half, _CLOSED), depth)
 
     @staticmethod
@@ -729,9 +728,9 @@ class Compressor:
         and whether it pops.  The walk continues the tallies and the open
         run of ``state``, so a first step of the open run's kind extends it.
 
-        The top of the stack lives in a local during the walk and is back on
-        the list when the call returns (a worker whose walk reaches its guard
-        drops its stack): CPython 3.11 specializes ``list[i]`` only for
+        ``stack`` is the session's list or a :func:`_fold_stack`.  Its top
+        lives in a local during the walk and is back on the stack when the
+        call returns: CPython 3.11 specializes ``list[i]`` only for
         non-negative ``i``, so reading ``stack[-1]`` per symbol would run the
         generic subscript.
         """

@@ -58,6 +58,11 @@ def joined(parts: list) -> Sequence[int]:
     return array("H", data) if isinstance(parts[0], array) else data
 
 
+def _lex_column(symbols: Sequence[int], run: int, times: int) -> Sequence[int]:
+    """Each of ``symbols`` ``run`` times in a row, and that pattern ``times`` times over."""
+    return joined([symbols[a : a + 1] * run for a in range(len(symbols))]) * times
+
+
 def _lex_columns(k: int, n: int) -> Iterator[Sequence[int]]:
     """Digit j of the k**n length-n words in lexicographic order, for j = 0 .. n-1.
 
@@ -65,8 +70,33 @@ def _lex_columns(k: int, n: int) -> Iterator[Sequence[int]]:
     """
     digits = packed(range(k), k, "symbol")
     for j in range(n):
-        run = k ** (n - 1 - j)
-        yield joined([digits[a : a + 1] * run for a in range(k)]) * k**j
+        yield _lex_column(digits, k ** (n - 1 - j), k**j)
+
+
+def _shuffled_columns(k: int, n: int, seed: int) -> Iterator[Sequence[int]]:
+    """The columns of :func:`_lex_columns`, each read in the seeded order of the word indices.
+
+    The order is gathered from columns of g digits at a time, g the largest
+    with k**g <= 256 and at least 1: such a column holds each word's g digits
+    as one base-k number, one byte per word, and one ``bytes.translate``
+    table per digit splits the gathered column.
+    """
+    order = list(range(k**n))
+    random.Random(f"{seed}:{n}").shuffle(order)
+    pick = itemgetter(*order)
+    group = 1
+    while k ** (group + 1) <= 256:
+        group += 1
+    for j in range(0, n, group):
+        size = min(group, n - j)
+        values = k**size
+        gathered = packed_buffer(values)
+        gathered.extend(pick(_lex_column(packed(range(values), values, "symbol"), k ** (n - j - size), k**j)))
+        if size == 1:
+            yield gathered
+            continue
+        for place in range(size - 1, -1, -1):
+            yield gathered.translate(bytes(v // k**place % k for v in range(256)))
 
 
 def lex_concat(k: int, n: int) -> Sequence[int]:
@@ -97,20 +127,14 @@ def _enum_segment(k: int, n: int, seed: int | None) -> Sequence[int]:
 
     Built a column at a time like :func:`lex_concat`: digit j of the word in
     slot i lands at offsets 2n·i + j and 2n·i + 2n - 1 - j.  A seed shuffles
-    the word indices, and each lexicographic column is read in that order.
+    the word indices, and each lexicographic column is read in that order
+    (:func:`_shuffled_columns`).
     """
     check_alphabet_size(k)
     width = 2 * n
     pairs = packed_buffer(k, 2 * _check_block(k, n))
-    if seed is not None:
-        order = list(range(k**n))
-        random.Random(f"{seed}:{n}").shuffle(order)
-        pick = itemgetter(*order)
-    for j, column in enumerate(_lex_columns(k, n)):
-        if seed is not None:
-            picked = packed_buffer(k)
-            picked.extend(pick(column))
-            column = picked
+    columns = _lex_columns(k, n) if seed is None else _shuffled_columns(k, n, seed)
+    for j, column in enumerate(columns):
         pairs[j::width] = column
         pairs[width - 1 - j :: width] = column
     return frozen(pairs)

@@ -4,6 +4,7 @@ import copy
 import os
 import random
 import threading
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import groupby
@@ -411,10 +412,14 @@ def test_an_empty_word_leaves_the_stack_whole():
     assert fed.stack == counted.stack == decoded.stack == (5, 0, 1, 2)
 
 
-def test_a_guard_that_becomes_the_top_raises():
-    # 0 == guard: int.__eq__ answers NotImplemented and the guard's reflected __eq__ raises.
-    with pytest.raises(LookupError):
-        Compressor._census([stack_bottom(3), codec._Guard(), 1], b"\x01\x00", 0, 2, codec._CLOSED)
+def test_a_walk_down_to_a_cut_stack_raises():
+    # The fold's worker deletes its stack up to half its depth: here the bottom and the 0 below 1, 2.
+    stack = codec._fold_stack(3, (stack_bottom(3), 0, 1, 2))
+    del stack[:2]
+    assert Compressor._census(stack, b"\x02", 0, 1, codec._CLOSED)[4:] == (1, True)
+    assert stack == bytearray((1,))
+    with pytest.raises(IndexError):  # popping the 1 would leave the deleted 0 on top
+        Compressor._census(stack, b"\x01", 0, 1, codec._CLOSED)
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,7 +574,7 @@ def walk(entry, steps):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_split_consume_matches_feed(k, data):
-    # Walks that pop half the time cross the entry stack and the worker's guard often, so they
+    # Walks that pop half the time cross the entry stack and the worker's cut stack often, so they
     # take both the join and the fallback; lex halves join or fall back by (k, n).
     prefix = data.draw(words(k, 40))
     steps = st.lists(st.one_of(st.just(-1), st.integers(0, k - 1)), min_size=16, max_size=200)
@@ -593,12 +598,51 @@ def test_split_consume_matches_feed_on_wide_alphabet_arrays(data):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("k", [253, 254, codec.K_MAX], ids=["bytearray", "array-H", "array-I"])
+@pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fold_matches_feed_at_the_stack_form_boundaries(k, split, data):
+    # k = 253 is the last alphabet whose bottom k + 2 fits a byte, K_MAX the first past array('H').
+    assert codec._fold_stack(k, (stack_bottom(k),)).pop() == stack_bottom(k)
+    symbols = [0, 1, k - 2, k - 1]
+    prefix = data.draw(st.lists(st.sampled_from(symbols), max_size=40))
+    steps = st.lists(st.one_of(st.just(-1), st.sampled_from(symbols)), min_size=16, max_size=120)
+    w = walk(prefix, data.draw(steps))
+    kind = bytes if k < 256 else lambda part: array("H", part)
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            split_early(mp)
+        fed_and_consumed(k, (prefix, w + w[::-1]), kind)
+    assert_no_child_left()
+
+
+def test_the_fold_walks_a_byte_stack_and_leaves_the_session_stack_alone():
+    # Below _SPLIT_MIN, so in one process.  A list stack peaked at 5.35 bytes per symbol of w here,
+    # the byte stack at 2.0.
+    w = mirrored_segment(5, 6)
+    half = len(w) // 2
+    assert half < codec._SPLIT_MIN
+    session = Compressor(5)
+    session.consume(b"\x00\x01\x02")
+    stack = session._stack
+    entry = stack.copy()
+    tracemalloc.start()
+    try:
+        session.consume(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * half
+    assert session._stack is stack and stack == entry
+
+
 @pytest.mark.parametrize(
     "k, n, parent_spans",
     [
         # the worker's census of [seam, half) counts: this process walks up to the seam only
         (4, 4, lambda middle, seam, half: [(0, middle), (middle, seam)]),
-        # the lead cancels into the entry stack below the worker's guard: this process walks on
+        # the lead cancels into the entry stack below the worker's cut: this process walks on
         (2, 6, lambda middle, seam, half: [(0, middle), (middle, seam), (seam, half)]),
     ],
     ids=["join", "fallback"],

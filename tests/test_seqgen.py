@@ -136,7 +136,11 @@ def test_iter_mirrored_segments(variant, seed, first):
         next(iter_mirrored_segments(k, n_max, variant="zigzag", seed=seed))
 
 
-@pytest.mark.parametrize("k,n,seed", [(3, 3, 7), (2, 4, 0), (257, 1, 5)])
+@pytest.mark.parametrize(
+    "k,n,seed",
+    # digits gathered g at a time, k**g <= 256: one part group, a full and a part group, g = 1
+    [(3, 3, 7), (2, 4, 0), (2, 9, 3), (5, 4, 1), (16, 3, 2), (17, 2, 1), (257, 1, 5)],
+)
 def test_seeded_enum_is_a_shuffle_of_the_paired_words(k, n, seed):
     words = [list(u) + list(u[::-1]) for u in product(range(k), repeat=n)]
     random.Random(f"{seed}:{n}").shuffle(words)
