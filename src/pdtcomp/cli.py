@@ -7,6 +7,14 @@ the self-check suites, and ``bound`` tabulates the closed-form ratio bound
 with its exact integer verdict.  Exit status: 0 success, 1 verification
 failure, 2 usage or I/O error.
 
+``gen``, ``compress`` and ``decompress`` move their files in chunks
+(:func:`~pdtcomp.streamio.read_chunks`, :func:`~pdtcomp.streamio.write_chunks`):
+``gen`` writes each segment as it is built, and ``compress`` and
+``decompress`` feed each chunk through one codec session and write its codes
+at once.  So ``gen`` holds one segment, and ``compress`` and ``decompress`` a
+chunk and the session's stack, never the file.  An output file is replaced
+only once it is complete (:func:`_write_output`).
+
 ``gen``, ``compress`` and ``decompress`` load only :mod:`~pdtcomp.codec`,
 :mod:`~pdtcomp.seqgen` and :mod:`~pdtcomp.streamio`; the ``ratio``,
 ``bound`` and ``verify`` handlers import :mod:`~pdtcomp.analysis` and
@@ -22,7 +30,9 @@ the same, as is the exit status, where this process runs every check itself.
 
 import argparse
 import io
+import os
 import random
+import stat
 import sys
 
 from . import codec, seqgen, streamio
@@ -113,51 +123,90 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_stream(path: str) -> tuple[streamio.DecodedStream, str]:
-    """Decode the file at ``path``; also return its format."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fmt = streamio.detect_format(data)
-    return streamio.decode_stream(data, fmt), fmt
+def _write_output(path: str, chunks, role: int, k: int, fmt: str, count: int | None = None) -> None:
+    """Write a stream to ``path`` through :func:`streamio.write_chunks`, pulling ``chunks`` as it goes.
 
-
-def _write_stream(path: str, symbols, role: int, k: int, fmt: str) -> None:
-    data = streamio.encode_stream(symbols, role, k, fmt)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    A regular file, or a new one, is written next to ``path`` and replaces it
+    only once complete: an error leaves ``path`` as it was, and ``path`` may
+    name the file the chunks are read from.  Any other output, such as a pipe
+    or a terminal, is written directly.  A binary stream with no ``count``
+    writes its count into its header at the end, so there an output that
+    cannot seek back is refused before the first chunk is pulled.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            if fmt == "binary" and count is None and not fh.seekable():
+                raise ValueError(
+                    f"{path} is not seekable: a binary stream's symbol count goes into its header "
+                    "once the input is read; write to a file or use --format text"
+                )
+            streamio.write_chunks(fh, chunks, role, k, fmt, count)
+        return
+    target = os.path.realpath(path)
+    part = f"{target}.{os.urandom(4).hex()}.part"
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+            streamio.write_chunks(fh, chunks, role, k, fmt, count)
+        os.replace(part, target)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def _cmd_gen(args) -> int:
     segments = seqgen.iter_mirrored_segments(args.k, args.n_max, variant=args.variant, seed=args.seed)
-    symbols = seqgen.joined([segment for _, segment in segments])
-    _write_stream(args.out, symbols, streamio.ROLE_PLAIN, args.k, args.format)
+    count = sum(2 * n * args.k**n for n in range(1, args.n_max + 1))
+    symbols = (segment for _, segment in segments)
+    _write_output(args.out, symbols, streamio.ROLE_PLAIN, args.k, args.format, count)
     return 0
 
 
-def _check_header(args, decoded: streamio.DecodedStream, role: int, what: str) -> None:
-    if decoded.role != role:
+def _check_header(args, stream: streamio.ChunkedStream, role: int, what: str) -> None:
+    if stream.role != role:
         raise streamio.StreamFormatError(
-            f"{args.inp} is a role-{decoded.role} stream, {what} expects role {role}"
+            f"{args.inp} is a role-{stream.role} stream, {what} expects role {role}"
         )
-    if args.k is not None and args.k != decoded.k:
+    if args.k is not None and args.k != stream.k:
         raise streamio.StreamFormatError(
-            f"--k {args.k} does not match the stream alphabet size {decoded.k}"
+            f"--k {args.k} does not match the stream alphabet size {stream.k}"
         )
+
+
+def _compressed(k: int, chunks):
+    session = codec.Compressor(k)
+    for chunk in chunks:
+        yield session.feed(chunk)
+    yield session.flush()
+
+
+def _decompressed(k: int, chunks):
+    session = codec.Decompressor(k)
+    for chunk in chunks:
+        yield session.feed(chunk)
 
 
 def _cmd_compress(args) -> int:
-    decoded, in_fmt = _read_stream(args.inp)
-    _check_header(args, decoded, streamio.ROLE_PLAIN, "compress")
-    out = codec.compress(decoded.symbols, decoded.k)
-    _write_stream(args.out, out, streamio.ROLE_CODED, decoded.k, args.format or in_fmt)
+    with open(args.inp, "rb") as fh:
+        stream = streamio.read_chunks(fh)
+        _check_header(args, stream, streamio.ROLE_PLAIN, "compress")
+        codes = _compressed(stream.k, stream.chunks)
+        _write_output(args.out, codes, streamio.ROLE_CODED, stream.k, args.format or stream.fmt)
     return 0
 
 
 def _cmd_decompress(args) -> int:
-    decoded, in_fmt = _read_stream(args.inp)
-    _check_header(args, decoded, streamio.ROLE_CODED, "decompress")
-    out = codec.decompress(decoded.symbols, decoded.k)
-    _write_stream(args.out, out, streamio.ROLE_PLAIN, decoded.k, args.format or in_fmt)
+    with open(args.inp, "rb") as fh:
+        stream = streamio.read_chunks(fh)
+        _check_header(args, stream, streamio.ROLE_CODED, "decompress")
+        symbols = _decompressed(stream.k, stream.chunks)
+        _write_output(args.out, symbols, streamio.ROLE_PLAIN, stream.k, args.format or stream.fmt)
     return 0
 
 

@@ -147,10 +147,10 @@ def iter_mirrored_segments(
     variant: str = PAIRED_LEX,
     seed: int | None = None,
 ) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield ``(n, segment)`` for n = 1 .. n_max, materializing one at a time.
+    """An iterator of ``(n, segment)`` for n = 1 .. n_max, materializing one at a time.
 
     An ``n_max`` below 1 or past the cap, an unknown variant or a seed for
-    the unshuffled paired-lex variant raises before the first segment.
+    the unshuffled paired-lex variant raises here, before any segment is built.
     """
     if n_max < 1:
         raise ValueError(f"need n-max >= 1, got {n_max}")
@@ -159,11 +159,9 @@ def iter_mirrored_segments(
     if variant == PAIRED_LEX and seed is not None:
         raise ValueError(f"a seed orders only the {PAIRED_ENUM} variant, not {PAIRED_LEX}")
     _check_block(check_alphabet_size(k), n_max)  # n * k**n grows with n: covers every segment
-    for n in range(1, n_max + 1):
-        if variant == PAIRED_LEX:
-            yield n, mirrored_segment(k, n)
-        else:
-            yield n, _enum_segment(k, n, seed)
+    if variant == PAIRED_LEX:
+        return ((n, mirrored_segment(k, n)) for n in range(1, n_max + 1))
+    return ((n, _enum_segment(k, n, seed)) for n in range(1, n_max + 1))
 
 
 def cyclic_pattern_counts(word: Sequence[int], k: int, n: int) -> list[int]:

@@ -16,14 +16,21 @@ Encoding takes its symbols through ``packed``, which also range-checks them,
 and decoding returns that form, so neither direction loops over symbols in
 Python: a binary body is widened or narrowed by slicing, and text is mapped
 by one ``translate`` table each way.
+
+Files move in chunks: :func:`read_chunks` reads a stream's header and then
+its body ``_CHUNK`` symbols at a time, and :func:`write_chunks` writes a
+header and then bodies of at most ``_CHUNK`` symbols as they come, so a file
+is never held whole.  :func:`encode_stream` and :func:`decode_stream` are
+the same readers and writers over one in-memory chunk.
 """
 
+import io
 import struct
 import sys
 from array import array
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .codec import AlphabetError, check_alphabet_size, packed
+from .codec import _SPLIT_MIN, AlphabetError, check_alphabet_size, packed
 
 MAGIC = b"PDT1"
 VERSION = 1
@@ -36,6 +43,11 @@ TEXT_K_MAX = 36
 _DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
 _ODD_CHAR = b"+"
 _PAIR_CHAR = b"*"
+_TEXT_HEADER_MAX = 256  # bytes of a text header line, its newline included
+
+_CHUNK = 2 * _SPLIT_MIN
+"""Symbols per body chunk read or written.  Twice the codec's split threshold,
+so every full chunk of a file whose words drain the stack codes on two cores."""
 
 
 class StreamFormatError(ValueError):
@@ -62,6 +74,13 @@ class DecodedStream(NamedTuple):
     symbols: Sequence[int]  # bytes, or array('H') when a code is 256 or above
     role: int
     k: int
+
+
+class ChunkedStream(NamedTuple):
+    fmt: str
+    role: int
+    k: int
+    chunks: Iterator[Sequence[int]]  # each as DecodedStream.symbols, read as iterated
 
 
 def code_limit(role: int, k: int) -> int:
@@ -91,32 +110,73 @@ def _text_chars(k: int) -> bytes:
     return _DIGITS[:k] + _ODD_CHAR + _PAIR_CHAR
 
 
+def _binary_body(codes: Sequence[int]) -> bytes | bytearray:
+    """Packed codes as 16-bit little-endian bytes."""
+    if isinstance(codes, array):
+        if sys.byteorder == "big":
+            codes = array("H", codes)  # a copy: the caller's array stays as it is
+            codes.byteswap()
+        return codes.tobytes()
+    body = bytearray(2 * len(codes))
+    body[0::2] = codes
+    return body
+
+
+def _text_body(codes: Sequence[int], k: int) -> bytes:
+    """Packed codes as one character each."""
+    table = _text_chars(k).ljust(256, b"?")
+    return array("B", codes).tobytes().translate(table)  # bytes even from array('H'): codes < 38
+
+
+def write_chunks(fh, chunks: Iterable, role: int, k: int, fmt: str = "binary", count: int | None = None) -> int:
+    """Write one stream to the binary file ``fh``: its header, then the symbols of each of ``chunks``.
+
+    Each chunk is packed and range-checked as :func:`encode_stream` takes its
+    symbols, and written as it comes, in bodies of at most ``_CHUNK`` symbols.
+    ``count`` is the symbol count for the binary header.  Where it is
+    ``None``, the header is written with 0 and rewritten once the last chunk
+    is, which needs a seekable ``fh``.  A ``count`` the chunks do not add up
+    to raises ``ValueError`` after the last one.  Returns the symbols written.
+    """
+    check_alphabet_size(k)
+    code_limit(role, k)
+    if fmt == "binary":
+        start = fh.tell() if count is None else 0
+        fh.write(HEADER.pack(MAGIC, VERSION, role, k, count or 0))
+    elif fmt == "text":
+        if k > TEXT_K_MAX:
+            raise ValueError(f"text format supports alphabets of up to {TEXT_K_MAX} symbols")
+        fh.write(f"k={k} role={role}\n".encode("ascii"))
+    else:
+        raise ValueError(f"unknown format {fmt!r}, expected 'binary' or 'text'")
+    total = 0
+    for chunk in chunks:
+        codes = _codes(chunk, role, k)
+        for first in range(0, len(codes), _CHUNK):
+            part = codes[first : first + _CHUNK]
+            fh.write(_binary_body(part) if fmt == "binary" else _text_body(part, k))
+        total += len(codes)
+    if fmt == "text":
+        fh.write(b"\n")
+    elif count is None:
+        fh.seek(start)
+        fh.write(HEADER.pack(MAGIC, VERSION, role, k, total))
+        fh.seek(0, io.SEEK_END)
+    if count is not None and total != count:
+        raise ValueError(f"{total} symbols written, the stream declares {count}")
+    return total
+
+
 def encode_stream(symbols: Iterable[int], role: int, k: int, fmt: str = "binary") -> bytes:
-    """Serialize symbols into the requested format.
+    """Serialize symbols into the requested format: a header and one chunk of :func:`write_chunks`.
 
     ``bytes`` and ``bytearray`` arguments are read as one symbol per byte,
     and ``array('H')`` as one symbol per item: the forms
     :mod:`pdtcomp.seqgen` and :func:`decode_stream` produce.
     """
-    check_alphabet_size(k)
-    if fmt == "binary":
-        codes = _codes(symbols, role, k)
-        if isinstance(codes, array):
-            if sys.byteorder == "big":
-                codes = array("H", codes)  # a copy: the caller's array stays as it is
-                codes.byteswap()
-            body = codes.tobytes()
-        else:
-            body = bytearray(2 * len(codes))
-            body[0::2] = codes
-        return HEADER.pack(MAGIC, VERSION, role, k, len(codes)) + body
-    if fmt == "text":
-        if k > TEXT_K_MAX:
-            raise ValueError(f"text format supports alphabets of up to {TEXT_K_MAX} symbols")
-        codes = array("B", _codes(symbols, role, k)).tobytes()  # bytes even from array('H'): codes < 38
-        table = _text_chars(k).ljust(256, b"?")
-        return f"k={k} role={role}\n".encode("ascii") + codes.translate(table) + b"\n"
-    raise ValueError(f"unknown format {fmt!r}, expected 'binary' or 'text'")
+    out = io.BytesIO()
+    write_chunks(out, [symbols], role, k, fmt)
+    return out.getvalue()
 
 
 def detect_format(data: bytes) -> str:
@@ -127,49 +187,93 @@ def detect_format(data: bytes) -> str:
     raise BadMagicError("data starts with neither the binary magic nor a text header")
 
 
+def read_chunks(fh) -> ChunkedStream:
+    """Read the header of the stream in the binary file ``fh``, in either format.
+
+    Its symbols come as ``chunks``, an iterator that reads the body as it is
+    iterated, at most ``_CHUNK`` symbols at a time, each chunk packed and
+    range-checked as :func:`decode_stream` returns symbols.  A malformed
+    header raises here; a malformed body raises from the chunk that reaches
+    the fault, so a truncated or overlong body is found at its end.
+    """
+    return _read(fh, "auto", _CHUNK)
+
+
 def decode_stream(data: bytes, fmt: str = "auto") -> DecodedStream:
-    """Parse a serialized stream; exact inverse of :func:`encode_stream`."""
+    """Parse a serialized stream; exact inverse of :func:`encode_stream`.
+
+    The header and one body chunk of the readers :func:`read_chunks` uses.
+    """
+    if fmt not in ("auto", "binary", "text"):
+        raise ValueError(f"unknown format {fmt!r}, expected 'binary', 'text' or 'auto'")
+    stream = _read(io.BytesIO(data), fmt, max(len(data), 1))
+    chunks = list(stream.chunks)  # at most one: the body fits a chunk of len(data) symbols
+    return DecodedStream(chunks[0] if chunks else b"", stream.role, stream.k)
+
+
+def _read(fh, fmt: str, size: int) -> ChunkedStream:
+    """The header of the stream in ``fh`` and its chunk reader, for chunks of at most ``size`` symbols."""
+    lead = b"" if fmt == "text" else fh.read(2)
+    if fmt == "text" or (fmt == "auto" and lead == b"k="):
+        line = lead + fh.readline(_TEXT_HEADER_MAX - len(lead))
+        if not line.isascii():
+            raise BadMagicError("text stream is not ASCII")
+        if len(line) == _TEXT_HEADER_MAX and not line.endswith(b"\n"):
+            raise BadMagicError(f"text header longer than {_TEXT_HEADER_MAX} bytes")
+        if not line.endswith(b"\n"):
+            raise TruncatedStreamError("text stream has no symbol line")
+        role, k = _text_header(line[:-1].decode("ascii"))
+        return ChunkedStream("text", role, k, _text_chunks(fh, role, k, size))
+    head = lead + fh.read(HEADER.size - len(lead))
     if fmt == "auto":
-        fmt = detect_format(data)
-    if fmt == "binary":
-        return _decode_binary(data)
-    if fmt == "text":
-        return _decode_text(data)
-    raise ValueError(f"unknown format {fmt!r}, expected 'binary', 'text' or 'auto'")
+        detect_format(head)
+    role, k, count = _binary_header(head)
+    return ChunkedStream("binary", role, k, _binary_chunks(fh, role, k, count, size))
 
 
-def _decode_binary(data: bytes) -> DecodedStream:
-    if len(data) < 4 or data[:4] != MAGIC:
+def _binary_header(head: bytes) -> tuple[int, int, int]:
+    """Role, alphabet size and symbol count from the first ``HEADER.size`` bytes of a binary stream."""
+    if len(head) < 4 or head[:4] != MAGIC:
         raise BadMagicError("missing PDT1 magic")
-    if len(data) < HEADER.size:
-        raise TruncatedStreamError(f"header needs {HEADER.size} bytes, got {len(data)}")
-    _, version, role, k, count = HEADER.unpack_from(data)
+    if len(head) < HEADER.size:
+        raise TruncatedStreamError(f"header needs {HEADER.size} bytes, got {len(head)}")
+    _, version, role, k, count = HEADER.unpack(head)
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
     if role not in (ROLE_PLAIN, ROLE_CODED):
         raise StreamFormatError(f"unknown role byte {role}")
-    _header_k(k)
-    size = len(data) - HEADER.size
-    if size < 2 * count:
-        raise TruncatedStreamError(f"body holds {size // 2} codes, header declares {count}")
-    if size > 2 * count:
-        raise StreamFormatError(f"{size - 2 * count} trailing bytes after declared codes")
-    if data[HEADER.size + 1 :: 2].count(0) == count:  # every high byte is zero
-        codes = data[HEADER.size :: 2]
-    else:
-        codes = array("H", data[HEADER.size :])
-        if sys.byteorder == "big":
-            codes.byteswap()
-    return DecodedStream(_codes(codes, role, k), role, k)
+    return role, _header_k(k), count
 
 
-def _decode_text(data: bytes) -> DecodedStream:
-    if not data.isascii():
-        raise BadMagicError("text stream is not ASCII")
-    head, sep, rest = data.partition(b"\n")
-    if not sep:
-        raise TruncatedStreamError("text stream has no symbol line")
-    head = head.decode("ascii")
+def _binary_chunks(fh, role: int, k: int, count: int, size: int) -> Iterator[Sequence[int]]:
+    """The ``count`` codes of a binary body, ``size`` at a time; then no byte more."""
+    left = count
+    while left:
+        want = 2 * min(left, size)
+        data = fh.read(want)
+        left -= len(data) // 2
+        if len(data) < want:
+            raise TruncatedStreamError(f"body holds {count - left} codes, header declares {count}")
+        yield _binary_codes(data, role, k)
+    extra = 0
+    while data := fh.read(2 * size):
+        extra += len(data)
+    if extra:
+        raise StreamFormatError(f"{extra} trailing bytes after declared codes")
+
+
+def _binary_codes(data: bytes, role: int, k: int) -> Sequence[int]:
+    """Packed codes of a chunk of binary body: narrowed by slicing where every high byte is zero."""
+    if data[1::2].count(0) == len(data) // 2:
+        return _codes(data[0::2], role, k)
+    codes = array("H", data)
+    if sys.byteorder == "big":
+        codes.byteswap()
+    return _codes(codes, role, k)
+
+
+def _text_header(head: str) -> tuple[int, int]:
+    """Role and alphabet size from a text header line ``k=<k> role=<role>``."""
     parts = head.split()
     if len(parts) != 2 or not parts[0].startswith("k=") or not parts[1].startswith("role="):
         raise BadMagicError(f"malformed text header {head!r}")
@@ -183,13 +287,22 @@ def _decode_text(data: bytes) -> DecodedStream:
     _header_k(k)
     if k > TEXT_K_MAX:
         raise StreamFormatError(f"text alphabet size {k} above the limit of {TEXT_K_MAX}")
-    if rest.endswith(b"\n"):
-        rest = rest[:-1]
-    if b"\n" in rest:
-        raise StreamFormatError("text stream has more than one symbol line")
+    return role, k
+
+
+def _text_chunks(fh, role: int, k: int, size: int) -> Iterator[Sequence[int]]:
+    """The symbol line of a text body, ``size`` characters at a time; one final newline may end it."""
     chars = _text_chars(k)
-    stray = rest.translate(None, chars)
-    if stray:
-        raise CodeOutOfRangeError(f"character {chr(stray[0])!r} is not a symbol")
-    codes = rest.translate(bytes.maketrans(chars, bytes(range(k + 2))))
-    return DecodedStream(_codes(codes, role, k), role, k)
+    table = bytes.maketrans(chars, bytes(range(k + 2)))
+    while data := fh.read(size):
+        if not data.isascii():
+            raise BadMagicError("text stream is not ASCII")
+        newline = data.find(b"\n")
+        if newline >= 0:
+            if newline < len(data) - 1 or fh.read(1):
+                raise StreamFormatError("text stream has more than one symbol line")
+            data = data[:-1]
+        stray = data.translate(None, chars)
+        if stray:
+            raise CodeOutOfRangeError(f"character {chr(stray[0])!r} is not a symbol")
+        yield _codes(data.translate(table), role, k)

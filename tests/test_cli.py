@@ -1,13 +1,17 @@
 """Command-line behaviour: files in, files out, exit codes."""
 
 import argparse
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pdtcomp
 from pdtcomp import analysis, codec, properties, streamio
@@ -263,6 +267,195 @@ def test_malformed_stream_is_a_data_error(tmp_path, capsys):
         write_stream(coded, symbols, streamio.ROLE_CODED, k)
         assert dispatch("decompress", "--in", str(coded), "--out", str(out)) == 2
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coded.pdt"]
+
+
+CHUNKED_ALPHABETS = [2, 3, 5, 36, 254, 255, 300]  # bytes to array('H') words and codes, text up to 36
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_chunked_compress_and_decompress_write_the_one_call_files(tmp_path, data):
+    k = data.draw(st.sampled_from(CHUNKED_ALPHABETS))
+    fmt = data.draw(st.sampled_from(["binary", "text"] if k <= streamio.TEXT_K_MAX else ["binary"]))
+    word = data.draw(st.lists(st.integers(0, k - 1), max_size=40))
+    plain, coded, back = tmp_path / "plain", tmp_path / "coded", tmp_path / "back"
+    write_stream(plain, word, streamio.ROLE_PLAIN, k, fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streamio, "_CHUNK", data.draw(st.integers(1, 9)))
+        assert dispatch("compress", "--in", str(plain), "--out", str(coded)) == 0
+        assert dispatch("decompress", "--in", str(coded), "--out", str(back)) == 0
+    assert coded.read_bytes() == streamio.encode_stream(compress(word, k), streamio.ROLE_CODED, k, fmt)
+    assert back.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "2", "--n-max", "5"],
+        ["--k", "3", "--n-max", "3", "--format", "text"],
+        ["--k", "5", "--n-max", "3", "--variant", "paired-enum", "--seed", "29"],
+        ["--k", "36", "--n-max", "2", "--format", "text"],
+        ["--k", "254", "--n-max", "1"],
+        ["--k", "255", "--n-max", "1"],
+        ["--k", "300", "--n-max", "1"],
+    ],
+    ids=lambda argv: "-".join(argv[1::2]),
+)
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunked_gen_writes_the_one_call_file(tmp_path, monkeypatch, argv, chunk):
+    out = tmp_path / "seq"
+    monkeypatch.setattr(streamio, "_CHUNK", chunk)
+    assert dispatch("gen", *argv, "--out", str(out)) == 0
+    args = _build_parser().parse_args(["gen", *argv, "--out", str(out)])
+    segments = iter_mirrored_segments(args.k, args.n_max, variant=args.variant, seed=args.seed)
+    symbols = [a for _, segment in segments for a in segment]
+    assert out.read_bytes() == streamio.encode_stream(symbols, streamio.ROLE_PLAIN, args.k, args.format)
+    if args.format == "binary":
+        assert streamio.HEADER.unpack_from(out.read_bytes())[4] == len(symbols)
+
+
+def message_of(call) -> str:
+    """The message of the ValueError that a whole-buffer call raises."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the call did not fail")
+
+
+def coded_file(symbols, k=3):
+    return streamio.encode_stream(symbols, streamio.ROLE_CODED, k)
+
+
+# With 4-symbol chunks each fault lies in the second chunk.  At k = 3 the odd marker is 3, the pair marker 4.
+ODD_MARKER_ENDS_A_CHUNK = [0, 1, 2, 3, 4, 0]  # and a marker starts the next
+ONE_PENDING_AT_A_CHUNK = [0, 1, 2, 4, 4, 0]  # the first chunk leaves one symbol for the pair marker
+CODE_OUT_OF_RANGE = coded_file([0, 1, 2, 0, 1, 2])[:-2] + b"\x09\x00"
+STRAY_CHARACTER = b"k=3 role=0\n0120!1\n"
+PLAIN_K2 = streamio.encode_stream([0, 1] * 4, streamio.ROLE_PLAIN, 2)
+
+# command, input file, and the error message of the whole-buffer call ({inp}: the input path)
+LATER_CHUNK_ERRORS = {
+    "odd-marker-then-marker": (
+        ["decompress"], coded_file(ODD_MARKER_ENDS_A_CHUNK),
+        message_of(lambda: codec.decompress(ODD_MARKER_ENDS_A_CHUNK, 3)),
+    ),
+    "pair-marker-one-pending": (
+        ["decompress"], coded_file(ONE_PENDING_AT_A_CHUNK),
+        message_of(lambda: codec.decompress(ONE_PENDING_AT_A_CHUNK, 3)),
+    ),
+    "code-out-of-range": (
+        ["decompress"], CODE_OUT_OF_RANGE, message_of(lambda: streamio.decode_stream(CODE_OUT_OF_RANGE)),
+    ),
+    "stray-character": (
+        ["compress"], STRAY_CHARACTER, message_of(lambda: streamio.decode_stream(STRAY_CHARACTER)),
+    ),
+    "text-past-36": (
+        ["gen", "--k", "40", "--n-max", "1", "--format", "text"], None,
+        message_of(lambda: streamio.encode_stream([], streamio.ROLE_PLAIN, 40, "text")),
+    ),
+    "k-mismatch": (["compress", "--k", "3"], PLAIN_K2, "--k 3 does not match the stream alphabet size 2"),
+    "role-mismatch": (["decompress"], PLAIN_K2, "{inp} is a role-0 stream, decompress expects role 1"),
+}
+
+
+@pytest.mark.parametrize("before", [None, b"what the output held"], ids=["no-output", "old-output"])
+@pytest.mark.parametrize("name", LATER_CHUNK_ERRORS)
+def test_an_error_in_a_later_chunk_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys, name, before):
+    argv, data, message = LATER_CHUNK_ERRORS[name]
+    inp, out = tmp_path / "in", tmp_path / "out"
+    if data is not None:
+        inp.write_bytes(data)
+        argv = [*argv, "--in", str(inp)]
+    if before is not None:
+        out.write_bytes(before)
+    monkeypatch.setattr(streamio, "_CHUNK", 4)
+    assert dispatch(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(inp=inp)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"] * (data is not None) + ["out"] * (before is not None)
+    assert before is None or out.read_bytes() == before
+
+
+def test_in_place_round_trip(tmp_path, monkeypatch):
+    path, original = tmp_path / "seq", tmp_path / "original"
+    assert dispatch("gen", "--k", "5", "--n-max", "3", "--out", str(original)) == 0
+    path.write_bytes(original.read_bytes())
+    path.chmod(0o640)
+    monkeypatch.setattr(streamio, "_CHUNK", 64)
+    assert dispatch("compress", "--in", str(path), "--out", str(path)) == 0
+    assert path.read_bytes()[:4] == streamio.MAGIC and path.stat().st_size < original.stat().st_size
+    assert dispatch("decompress", "--in", str(path), "--out", str(path)) == 0
+    assert path.read_bytes() == original.read_bytes()
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["original", "seq"]
+
+
+def into_pipe(*argv) -> tuple[int, bytes]:
+    """Run a command whose ``--out`` is the write end of a pipe; its exit status and what the pipe got."""
+    read, write = os.pipe()
+    try:
+        status = dispatch(*argv, "--out", f"/dev/fd/{write}")
+    finally:
+        os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        return status, fh.read()
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress"])
+def test_binary_compress_and_decompress_refuse_a_pipe(tmp_path, capsys, command):
+    inp = tmp_path / "in"
+    role = streamio.ROLE_PLAIN if command == "compress" else streamio.ROLE_CODED
+    write_stream(inp, [0, 1, 1, 0], role, 2)
+    status, written = into_pipe(command, "--in", str(inp))
+    assert (status, written) == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("error: /dev/fd/") and "not seekable" in err
+
+
+def test_text_output_and_binary_gen_go_into_a_pipe(tmp_path):
+    plain = tmp_path / "plain"
+    assert dispatch("gen", "--k", "3", "--n-max", "3", "--out", str(plain)) == 0
+    assert into_pipe("gen", "--k", "3", "--n-max", "3") == (0, plain.read_bytes())
+    coded = codec.compress(streamio.decode_stream(plain.read_bytes()).symbols, 3)
+    expected = streamio.encode_stream(coded, streamio.ROLE_CODED, 3, "text")
+    assert into_pipe("compress", "--in", str(plain), "--format", "text") == (0, expected)
+    (tmp_path / "coded").write_bytes(expected)
+    back = streamio.decode_stream(plain.read_bytes()).symbols
+    assert into_pipe("decompress", "--in", str(tmp_path / "coded")) == (
+        0, streamio.encode_stream(back, streamio.ROLE_PLAIN, 3, "text")
+    )
+
+
+def test_file_command_memory_is_bounded_by_a_chunk(tmp_path, monkeypatch):
+    """Peak traced memory of compress and decompress is the same for 2 and for 8 chunks of input.
+
+    Every word of a paired-enum file drains the stack, so the codec holds no more than a chunk either.
+    """
+    chunk = 1 << 12
+    monkeypatch.setattr(streamio, "_CHUNK", chunk)
+    *_, (_, segment) = iter_mirrored_segments(2, 4, variant="paired-enum", seed=1)
+    plain, coded, back = tmp_path / "plain", tmp_path / "coded", tmp_path / "back"
+    commands = (["compress", "--in", str(plain), "--out", str(coded)],
+                ["decompress", "--in", str(coded), "--out", str(back)])
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for chunks in (2, 2, 8):  # the first pass warms up the parser and the codec's caches
+            write_stream(plain, segment * (chunks * chunk // len(segment)), streamio.ROLE_PLAIN, 2)
+            for argv in commands:
+                gc.collect()
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert dispatch(*argv) == 0
+                peaks[argv[0], chunks] = tracemalloc.get_traced_memory()[1] - start
+            assert back.read_bytes() == plain.read_bytes()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = 2 * chunk  # a binary body holds two bytes per symbol
+    for command in ("compress", "decompress"):
+        assert abs(peaks[command, 8] - peaks[command, 2]) < chunk_bytes
+        assert peaks[command, 8] < 24 * chunk_bytes
 
 
 def test_usage_errors_exit_2(capsys):

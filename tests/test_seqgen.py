@@ -106,7 +106,7 @@ def test_wide_alphabets_match_direct_enumeration(k, n):
 def test_no_segments_is_an_error_before_the_first(n_max):
     for variant in (PAIRED_LEX, PAIRED_ENUM):
         with pytest.raises(ValueError, match="n-max"):
-            next(iter_mirrored_segments(3, n_max, variant=variant))
+            iter_mirrored_segments(3, n_max, variant=variant)  # raised by the call, not by next()
 
 
 def test_a_seed_for_paired_lex_is_an_error_before_the_first():

@@ -1,11 +1,14 @@
 """Bit-exact serialization of symbol streams."""
 
+import io
+import re
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcomp import streamio
 from pdtcomp.codec import CodecError, decompress
 from pdtcomp.seqgen import mirrored_segment
 from pdtcomp.streamio import (
@@ -23,6 +26,8 @@ from pdtcomp.streamio import (
     decode_stream,
     detect_format,
     encode_stream,
+    read_chunks,
+    write_chunks,
 )
 
 
@@ -261,3 +266,52 @@ def test_decoders_raise_only_format_and_codec_errors(data):
         decompress(decoded.symbols, decoded.k)
     except CodecError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chunks_read_and_written_make_the_whole_stream(data):
+    k = data.draw(st.sampled_from([2, 3, 5, 36, 254, 255, 300]))
+    role = data.draw(st.sampled_from([ROLE_PLAIN, ROLE_CODED]))
+    fmt = data.draw(st.sampled_from(["binary", "text"] if k <= 36 else ["binary"]))
+    symbols = data.draw(st.lists(st.integers(0, code_limit(role, k) - 1), max_size=40))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(symbols)), max_size=4)))
+    pieces = [symbols[a:b] for a, b in zip([0, *cuts], [*cuts, len(symbols)])]
+    whole = encode_stream(symbols, role, k, fmt)
+    chunk = data.draw(st.integers(1, 9))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streamio, "_CHUNK", chunk)
+        out = io.BytesIO()
+        assert write_chunks(out, pieces, role, k, fmt) == len(symbols)
+        stream = read_chunks(io.BytesIO(whole))
+        chunks = list(stream.chunks)
+    assert out.getvalue() == whole
+    assert stream[:3] == (fmt, role, k)
+    assert all(len(c) <= chunk for c in chunks)
+    assert [a for c in chunks for a in c] == symbols
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"k=2 role=0\n01\n01\n",  # the first chunk ends in the newline
+        encode_stream([0, 1] * 5, ROLE_PLAIN, 2)[:-3],
+        encode_stream([0, 1] * 5, ROLE_PLAIN, 2) + bytes(3),
+    ],
+    ids=["second-line", "truncated", "trailing-bytes"],
+)
+def test_chunk_reader_finds_the_fault_of_a_later_chunk(monkeypatch, data):
+    with pytest.raises(StreamFormatError) as whole:
+        decode_stream(data)
+    monkeypatch.setattr(streamio, "_CHUNK", 3)
+    stream = read_chunks(io.BytesIO(data))
+    with pytest.raises(type(whole.value), match=f"^{re.escape(str(whole.value))}$"):
+        list(stream.chunks)
+
+
+def test_write_chunks_checks_a_declared_count():
+    out = io.BytesIO()
+    assert write_chunks(out, [b"\x00\x01", b"\x01"], ROLE_PLAIN, 2, count=3) == 3
+    assert out.getvalue() == encode_stream([0, 1, 1], ROLE_PLAIN, 2)
+    with pytest.raises(ValueError, match="3 symbols written, the stream declares 4"):
+        write_chunks(io.BytesIO(), [b"\x00\x01\x01"], ROLE_PLAIN, 2, count=4)
