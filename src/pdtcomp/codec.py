@@ -37,20 +37,21 @@ either direction.  From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two
 CPUs are usable and no other thread runs, a forked worker walks the second
 part of the word while the session walks the first (:func:`_fork_join`).
 The fold walks a byte stack up to k = 253 (:func:`_fold_stack`), and its
-worker starts on a fresh one.  A feed splits only a ``bytes`` or
-``bytearray`` word whose output fits bytes, and its worker starts from the
-bare bottom, at a seam near the middle where the session's stack should be
-bare.  The decompressor finds that seam by counting its codes: a plain
-code pushes one symbol, an odd marker pops one and a pair marker two.  The
-compressor reads it from the symbols before its middle alone
-(:func:`_bare_point`).  A worker's part counts only when the session's
+worker starts on a fresh one.  Both feeds split through one path,
+:func:`_split_walk`, which runs the session's own loop.  It splits only a
+``bytes`` or ``bytearray`` word whose output fits bytes, and its worker
+starts from the bare bottom, at a seam near the middle where the session's
+stack should be bare.  The worker's part counts only when the session's
 stack is bare at the seam; otherwise the session walks the rest itself, as
-it does wherever it cannot fork.  So both feeds split words built from
-drained pieces: words made of pairs ``u + u[::-1]`` (paired-enum files) code
-and decode on two cores for every k up to 254.  Paired-lex and random words
-stay in one process both ways, as their stack does not come back to the
-bare bottom near their middle.  Output, counters and errors come out
-identical either way, and the worker ends before the call returns.
+it does wherever it cannot fork.  Each session finds its own seam: the
+decompressor by counting its codes (a plain code pushes one symbol, an odd
+marker pops one and a pair marker two), the compressor from the symbols
+before its middle alone (:func:`_bare_point`).  So both feeds split words
+built from drained pieces: words made of pairs ``u + u[::-1]`` (paired-enum
+files) code and decode on two cores for every k up to 254.  Paired-lex and
+random words stay in one process both ways, as their stack does not come
+back to the bare bottom near their middle.  Output, counters and errors
+come out identical either way, and the worker ends before the call returns.
 
 The feed loops carry only what decides the next code: the stack, its top
 and, coding, whether an odd marker is pending.  A feed's counters are then
@@ -325,9 +326,9 @@ def mirror_half(word) -> int:
 
 
 # A walk of at least this many symbols may take two cores: the fold (Compressor._fold_census)
-# and a feed of a byte word (Compressor.feed, Decompressor.feed).  The fold's seam lies at least
-# _SPLIT_LEAD symbols past its middle; the decompressor looks for a bare seam among the
-# _SPLIT_LEAD codes from its middle, the compressor among the _SPLIT_WINDOW symbols before it.
+# and a feed of a byte word (_split_walk).  The fold's seam lies at least _SPLIT_LEAD symbols
+# past its middle; the decompressor looks for a bare seam among the _SPLIT_LEAD codes from its
+# middle, the compressor among the _SPLIT_WINDOW symbols before it.
 _SPLIT_MIN = 1 << 18
 _SPLIT_LEAD = 256
 _SPLIT_WINDOW = 1 << 12
@@ -342,20 +343,6 @@ def _may_fork() -> bool:
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and (threading is None or threading.active_count() == 1)
-    )
-
-
-def _splits(word, out) -> bool:
-    """Whether a feed of ``word`` into ``out`` may take two cores.
-
-    From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word coded
-    into a ``bytearray``, where :func:`_may_fork` holds.
-    """
-    return (
-        len(word) >= _SPLIT_MIN
-        and isinstance(word, (bytes, bytearray))
-        and isinstance(out, bytearray)
-        and _may_fork()
     )
 
 
@@ -427,6 +414,54 @@ def _fork_join(work, own):
     return ours, marshal.loads(reply) if status == 0 else None
 
 
+def _split_walk(session, walk, word, out, pending) -> bool:
+    """Walk ``word`` into ``out`` with ``walk``, on two cores where it may; the flag ``walk`` leaves.
+
+    ``walk(out, word, start, end, pending)`` is the session's loop,
+    :meth:`Compressor._code` or :meth:`Decompressor._decode`: it walks
+    ``word[start:end]`` on ``session._stack`` and returns ``pending``, whether
+    an odd marker is pending after it, which only the compressor's loop sets.
+    From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word walked
+    into a ``bytearray``, where :func:`_may_fork` holds, ``session._seam(word)``
+    says where to cut.  This process walks ``word[:seam]`` while a forked
+    worker walks the rest from the bare bottom with no marker pending.  The
+    worker's part is taken only when this process's stack is bare at the
+    seam; its first symbol then pushes onto the bare bottom, so an odd marker
+    pending at the seam goes in front of it, as one process would emit it.
+    A decoder's worker fails on a marker right at the seam, which would pop
+    the bare bottom.  Where the stack is not bare at the seam, and where the
+    worker fails or cannot start, this process walks the rest itself, so a
+    decoding error is raised here, as one process raises it.
+    """
+    end = len(word)
+    seam = end
+    if (
+        end >= _SPLIT_MIN
+        and isinstance(word, (bytes, bytearray))
+        and isinstance(out, bytearray)
+        and _may_fork()
+    ):
+        seam = session._seam(word)
+
+    def tail():
+        session._stack = [stack_bottom(session.k)]
+        part = bytearray()
+        return part, walk(part, word, seam, end, False), bytes(session._stack[1:])
+
+    joined = _fork_join(tail, lambda: walk(out, word, 0, seam, pending)) if seam < end else None
+    if not joined:
+        return walk(out, word, 0, end, pending)
+    pending, reply = joined
+    if reply is None or len(session._stack) > 1:
+        return walk(out, word, seam, end, pending)
+    part, pending_after, stack = reply
+    if pending:
+        out.append(session._odd)
+    out += part
+    session._stack += stack
+    return pending_after
+
+
 def _fold_stack(k: int, entries) -> bytearray | array:
     """A fold walk's stack of ``entries``: a byte per entry up to k = 253, else the narrowest array."""
     bottom = stack_bottom(k)
@@ -481,46 +516,28 @@ class Compressor:
         """Compress ``word``; the codes emitted for it, packed.
 
         A long byte word may be coded on two cores, with the same result
-        (:meth:`_seam` says where): this session codes ``word[:seam]`` while
-        a forked worker (:meth:`_tail_codes`) codes the rest from the bare
-        bottom.  The worker's codes count only when this session's stack is
-        bare at the seam; otherwise, and where the worker fails or cannot
-        start, this session codes the rest itself.
+        (:func:`_split_walk`, cut where :meth:`_seam` says).
         """
         word = self._start_feed(word)
         out = packed_buffer(self.k + 2)
-        end = len(word)
-        seam = self._seam(word, out)
         run = self._open_run
         depth = len(self._stack)
-        joined = None
-        if seam < end:
-            joined = _fork_join(
-                lambda: self._tail_codes(word, seam), lambda: self._code(out, word, 0, seam, run & 1)
-            )
-        if not joined:
-            pending = self._code(out, word, 0, end, run & 1)
-        elif self._join(out, *joined):
-            pending = joined[1][1]  # the worker's flag
-        else:
-            pending = self._code(out, word, seam, end, joined[0])
-        self._count_codes(out, end, run, pending, len(self._stack) - depth)
-        self._read += end
+        pending = _split_walk(self, self._code, word, out, run & 1)
+        self._count_codes(out, len(word), run, pending, len(self._stack) - depth)
+        self._read += len(word)
         return frozen(out)
 
-    def _seam(self, word, out) -> int:
-        """Where ``feed`` splits ``word`` coded into ``out``; the end of ``word`` where it does not.
+    def _seam(self, word) -> int:
+        """Where :func:`_split_walk` cuts ``word``; the end of ``word`` where it does not.
 
-        Where :func:`_splits` holds, the seam is the point :func:`_bare_point`
-        picks among the ``_SPLIT_WINDOW`` symbols before the middle, and the
-        word splits only where its stack recurs at least once per 16 of them.
-        Every word of a paired-enum file drains the stack, so there the stack
-        that recurs is the bare one.  Paired-lex and random words do not come
-        back to one stack that often, and are coded in one process.
+        The seam is the point :func:`_bare_point` picks among the
+        ``_SPLIT_WINDOW`` symbols before the middle, and the word is cut only
+        where its stack recurs at least once per 16 of them.  Every word of a
+        paired-enum file drains the stack, so there the stack that recurs is
+        the bare one.  Paired-lex and random words do not come back to one
+        stack that often, and are coded in one process.
         """
         end = len(word)
-        if not _splits(word, out):
-            return end
         middle = end // 2
         start = max(middle - _SPLIT_WINDOW, 0)
         seam, seen = _bare_point(word, start, middle)
@@ -590,32 +607,6 @@ class Compressor:
         self._pairs += (run >> 1) + pairs - (open_run >> 1)
         self._clustered += closed - singles
         self._open_run = open_run
-
-    def _tail_codes(self, word, seam: int) -> tuple:
-        """The worker's part of a split feed: the codes of ``word[seam:]`` and the stack they leave.
-
-        The worker codes from the bare bottom with no odd marker pending.
-        Returns the codes, the pending flag and the stack above the bottom.
-        """
-        self._stack = [stack_bottom(self.k)]
-        out = packed_buffer(self.k + 2)
-        pending = self._code(out, word, seam, len(word), False)
-        return out, pending, bytes(self._stack[1:])
-
-    def _join(self, out, pending: bool, reply) -> bool:
-        """Take a worker's part when this session's stack is bare at the seam; whether it was.
-
-        The worker's first symbol then pushes onto the bare bottom, so it
-        emits the odd marker ``pending`` at the seam as one process would.
-        """
-        if reply is None or len(self._stack) > 1:
-            return False
-        codes, _, stack = reply
-        if pending:
-            out.append(self._odd)
-        out += codes
-        self._stack += stack
-        return True
 
     def consume(self, word) -> None:
         """Like ``feed`` but only the counters are updated.
@@ -845,54 +836,40 @@ class Decompressor:
         """Decode ``word``; the symbols it stands for, packed.
 
         A long byte word may be decoded on two cores, with the same result
-        (:meth:`_seam` says where): this session decodes ``word[:seam]``
-        while a forked worker (:meth:`_tail_decode`) decodes the rest from
-        the bare bottom.  The worker's symbols count only when this session's
-        stack is bare at the seam; otherwise, where the worker fails and
-        where it cannot start, this session decodes the rest itself, so a
-        malformed stream raises the same error at the same position and leaves
-        the same failed session.
+        (:func:`_split_walk`, cut where :meth:`_seam` says): a malformed
+        stream raises the same error at the same position and leaves the same
+        failed session.
         """
         if self._failed:
             raise CodecError("decompressor session already failed on a malformed stream")
         word = packed(word, self.k + 2, "coded symbol")
         out = packed_buffer(self.k)
-        end = len(word)
-        seam = self._seam(word, out)
         self._failed = True
-        joined = None
-        if seam < end:
-            joined = _fork_join(
-                lambda: self._tail_decode(word, seam), lambda: self._decode(out, word, 0, seam)
-            )
-        if not joined:
-            self._decode(out, word, 0, end)
-        elif not self._join(out, joined[1]):
-            self._decode(out, word, seam, end)
+        _split_walk(self, self._decode, word, out, False)
         self._failed = False
-        self._read += end
-        if end:
+        self._read += len(word)
+        if word:
             self._after_odd = word[-1] == self.k
         self._written += len(out)
         return frozen(out)
 
-    def _seam(self, word, out) -> int:
-        """Where ``feed`` splits ``word`` decoded into ``out``; the end of ``word`` where it does not.
+    def _seam(self, word) -> int:
+        """Where :func:`_split_walk` cuts ``word``; the end of ``word`` where it does not.
 
-        Where :func:`_splits` holds and the markers fit a byte (k up to 254),
-        the seam is the first of the ``_SPLIT_LEAD`` codes from the middle of
-        ``word`` before which the stack is bare.  A plain code pushes, an odd
-        marker pops one symbol and a pair marker two, so the depth at the
-        middle follows from the entry depth and two counts, and each code
-        after it moves the depth by a known step.  Where the first half is
-        well formed, that depth is exact.  Every word of a paired-enum file
-        drains the stack; random and paired-lex codes do not come back to the
-        bottom near their middle, and are decoded in one process.
+        Where the markers fit a byte (k up to 254), the seam is the first of
+        the ``_SPLIT_LEAD`` codes from the middle of ``word`` before which the
+        stack is bare.  A plain code pushes, an odd marker pops one symbol and
+        a pair marker two, so the depth at the middle follows from the entry
+        depth and two counts, and each code after it moves the depth by a
+        known step.  Where the first half is well formed, that depth is exact.
+        Every word of a paired-enum file drains the stack; random and
+        paired-lex codes do not come back to the bottom near their middle, and
+        are decoded in one process.
         """
         end = len(word)
-        if self.k >= 255 or not _splits(word, out):
-            return end
         k = self.k
+        if k >= 255:
+            return end
         middle = end // 2
         depth = len(self._stack) - 1 + middle - 2 * word.count(k, 0, middle) - 3 * word.count(k + 1, 0, middle)
         for seam, b in enumerate(word[middle : middle + _SPLIT_LEAD], middle):
@@ -901,12 +878,13 @@ class Decompressor:
             depth += 1 if b < k else k - 1 - b  # an odd marker pops one symbol, a pair marker two
         return end
 
-    def _decode(self, out, word, start: int, end: int) -> None:
-        """Decode ``word[start:end]`` into ``out`` on the session's stack.
+    def _decode(self, out, word, start: int, end: int, pending: bool) -> bool:
+        """Decode ``word[start:end]`` into ``out`` on the session's stack; ``pending`` as it came.
 
-        The loop carries the stack and its top, and stops short of a marker
-        after an odd marker, found before it; a bad code's position follows
-        from the symbols emitted.  The top lives in a local, as in
+        The walk :func:`_split_walk` runs for this session, which never has an
+        odd marker pending: ``pending`` is false.  The loop carries the stack
+        and its top, and stops short of a marker after an odd marker, found
+        before it; a bad code's position follows from the symbols emitted.  The top lives in a local, as in
         :meth:`Compressor._code`, and is back on the stack when the loop stops,
         so an error leaves the stack as it was at the bad code.
         """
@@ -942,7 +920,7 @@ class Decompressor:
                 raise MalformedStreamError(
                     f"marker at position {self._read + stop + 1} directly after an odd marker"
                 )
-            return
+            return pending
         push(top)
         position = self._position(word, start, len(out) - emitted)
         if b < k:
@@ -973,28 +951,6 @@ class Decompressor:
                 index -= 1
         except ValueError:  # none left, or ``word`` cannot hold one
             return self._read + index + 1
-
-    def _tail_decode(self, word, seam: int) -> tuple:
-        """The worker's part of a split feed: the symbols of ``word[seam:]`` and the stack they leave.
-
-        The worker decodes from the bare bottom.  A marker right at the seam
-        would pop the bare bottom, so it fails the worker whatever came before
-        it.  Any error ends the worker.  Returns the symbols and the stack
-        above its bottom.
-        """
-        self._stack = [stack_bottom(self.k)]
-        out = packed_buffer(self.k)
-        self._decode(out, word, seam, len(word))
-        return out, bytes(self._stack[1:])
-
-    def _join(self, out, reply) -> bool:
-        """Take a worker's part when this session's stack is bare at the seam; whether it was."""
-        if reply is None or len(self._stack) > 1:
-            return False
-        symbols, stack = reply
-        self._stack += stack
-        out += symbols
-        return True
 
     @property
     def stack(self) -> tuple[int, ...]:

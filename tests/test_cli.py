@@ -211,6 +211,38 @@ def test_split_compress_decompress_files_roundtrip(tmp_path, split_feeds):
     assert len(split_feeds) == 2
 
 
+def test_file_roundtrip_feeds_split_every_long_chunk_and_take_every_part(tmp_path, monkeypatch):
+    # The benchmark's file round trip.  Its 1,318,360 symbols are read in chunks of 2^19, the last of
+    # 269,784, and its 1,086,080 codes in two chunks of 2^19 and one of 37,504: every chunk from
+    # _SPLIT_MIN symbols forks a worker.  Every paired-enum word drains the stack, so the stack is bare
+    # at each seam and the worker's part is taken: this process walks nothing past a seam.
+    plain, coded, back = (tmp_path / name for name in ("plain.pdt", "coded.pdt", "back.pdt"))
+    gen = ["gen", "--k", "5", "--n-max", "7", "--variant", "paired-enum", "--seed", "1"]
+    assert dispatch(*gen, "--out", str(plain)) == 0
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    forks = []
+    walks = []  # (start, whether the walk ends short of the chunk, the chunk's length)
+    fork_join = codec._fork_join
+    monkeypatch.setattr(codec, "_fork_join", lambda work, own: forks.append(work) or fork_join(work, own))
+    for session, name in ((codec.Compressor, "_code"), (codec.Decompressor, "_decode")):
+
+        def spy(self, out, word, start, end, pending, walk=getattr(session, name)):
+            walks.append((start, end < len(word), len(word)))
+            return walk(self, out, word, start, end, pending)
+
+        monkeypatch.setattr(session, name, spy)
+    chunk = streamio._CHUNK
+    assert dispatch("compress", "--in", str(plain), "--out", str(coded)) == 0
+    assert len(forks) == 3
+    assert walks == [(0, True, chunk), (0, True, chunk), (0, True, 269_784)]
+    forks.clear()
+    walks.clear()
+    assert dispatch("decompress", "--in", str(coded), "--out", str(back)) == 0
+    assert len(forks) == 2
+    assert walks == [(0, True, chunk), (0, True, chunk), (0, False, 37_504)]
+    assert back.read_bytes() == plain.read_bytes()
+
+
 def test_compress_text_example(tmp_path):
     inp = tmp_path / "in.txt"
     out = tmp_path / "out.txt"

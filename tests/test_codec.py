@@ -733,9 +733,9 @@ def feed_spans(monkeypatch) -> list[int]:
         spans.append(end - start)
         return code(session, out, word, start, end, pending)
 
-    def spy_decode(session, out, word, start, end):
+    def spy_decode(session, out, word, start, end, pending):
         spans.append(end - start)
-        return decode(session, out, word, start, end)
+        return decode(session, out, word, start, end, pending)
 
     monkeypatch.setattr(Compressor, "_code", spy_code)
     monkeypatch.setattr(Decompressor, "_decode", spy_decode)
@@ -899,17 +899,67 @@ def test_split_feed_joins_or_falls_back(monkeypatch, session, k, word, parent_sp
     assert_no_child_left()
 
 
+@pytest.mark.parametrize(
+    "session, word",
+    [
+        (Compressor, paired_enum(3, 3)),
+        (Decompressor, compress(paired_enum(3, 3), 3)),
+        # a marker after an odd marker in the worker's part: this process decodes on to the error
+        (Decompressor, compress(paired_enum(3, 3), 3)[:40] + bytes([odd_marker(3), odd_marker(3)])),
+    ],
+    ids=["compressor", "decompressor", "decompressor-error"],
+)
+def test_split_feed_walks_on_where_the_workers_reply_is_lost(monkeypatch, session, word):
+    # The stack is bare at the seam, so the lost reply alone keeps the worker's part out.
+    in_parts = coded_in_parts if session is Compressor else decoded_in_parts
+    expected = in_parts(3, [word])
+    end = len(word)
+    seam = coding_seam(3, word)[0] if session is Compressor else bare_seam(3, word)
+    split_early(monkeypatch)
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    forks = []
+    fork_join = codec._fork_join
+
+    def reply_lost(work, own):
+        forks.append(work)
+        return fork_join(work, own)[0], None
+
+    monkeypatch.setattr(codec, "_fork_join", reply_lost)
+    spans = feed_spans(monkeypatch)
+    assert in_parts(3, [word]) == expected
+    assert len(forks) == 1 and spans == [seam, end - seam]
+    assert_no_child_left()
+
+
 def feed_joins(monkeypatch, session) -> list[bool]:
-    """Whether each worker a feed of a ``session`` forks from now on has its part taken."""
+    """Whether each worker a feed of a ``session`` forks from now on has its part taken.
+
+    A feed forks exactly when this process's first walk ends short of the word, at the seam.  It takes
+    the worker's part exactly when it returns having walked nothing past the seam; an error in this
+    process's own part decides nothing.
+    """
     joins = []
-    join = session._join
+    ends = []
+    name = "_code" if session is Compressor else "_decode"
+    walk, feed = getattr(session, name), session.feed
 
-    def spy(self, out, *reply):
-        taken = join(self, out, *reply)
-        joins.append(taken)
-        return taken
+    def spy_walk(self, out, word, start, end, pending):
+        ends.append(end)
+        return walk(self, out, word, start, end, pending)
 
-    monkeypatch.setattr(session, "_join", spy)
+    def spy_feed(self, word):
+        ends.clear()
+        returned = False
+        try:
+            out = feed(self, word)
+            returned = True
+            return out
+        finally:
+            if ends and ends[0] < len(word) and (returned or len(ends) > 1):
+                joins.append(len(ends) == 1)
+
+    monkeypatch.setattr(session, name, spy_walk)
+    monkeypatch.setattr(session, "feed", spy_feed)
     return joins
 
 
@@ -1086,8 +1136,7 @@ def test_a_decoding_seam_leaves_the_stack_bare(k, data):
     session.feed(first)
     with pytest.MonkeyPatch.context() as mp:
         split_early(mp)
-        mp.setattr(codec, "_may_fork", lambda: True)
-        seam = session._seam(second, bytearray())
+        seam = session._seam(second)
     if seam < len(second):
         session.feed(second[:seam])
         assert session.stack == (stack_bottom(k),)
