@@ -73,17 +73,42 @@ def _lex_columns(k: int, n: int) -> Iterator[Sequence[int]]:
         yield _lex_column(digits, k ** (n - 1 - j), k**j)
 
 
+def _shuffled(size: int, rng: random.Random) -> list[int]:
+    """``list(range(size))`` in the order ``rng.shuffle`` leaves it, by the same draws.
+
+    The stdlib's shuffle, inlined: for i from ``size - 1`` down to 1 it draws
+    ``getrandbits((i + 1).bit_length())`` until the draw is at most i, and swaps
+    slots i and j.  So the permutation, and the generator's state after it, are
+    ``rng.shuffle``'s, without a ``_randbelow`` call per swap.  The i whose
+    i + 1 share one bit length form a band, whose draw width and lowest i are
+    computed once.
+    """
+    order = list(range(size))
+    getrandbits = rng.getrandbits
+    top = size - 1
+    while top >= 1:
+        bits = (top + 1).bit_length()
+        low = (1 << (bits - 1)) - 1  # the least i with (i + 1).bit_length() == bits
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        top = low - 1
+    return order
+
+
 def _shuffled_columns(k: int, n: int, seed: int) -> Iterator[Sequence[int]]:
     """The columns of :func:`_lex_columns`, each read in the seeded order of the word indices.
 
-    The order is gathered from columns of g digits at a time, g the largest
-    with k**g <= 256 and at least 1: such a column holds each word's g digits
-    as one base-k number, one byte per word, and one ``bytes.translate``
-    table per digit splits the gathered column.
+    The order is ``random.Random(f"{seed}:{n}").shuffle`` of the word indices,
+    drawn by :func:`_shuffled` with the stdlib's draws inlined.  It is gathered
+    from columns of g digits at a time, g the largest with k**g <= 256 and at
+    least 1: such a column holds each word's g digits as one base-k number, one
+    byte per word, and one ``bytes.translate`` table per digit splits the
+    gathered column.
     """
-    order = list(range(k**n))
-    random.Random(f"{seed}:{n}").shuffle(order)
-    pick = itemgetter(*order)
+    pick = itemgetter(*_shuffled(k**n, random.Random(f"{seed}:{n}")))
     group = 1
     while k ** (group + 1) <= 256:
         group += 1

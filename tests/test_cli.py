@@ -554,6 +554,29 @@ def test_module_entry_point_prints_no_warning():
     assert done.stdout.splitlines()[1].split()[::2] == ["7", "true"]
 
 
+def _console_entry(*argv):
+    """Run ``pdtcomp.cli.main`` (the ``pdtcomp`` console script) in a fresh process."""
+    return subprocess.run(
+        [sys.executable, "-c", "from pdtcomp.cli import main; main()", *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+
+
+def test_console_entry_flushes_its_output_and_exits_with_the_status(tmp_path, capsys):
+    # main freezes the collector before it exits: the whole CSV and the summary still arrive
+    argv = ["ratio", "--k", "3", "--n-max", "4", "--csv", "-"]
+    assert dispatch(*argv) == 0
+    in_process = capsys.readouterr()
+    done = _console_entry(*argv)
+    assert done.returncode == 0
+    assert (done.stdout, done.stderr) == (in_process.out, in_process.err)
+    assert len(done.stdout.splitlines()) == 5 and done.stderr.startswith("final rho=")
+    done = _console_entry("gen", "--k", "1", "--n-max", "2", "--out", str(tmp_path / "plain.pdt"))
+    assert done.returncode == 2
+    assert done.stdout == "" and not (tmp_path / "plain.pdt").exists()
+    assert done.stderr.startswith("error: ") and "alphabet size" in done.stderr
+
+
 FILE_COMMANDS_SCRIPT = """
 import sys
 from pdtcomp.cli import cli_dispatch

@@ -148,6 +148,27 @@ def test_seeded_enum_is_a_shuffle_of_the_paired_words(k, n, seed):
     assert list(segment) == [a for word in words for a in word]
 
 
+SHUFFLE_SEEDS = ["1:8", "3:3", "paired-enum", 0, 7, 2**70 + 1]  # gen's f"{seed}:{n}" form first
+SHUFFLE_SIZES = sorted(
+    {*range(71)}
+    | {2**j + d for j in range(1, 18) for d in (-1, 0, 1)}  # each side of a bit-length band's edge
+    | {k**n for k in range(2, 11) for n in range(1, 17) if k**n <= 5**7}
+)
+
+
+@pytest.mark.parametrize("seed", SHUFFLE_SEEDS)
+def test_inlined_shuffle_is_the_stdlib_shuffle(seed):
+    # every seed on the sizes up to 4,096; the larger sizes shared out between the seeds
+    part = SHUFFLE_SEEDS.index(seed)
+    large = [size for size in SHUFFLE_SIZES if size > 4096][part :: len(SHUFFLE_SEEDS)]
+    for size in [size for size in SHUFFLE_SIZES if size <= 4096] + large:
+        expected, stdlib = list(range(size)), random.Random(seed)
+        stdlib.shuffle(expected)
+        inlined = random.Random(seed)
+        assert seqgen._shuffled(size, inlined) == expected, size
+        assert inlined.getstate() == stdlib.getstate(), size  # the same draws, so later ones agree
+
+
 def test_enum_variant_differs_from_lex_but_same_material():
     k, n = 2, 2
     lex = list(mirrored_segment(k, n))
