@@ -28,15 +28,16 @@ every pop a push, and the runs on either side of the seam never merge.
 :meth:`Compressor.consume` therefore reads only ``w`` of such an input and
 derives every counter of the second half from the census of ``w``'s push
 and pop runs; :func:`pdtcomp.analysis.block_stats` folds its symbol-run
-census the same way.  Other input takes the same census over the whole
-word, and only its pop runs are accounted, so the compressor has two
-per-symbol loops: the census, and ``feed``, the only one that emits output.
+census the same way.  Other input is coded by ``feed``'s loop and counted
+from its codes, so the compressor has two per-symbol loops: the census of
+the fold, and ``feed``'s, the only one that emits output.
 
 Long walks take two cores: the fold walk of ``consume``, and ``feed`` in
-either direction.  From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two
-CPUs are usable and no other thread runs, a forked worker walks the second
-part of the word while the session walks the first (:func:`_fork_join`).
-The fold walks a byte stack up to k = 253 (:func:`_fold_stack`), and its
+either direction (unmirrored ``consume`` runs ``feed``'s walk).  From
+``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are usable and
+no other thread runs, a forked worker walks the second part of the word
+while the session walks the first (:func:`_fork_join`).  The fold walks a
+byte stack up to k = 253 and a list past it (:func:`_fold_stack`), and its
 worker starts on a fresh one.  Both feeds split through one path,
 :func:`_split_walk`, which runs the session's own loop.  It splits only a
 ``bytes`` or ``bytearray`` word whose output fits bytes, and its worker
@@ -194,16 +195,15 @@ def packed(word, limit: int, what: str):
     iterable becomes ``bytes`` when every symbol is below 256, else
     ``array('H')``, and a symbol that is not an integer raises ``TypeError``.
     The first symbol out of range raises ``AlphabetError``, named as ``what``.
-    Buffers are checked at C level; ``array('H')`` by :func:`_first_outside`.
+    ``bytes`` and ``bytearray`` are checked through a byte table, ``array('H')``
+    by its largest symbol.
     """
     if isinstance(word, (bytes, bytearray)):
         if limit >= 256 or not word.translate(None, bytes(range(limit))):
             return word
     elif isinstance(word, array) and word.typecode == "H":
-        bad = _first_outside(word, limit)
-        if bad < 0:
+        if not word or max(word) < limit:
             return word
-        raise AlphabetError(f"{what} {word[bad]} outside [0, {limit})")
     else:
         word = word if isinstance(word, list) else list(word)
         if not word:
@@ -213,39 +213,6 @@ def packed(word, limit: int, what: str):
             return bytes(word) if high < 256 else array("H", word)
     bad = next(a for a in word if not 0 <= a < limit)
     raise AlphabetError(f"{what} {bad} outside [0, {limit})")
-
-
-_RANGE_CHUNK = 1 << 16
-"""Symbols of an ``array('H')`` range-checked per step; bounds the check's temporaries."""
-
-
-def _first_outside(word: array, limit: int) -> int:
-    """Index of the first symbol of the ``array('H')`` ``word`` not below ``limit``, else -1.
-
-    Checked at C level over the array's bytes, ``_RANGE_CHUNK`` symbols at a
-    time, with no int per symbol.  A symbol's high byte settles it unless it
-    equals the high byte of ``limit``; then its low byte does.  Both bytes are
-    marked through tables (high: 0 below, 1 equal, 2 above; low: 2 below the
-    low byte of ``limit``, else 3), so a symbol lies outside exactly where
-    the AND of its two marks is nonzero.
-    """
-    if limit > 0xFFFF:
-        return -1
-    high, low = divmod(limit, 256)
-    high_marks = bytes(high) + b"\x01" + b"\x02" * (255 - high)
-    low_marks = b"\x02" * low + b"\x03" * (256 - low)
-    h = 1 if sys.byteorder == "little" else 0  # offset of a symbol's high byte
-    for start in range(0, len(word), _RANGE_CHUNK):
-        raw = word[start : start + _RANGE_CHUNK].tobytes()
-        highs = raw[h::2].translate(high_marks)
-        if highs.count(0) == len(highs):
-            continue
-        marks = int.from_bytes(highs, "little") & int.from_bytes(
-            raw[1 - h :: 2].translate(low_marks), "little"
-        )
-        if marks:
-            return start + ((marks & -marks).bit_length() - 1 >> 3)
-    return -1
 
 
 def packed_buffer(limit: int, size: int = 0) -> bytearray | array:
@@ -275,23 +242,19 @@ def _first_repeat(word, start: int, end: int) -> int:
 def _code_pairs(word, first: int, second: int, start: int, end: int):
     """The indices ``i`` in ``[start, end)`` where ``word`` holds ``first`` and then ``second``.
 
-    Found at C level; in ``array('H')`` over its bytes, where a match across
-    two codes is passed over but may hide one a byte later.
+    In ``bytes`` and ``bytearray`` the pair is found at C level; in
+    ``array('H')`` each ``first`` is, and the code after it compared.
     """
     if isinstance(word, array):
-        import re
-
-        pattern = re.compile(re.escape(array("H", (first, second)).tobytes()))
-        view = memoryview(word).cast("B")
-        start *= 2
-        while start < 2 * end:
-            for match in pattern.finditer(view, start, 2 * end):
-                if match.start() & 1:
-                    start = match.start() + 1
-                    break
-                yield match.start() // 2
-            else:
+        i = start
+        while i < end - 1:
+            try:
+                i = word.index(first, i, end - 1)
+            except ValueError:
                 return
+            if word[i + 1] == second:
+                yield i
+            i += 1
     elif first < 256 and second < 256:
         needle = bytes((first, second))
         i = word.find(needle, start, end)
@@ -462,10 +425,9 @@ def _split_walk(session, walk, word, out, pending) -> bool:
     return pending_after
 
 
-def _fold_stack(k: int, entries) -> bytearray | array:
-    """A fold walk's stack of ``entries``: a byte per entry up to k = 253, else the narrowest array."""
-    bottom = stack_bottom(k)
-    return bytearray(entries) if bottom < 256 else array("H" if bottom <= 0xFFFF else "I", entries)
+def _fold_stack(k: int, entries) -> bytearray | list:
+    """A fold walk's stack of ``entries``: a byte per entry up to k = 253, else a list."""
+    return bytearray(entries) if stack_bottom(k) < 256 else list(entries)
 
 
 def _fold_tallies(census) -> tuple[int, int]:
@@ -479,8 +441,8 @@ class Compressor:
     """Single-owner streaming compressor session.
 
     ``feed`` accepts any iterable of symbols below ``k`` and returns the
-    output emitted so far for them; ``consume`` does the same work without
-    materializing output (for measurement runs).  ``flush`` ends the
+    output emitted so far for them; ``consume`` updates the same counters and
+    returns nothing (for measurement runs).  ``flush`` ends the
     session, emitting one odd marker if a pop is pending.  Output is packed
     for the limit ``k + 2``: ``bytes`` up to k = 254, else ``array('H')``.
 
@@ -488,8 +450,9 @@ class Compressor:
     run still open, and the pair markers and clustered pops of the closed
     pop runs.  ``feed``'s loop carries only the stack, its top and whether an
     odd marker is pending, and counts these from its codes afterwards;
-    ``consume`` counts them from its census.  Every other counter follows
-    from these, the open run ``R`` contributing what it has emitted so far:
+    ``consume`` counts a folded palindrome from its census.  Every other
+    counter follows from these, the open run ``R`` contributing what it has
+    emitted so far:
 
     * ``savings``: pair markers emitted so far, ``R // 2`` of them in the
       open run; equals the difference between symbols read and symbols
@@ -513,19 +476,23 @@ class Compressor:
         self._open_run = 0
 
     def feed(self, word) -> bytes | array:
-        """Compress ``word``; the codes emitted for it, packed.
+        """Compress ``word``; the codes emitted for it, packed."""
+        return frozen(self._walk(self._start_feed(word)))
 
-        A long byte word may be coded on two cores, with the same result
-        (:func:`_split_walk`, cut where :meth:`_seam` says).
+    def _walk(self, word) -> bytearray | array:
+        """Code the packed ``word`` and count it from its codes; the codes, unfrozen.
+
+        The one route of ``feed`` and of ``consume`` on input it does not
+        fold.  A long byte word may be coded on two cores, with the same
+        result (:func:`_split_walk`, cut where :meth:`_seam` says).
         """
-        word = self._start_feed(word)
         out = packed_buffer(self.k + 2)
         run = self._open_run
         depth = len(self._stack)
         pending = _split_walk(self, self._code, word, out, run & 1)
         self._count_codes(out, len(word), run, pending, len(self._stack) - depth)
         self._read += len(word)
-        return frozen(out)
+        return out
 
     def _seam(self, word) -> int:
         """Where :func:`_split_walk` cuts ``word``; the end of ``word`` where it does not.
@@ -609,47 +576,39 @@ class Compressor:
         self._open_run = open_run
 
     def consume(self, word) -> None:
-        """Like ``feed`` but only the counters are updated.
+        """Like ``feed`` but the codes are not returned.
 
-        One run census (:meth:`_census`), accounted two ways.  An even
-        palindrome ``w + w[::-1]`` is folded: only ``w`` is walked, and each
-        run of ``w``, push or pop, counts as one pop run of the whole input,
-        except a leading push run of ``w``, which comes back last and stays
-        open.  A long ``w`` may be walked on two cores
-        (:meth:`_fold_census`), with the same result.  Any other input is
-        walked whole; its pop runs count as they are, and its pops follow
-        from the change in stack depth.  A closed run of ``m`` pops codes to
-        ``m // 2`` pair markers plus an odd marker when ``m`` is odd, and
-        only closed runs are stored.  Both routes leave the same counters,
-        state and stack as ``feed``; the fold walks a copy of the stack.
+        An even palindrome ``w + w[::-1]`` is folded: only ``w`` is walked
+        (:meth:`_census`), and each run of ``w``, push or pop, counts as one
+        pop run of the whole input, except a leading push run of ``w``, which
+        comes back last and stays open.  A closed run of ``m`` pops codes to
+        ``m // 2`` pair markers plus an odd marker when ``m`` is odd, and only
+        closed runs are stored.  A long ``w`` may be walked on two cores
+        (:meth:`_fold_census`), with the same result; the fold walks a copy
+        of the stack.  Any other input takes ``feed``'s walk (:meth:`_walk`),
+        which codes it and counts it from the codes, so it takes two cores
+        where ``feed`` would.  Both routes leave the same counters, state and
+        stack as ``feed``.
         """
         word = self._start_feed(word)
-        stack = self._stack
-        entry_run = self._open_run
-        entering = (0, 0, 0, 0, entry_run, entry_run > 0)
-        length = len(word)
         half = mirror_half(word)
-        if half:
-            starts_popping = stack[-1] == word[0]
-            singles, odd = self._fold_census(word, half, entering)
-            total = entry_run + half
-            if starts_popping:
-                open_run = 0
-            else:
-                open_run = _first_repeat(word, 1, half)  # where the leading push run ends
-                odd -= open_run & 1
-                singles -= open_run == 1
+        if not half:
+            self._walk(word)
+            return
+        entry_run = self._open_run
+        starts_popping = self._stack[-1] == word[0]
+        singles, odd = self._fold_census(word, half, (0, 0, 0, 0, entry_run, entry_run > 0))
+        if starts_popping:
+            open_run = 0
         else:
-            depth = len(stack)
-            singles, pop_odd, _, _, last, popping = self._census(stack, word, 0, length, entering)
-            odd = singles + pop_odd
-            total = entry_run + (length - len(stack) + depth) // 2
-            open_run = last if popping else 0
-        closed = total - open_run
+            open_run = _first_repeat(word, 1, half)  # where the leading push run ends
+            odd -= open_run & 1
+            singles -= open_run == 1
+        closed = entry_run + half - open_run
         self._open_run = open_run
         self._pairs += (closed - odd) // 2
         self._clustered += closed - singles
-        self._read += length
+        self._read += len(word)
 
     def _fold_census(self, word, half: int, state) -> tuple[int, int]:
         """Runs of length 1 and runs of odd length, push and pop alike, of the walk of ``word[:half]``.
@@ -719,11 +678,9 @@ class Compressor:
         and whether it pops.  The walk continues the tallies and the open
         run of ``state``, so a first step of the open run's kind extends it.
 
-        ``stack`` is the session's list or a :func:`_fold_stack`.  Its top
-        lives in a local during the walk and is back on the stack when the
-        call returns: CPython 3.11 specializes ``list[i]`` only for
-        non-negative ``i``, so reading ``stack[-1]`` per symbol would run the
-        generic subscript.
+        The fold's walk, in this process and in its worker: ``stack`` is a
+        :func:`_fold_stack`.  Its top lives in a local during the walk and is
+        back on the stack when the call returns, as in :meth:`_code`.
         """
         pop_singles, pop_odd, push_singles, push_odd, run, popping = state
         push = stack.append

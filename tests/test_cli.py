@@ -674,6 +674,20 @@ def test_ratio_enum_variant(tmp_path):
     assert all(r.split(",")[7] == "" for r in rows)
 
 
+@pytest.mark.parametrize("may_fork", [True, False], ids=["split", "one-process"])
+def test_paired_enum_ratio_keeps_its_digest_where_its_segment_splits(tmp_path, monkeypatch, may_fork):
+    # Segment 7 holds 1,093,750 symbols, past _SPLIT_MIN, and is no palindrome: consume codes it with
+    # feed's walk, which forks once where it may.  The digest is the one pinned before that route.
+    csv_path = tmp_path / "enum.csv"
+    monkeypatch.setattr(codec, "_may_fork", lambda: may_fork)
+    forks = counted_forks(monkeypatch)
+    argv = ["ratio", "--k", "5", "--n-max", "7", "--variant", "paired-enum", "--seed", "1"]
+    assert dispatch(*argv, "--csv", str(csv_path)) == 0
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == "c7deb948240048edf38823974333dbedfd9b22385ae4d4114adaf9d07c62051c"
+    assert len(forks) == (1 if may_fork else 0)
+
+
 def test_verify_passes_and_prints_per_property(capsys, monkeypatch):
     seen = {"compress_run": [], "block_stats": []}
 

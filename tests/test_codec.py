@@ -156,14 +156,14 @@ def test_packed_reads_buffers_in_place_and_packs_other_words():
 
 @pytest.mark.parametrize("limit", [2, 255, 256, 257, 300, 512, 65535, 65536])
 def test_packed_checks_wide_words_at_the_limit(limit):
-    """An ``array('H')`` word is checked over its bytes; the first symbol past ``limit`` is named.
+    """An ``array('H')`` word is checked in place; the first symbol past ``limit`` is named.
 
-    Every other symbol is the largest one allowed, so each chunk of the check
-    meets the high byte of ``limit`` and only the probe can lie outside.
+    Every other symbol is the largest one allowed, so only the probe can lie
+    outside, at either end of the word or on either side of 1 << 16 symbols.
     """
-    size = codec._RANGE_CHUNK + 3
+    size = (1 << 16) + 3
     for probe in {limit - 1, limit, 255, 256, 65535} - {65536}:
-        for at in (0, 1, codec._RANGE_CHUNK - 1, codec._RANGE_CHUNK, size - 1):
+        for at in (0, 1, (1 << 16) - 1, 1 << 16, size - 1):
             word = array("H", [min(limit - 1, 65535)]) * size
             word[at] = probe
             if probe < limit:
@@ -173,7 +173,7 @@ def test_packed_checks_wide_words_at_the_limit(limit):
                     packed(word, limit, "coded symbol")
     if limit <= 65535:
         word = array("H", [limit - 1]) * size
-        word[7], word[9], word[codec._RANGE_CHUNK + 1] = limit, 65535, 65535
+        word[7], word[9], word[(1 << 16) + 1] = limit, 65535, 65535
         with pytest.raises(AlphabetError, match=rf"coded symbol {limit} outside"):
             packed(word, limit, "coded symbol")
 
@@ -522,7 +522,7 @@ def test_consume_routes_only_mirrored_input_through_the_fold(monkeypatch):
     session.consume([0, 1, 2, 2, 1, 0])
     session.consume([0, 1, 2, 2, 1, 1])
     session.consume([0, 1, 0])
-    assert spans == [(0, 3), (0, 6), (0, 3)]
+    assert spans == [(0, 3)]
 
 
 def split_early(monkeypatch) -> None:
@@ -598,12 +598,12 @@ def test_split_consume_matches_feed_on_wide_alphabet_arrays(data):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("k", [253, 254, codec.K_MAX], ids=["bytearray", "array-H", "array-I"])
+@pytest.mark.parametrize("k", [253, 254, codec.K_MAX], ids=["bytearray", "list", "list-k-max"])
 @pytest.mark.parametrize("split", [False, True], ids=["one-process", "split"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_fold_matches_feed_at_the_stack_form_boundaries(k, split, data):
-    # k = 253 is the last alphabet whose bottom k + 2 fits a byte, K_MAX the first past array('H').
+    # k = 253 is the last alphabet whose bottom k + 2 fits a byte; past it the fold walks a list.
     assert codec._fold_stack(k, (stack_bottom(k),)).pop() == stack_bottom(k)
     symbols = [0, 1, k - 2, k - 1]
     prefix = data.draw(st.lists(st.sampled_from(symbols), max_size=40))
@@ -656,7 +656,7 @@ def test_split_consume_joins_or_falls_back(monkeypatch, k, n, parent_spans):
     assert seam < half
     spans = census_spans(monkeypatch)
     fed_and_consumed(k, ([1, 0], w + w[::-1]))
-    assert spans == [(0, 2)] + parent_spans(middle, seam, half)
+    assert spans == parent_spans(middle, seam, half)
     assert_no_child_left()
 
 
@@ -698,12 +698,39 @@ cannot_fork = pytest.mark.parametrize(
 
 @cannot_fork
 def test_split_consume_walks_in_one_process_where_it_cannot_fork(monkeypatch, host):
+    # The fold's census, and feed's walk of the unmirrored paired-enum segment, fed and consumed.
     split_early(monkeypatch)
     host(monkeypatch)
     w = list(lex_concat(4, 4))
+    enum = paired_enum(4, 3)
     spans = census_spans(monkeypatch)
-    fed_and_consumed(4, (w + w[::-1],))
+    codes = feed_spans(monkeypatch)
+    fed_and_consumed(4, (w + w[::-1], enum))
     assert spans == [(0, len(w))]
+    assert codes == [2 * len(w), len(enum), len(enum)]
+    assert_no_child_left()
+
+
+def test_unmirrored_consume_codes_on_two_cores_like_feed(monkeypatch):
+    # A paired-enum segment is no palindrome, so consume codes it with feed's walk.  Its words drain
+    # the stack, so the stack is bare at the seam, the worker's part is taken and this process codes
+    # up to the seam only.  The prefix leaves the stack bare and an odd marker pending.
+    prefix, word = bytes([0, 1, 1, 0, 2, 2]), paired_enum(3, 3)
+    assert not mirror_half(prefix) and not mirror_half(word)
+    fed = Compressor(3)
+    for part in (prefix, word):
+        fed.feed(part)
+    seam = coding_seam(3, word, prefix)[0]
+    split_early(monkeypatch)
+    forks = []
+    fork_join = codec._fork_join
+    monkeypatch.setattr(codec, "_fork_join", lambda work, own: forks.append(work) or fork_join(work, own))
+    spans = feed_spans(monkeypatch)
+    counted = Compressor(3)
+    for part in (prefix, word):
+        counted.consume(part)
+    assert snapshot(counted) == snapshot(fed)
+    assert len(forks) == 1 and spans == [len(prefix), seam]
     assert_no_child_left()
 
 
@@ -1486,3 +1513,6 @@ def test_code_pairs_pass_over_matches_that_straddle_two_codes(data):
         i for i in range(start, end - 1) if (codes[i] & 255, codes[i + 1] & 255) == (5, 4)
     ]
     assert list(codec._code_pairs(array("H", [1280, 1029, k + 1, k]), k + 1, k, 0, 4)) == [2]
+    held = array("H", [k + 1, k])  # holds the pair, but no range below spans it
+    for start, end in ((0, 0), (0, 1), (2, 2)):
+        assert list(codec._code_pairs(held, k + 1, k, start, end)) == []
