@@ -12,10 +12,12 @@ exit-time collection over every object the imports made.
 ``gen``, ``compress`` and ``decompress`` move their files in chunks
 (:func:`~pdtcomp.streamio.read_chunks`, :func:`~pdtcomp.streamio.write_chunks`):
 ``gen`` writes each segment as it is built, and ``compress`` and
-``decompress`` feed each chunk through one codec session and write its codes
-at once.  So ``gen`` holds one segment, and ``compress`` and ``decompress`` a
-chunk and the session's stack, never the file.  An output file is replaced
-only once it is complete (:func:`_write_output`).
+``decompress``, one option set and one handler (:func:`_cmd_convert`) that
+differ only by the input role, feed each chunk through one codec session and
+write its output at once.  So ``gen`` holds one segment, and ``compress`` and
+``decompress`` a chunk and the session's stack, never the file.  An output
+file is replaced only once it is complete (:func:`_write_output`).  The
+``ratio`` CSV's columns are named and filled in one place, :func:`_csv_row`.
 
 ``gen``, ``compress`` and ``decompress`` load only :mod:`~pdtcomp.codec`,
 :mod:`~pdtcomp.seqgen` and :mod:`~pdtcomp.streamio`; the ``ratio``,
@@ -40,19 +42,7 @@ import sys
 
 from . import codec, seqgen, streamio
 
-CSV_COLUMNS = [
-    "k",
-    "variant",
-    "n",
-    "prefix_len",
-    "out_len",
-    "rho",
-    "h_observed",
-    "h_expected",
-    "d",
-    "N",
-    "bound_ok",
-]
+_FORMATS = ("binary", "text")
 
 
 def main() -> None:
@@ -85,33 +75,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a sequence prefix as a plain stream")
-    p.add_argument("--k", type=int, required=True, help="alphabet size")
-    p.add_argument("--variant", choices=seqgen.VARIANTS, default=seqgen.PAIRED_LEX)
-    p.add_argument("--seed", type=int, default=None, help="word order seed (paired-enum only)")
-    p.add_argument("--n-max", type=int, required=True, help="last segment index to emit")
+    _sequence_options(p, k_help="alphabet size", n_help="last segment index to emit")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=["binary", "text"], default="binary")
+    p.add_argument("--format", choices=_FORMATS, default="binary")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("compress", help="compress a plain stream into a coded stream")
-    p.add_argument("--k", type=int, default=None, help="expected alphabet size (checked against the input header)")
-    p.add_argument("--in", dest="inp", required=True, help="input path (plain stream)")
-    p.add_argument("--out", required=True, help="output path (coded stream)")
-    p.add_argument("--format", choices=["binary", "text"], default=None, help="output format (default: same as input)")
-    p.set_defaults(handler=_cmd_compress)
-
-    p = sub.add_parser("decompress", help="decompress a coded stream into a plain stream")
-    p.add_argument("--k", type=int, default=None, help="expected alphabet size (checked against the input header)")
-    p.add_argument("--in", dest="inp", required=True, help="input path (coded stream)")
-    p.add_argument("--out", required=True, help="output path (plain stream)")
-    p.add_argument("--format", choices=["binary", "text"], default=None, help="output format (default: same as input)")
-    p.set_defaults(handler=_cmd_decompress)
+    for name, role, before, after in (
+        ("compress", streamio.ROLE_PLAIN, "plain", "coded"),
+        ("decompress", streamio.ROLE_CODED, "coded", "plain"),
+    ):
+        p = sub.add_parser(name, help=f"{name} a {before} stream into a {after} stream")
+        p.add_argument("--k", type=int, default=None, help="expected alphabet size (checked against the input header)")
+        p.add_argument("--in", dest="inp", required=True, help=f"input path ({before} stream)")
+        p.add_argument("--out", required=True, help=f"output path ({after} stream)")
+        p.add_argument("--format", choices=_FORMATS, default=None, help="output format (default: same as input)")
+        p.set_defaults(handler=_cmd_convert, role=role)
 
     p = sub.add_parser("ratio", help="measure the compression-ratio series into CSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", choices=seqgen.VARIANTS, default=seqgen.PAIRED_LEX)
-    p.add_argument("--seed", type=int, default=None, help="word order seed (paired-enum only)")
-    p.add_argument("--n-max", type=int, required=True)
+    _sequence_options(p)
     p.add_argument("--csv", default="-", help="CSV output path, '-' for stdout")
     p.set_defaults(handler=_cmd_ratio)
 
@@ -129,6 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bound)
 
     return parser
+
+
+def _sequence_options(p: argparse.ArgumentParser, k_help: str | None = None, n_help: str | None = None) -> None:
+    """The options that name a sequence prefix, shared by ``gen`` and ``ratio``."""
+    p.add_argument("--k", type=int, required=True, help=k_help)
+    p.add_argument("--variant", choices=seqgen.VARIANTS, default=seqgen.PAIRED_LEX)
+    p.add_argument("--seed", type=int, default=None, help="word order seed (paired-enum only)")
+    p.add_argument("--n-max", type=int, required=True, help=n_help)
 
 
 def _write_output(path: str, chunks, role: int, k: int, fmt: str, count: int | None = None) -> None:
@@ -176,67 +165,46 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_header(args, stream: streamio.ChunkedStream, role: int, what: str) -> None:
-    if stream.role != role:
-        raise streamio.StreamFormatError(
-            f"{args.inp} is a role-{stream.role} stream, {what} expects role {role}"
-        )
-    if args.k is not None and args.k != stream.k:
-        raise streamio.StreamFormatError(
-            f"--k {args.k} does not match the stream alphabet size {stream.k}"
-        )
-
-
-def _compressed(k: int, chunks):
-    session = codec.Compressor(k)
-    for chunk in chunks:
-        yield session.feed(chunk)
-    yield session.flush()
-
-
-def _decompressed(k: int, chunks):
-    session = codec.Decompressor(k)
-    for chunk in chunks:
-        yield session.feed(chunk)
-
-
-def _cmd_compress(args) -> int:
+def _cmd_convert(args) -> int:
+    """``compress`` or ``decompress``: feed each chunk of a stream of role ``args.role`` through one session."""
     with open(args.inp, "rb") as fh:
         stream = streamio.read_chunks(fh)
-        _check_header(args, stream, streamio.ROLE_PLAIN, "compress")
-        codes = _compressed(stream.k, stream.chunks)
-        _write_output(args.out, codes, streamio.ROLE_CODED, stream.k, args.format or stream.fmt)
+        if stream.role != args.role:
+            raise streamio.StreamFormatError(
+                f"{args.inp} is a role-{stream.role} stream, {args.command} expects role {args.role}"
+            )
+        if args.k is not None and args.k != stream.k:
+            raise streamio.StreamFormatError(f"--k {args.k} does not match the stream alphabet size {stream.k}")
+        compressing = args.role == streamio.ROLE_PLAIN
+        out_role = streamio.ROLE_CODED if compressing else streamio.ROLE_PLAIN
+        parts = _converted(compressing, stream.k, stream.chunks)
+        _write_output(args.out, parts, out_role, stream.k, args.format or stream.fmt)
     return 0
 
 
-def _cmd_decompress(args) -> int:
-    with open(args.inp, "rb") as fh:
-        stream = streamio.read_chunks(fh)
-        _check_header(args, stream, streamio.ROLE_CODED, "decompress")
-        symbols = _decompressed(stream.k, stream.chunks)
-        _write_output(args.out, symbols, streamio.ROLE_PLAIN, stream.k, args.format or stream.fmt)
-    return 0
+def _converted(compressing: bool, k: int, chunks):
+    session = codec.Compressor(k) if compressing else codec.Decompressor(k)
+    for chunk in chunks:
+        yield session.feed(chunk)
+    if compressing:
+        yield session.flush()
 
 
-def _csv_rows(k: int, variant: str, reports) -> list[list]:
-    rows = []
-    for r in reports:
-        rows.append(
-            [
-                k,
-                variant,
-                r.block,
-                r.prefix_symbols,
-                r.output_symbols,
-                repr(r.rho),
-                r.singletons,
-                "" if r.expected_singletons is None else r.expected_singletons,
-                r.savings,
-                r.clustered_pops,
-                "true" if r.bound_ok else "false",
-            ]
-        )
-    return rows
+def _csv_row(k: int, variant: str, report) -> dict:
+    """One ``ratio`` CSV row: each column name with its value, in column order."""
+    return {
+        "k": k,
+        "variant": variant,
+        "n": report.block,
+        "prefix_len": report.prefix_symbols,
+        "out_len": report.output_symbols,
+        "rho": report.rho,
+        "h_observed": report.singletons,
+        "h_expected": report.expected_singletons,  # None, no closed form, is written as ""
+        "d": report.savings,
+        "N": report.clustered_pops,
+        "bound_ok": "true" if report.bound_ok else "false",
+    }
 
 
 def _cmd_ratio(args) -> int:
@@ -245,10 +213,11 @@ def _cmd_ratio(args) -> int:
     from . import analysis
 
     reports = analysis.segment_reports(args.k, args.n_max, variant=args.variant, seed=args.seed)
+    rows = [_csv_row(args.k, args.variant, r) for r in reports]
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(_csv_rows(args.k, args.variant, reports))
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     if args.csv == "-":
         sys.stdout.write(buffer.getvalue())
     else:

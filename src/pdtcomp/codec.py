@@ -40,7 +40,7 @@ while the session walks the first (:func:`_fork_join`).  The fold walks a
 byte stack up to k = 253 and a list past it (:func:`_fold_stack`), and its
 worker starts on a fresh one.  Both feeds split through one path,
 :func:`_split_walk`, which runs the session's own loop.  It splits only a
-``bytes`` or ``bytearray`` word whose output fits bytes, and its worker
+``bytes`` or ``bytearray`` word, up to k = 254, and its worker
 starts from the bare bottom, at a seam near the middle where the session's
 stack should be bare.  The worker's part counts only when the session's
 stack is bare at the seam; otherwise the session walks the rest itself, as
@@ -121,6 +121,14 @@ def stack_bottom(k: int) -> int:
     return k + 2
 
 
+def _table(k: int, input_alphabet, output_alphabet, transitions) -> "TransducerSpec":
+    """A codec table: states 0 and 1 from 0, the k symbols on the stack over its bottom sentinel."""
+    from .engine import TransducerSpec
+
+    bottom = stack_bottom(k)
+    return TransducerSpec(input_alphabet, output_alphabet, [*range(k), bottom], (0, 1), 0, bottom, transitions)
+
+
 @lru_cache(maxsize=None)
 def build_compressor(k: int) -> "TransducerSpec":
     """Transducer table for the compressor over ``{0, ..., k-1}``.
@@ -129,14 +137,12 @@ def build_compressor(k: int) -> "TransducerSpec":
     push-and-echo, first pop of a pair (silent), second pop (pair marker),
     and push-after-odd-run (odd marker plus the pushed symbol).
     """
-    from .engine import Transition, TransducerSpec
+    from .engine import Transition
 
     check_alphabet_size(k)
-    bottom = stack_bottom(k)
     alphabet = range(k)
-    stack_syms = list(alphabet) + [bottom]
     ts: list[Transition] = []
-    for z in stack_syms:
+    for z in [*alphabet, stack_bottom(k)]:
         for a in alphabet:
             if z != a:
                 ts.append(Transition(0, z, a, (a,), 0, (z, a)))
@@ -144,15 +150,7 @@ def build_compressor(k: int) -> "TransducerSpec":
     for a in alphabet:
         ts.append(Transition(0, a, a, (), 1, ()))
         ts.append(Transition(1, a, a, (pair_marker(k),), 0, ()))
-    return TransducerSpec(
-        input_alphabet=frozenset(alphabet),
-        output_alphabet=frozenset(range(k + 2)),
-        stack_alphabet=frozenset(stack_syms),
-        states=frozenset({0, 1}),
-        initial_state=0,
-        start_symbol=bottom,
-        transitions=tuple(ts),
-    )
+    return _table(k, alphabet, range(k + 2), ts)
 
 
 @lru_cache(maxsize=None)
@@ -163,29 +161,19 @@ def build_decompressor(k: int) -> "TransducerSpec":
     marker pops and echoes the top; the pair marker pops and echoes the
     top, then an input-free move pops and echoes the next one.
     """
-    from .engine import EPSILON, Transition, TransducerSpec
+    from .engine import EPSILON, Transition
 
     check_alphabet_size(k)
-    bottom = stack_bottom(k)
     alphabet = range(k)
-    stack_syms = list(alphabet) + [bottom]
     ts: list[Transition] = []
-    for z in stack_syms:
+    for z in [*alphabet, stack_bottom(k)]:
         for a in alphabet:
             ts.append(Transition(0, z, a, (a,), 0, (z, a)))
     for z in alphabet:
         ts.append(Transition(0, z, odd_marker(k), (z,), 0, ()))
         ts.append(Transition(0, z, pair_marker(k), (z,), 1, ()))
         ts.append(Transition(1, z, EPSILON, (z,), 0, ()))
-    return TransducerSpec(
-        input_alphabet=frozenset(range(k + 2)),
-        output_alphabet=frozenset(alphabet),
-        stack_alphabet=frozenset(stack_syms),
-        states=frozenset({0, 1}),
-        initial_state=0,
-        start_symbol=bottom,
-        transitions=tuple(ts),
-    )
+    return _table(k, range(k + 2), alphabet, ts)
 
 
 def packed(word, limit: int, what: str):
@@ -384,26 +372,22 @@ def _split_walk(session, walk, word, out, pending) -> bool:
     :meth:`Compressor._code` or :meth:`Decompressor._decode`: it walks
     ``word[start:end]`` on ``session._stack`` and returns ``pending``, whether
     an odd marker is pending after it, which only the compressor's loop sets.
-    From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word walked
-    into a ``bytearray``, where :func:`_may_fork` holds, ``session._seam(word)``
-    says where to cut.  This process walks ``word[:seam]`` while a forked
-    worker walks the rest from the bare bottom with no marker pending.  The
-    worker's part is taken only when this process's stack is bare at the
-    seam; its first symbol then pushes onto the bare bottom, so an odd marker
-    pending at the seam goes in front of it, as one process would emit it.
-    A decoder's worker fails on a marker right at the seam, which would pop
-    the bare bottom.  Where the stack is not bare at the seam, and where the
-    worker fails or cannot start, this process walks the rest itself, so a
-    decoding error is raised here, as one process raises it.
+    From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word, up to
+    k = 254 (where the codes, and so both outputs, fit a byte) and where
+    :func:`_may_fork` holds, ``session._seam(word)`` says where to cut.  This
+    process walks ``word[:seam]`` while a forked worker walks the rest from
+    the bare bottom with no marker pending.  The worker's part is taken only
+    when this process's stack is bare at the seam; its first symbol then
+    pushes onto the bare bottom, so an odd marker pending at the seam goes in
+    front of it, as one process would emit it.  A decoder's worker fails on a
+    marker right at the seam, which would pop the bare bottom.  Where the
+    stack is not bare at the seam, and where the worker fails or cannot start,
+    this process walks the rest itself, so a decoding error is raised here, as
+    one process raises it.
     """
     end = len(word)
     seam = end
-    if (
-        end >= _SPLIT_MIN
-        and isinstance(word, (bytes, bytearray))
-        and isinstance(out, bytearray)
-        and _may_fork()
-    ):
+    if end >= _SPLIT_MIN and session.k <= 254 and isinstance(word, (bytes, bytearray)) and _may_fork():
         seam = session._seam(word)
 
     def tail():
@@ -813,20 +797,18 @@ class Decompressor:
     def _seam(self, word) -> int:
         """Where :func:`_split_walk` cuts ``word``; the end of ``word`` where it does not.
 
-        Where the markers fit a byte (k up to 254), the seam is the first of
-        the ``_SPLIT_LEAD`` codes from the middle of ``word`` before which the
-        stack is bare.  A plain code pushes, an odd marker pops one symbol and
-        a pair marker two, so the depth at the middle follows from the entry
-        depth and two counts, and each code after it moves the depth by a
-        known step.  Where the first half is well formed, that depth is exact.
-        Every word of a paired-enum file drains the stack; random and
-        paired-lex codes do not come back to the bottom near their middle, and
-        are decoded in one process.
+        :func:`_split_walk` asks only up to k = 254, where the markers fit a byte.
+        The seam is the first of the ``_SPLIT_LEAD`` codes from the middle of
+        ``word`` before which the stack is bare.  A plain code pushes, an odd
+        marker pops one symbol and a pair marker two, so the depth at the
+        middle follows from the entry depth and two counts, and each code
+        after it moves the depth by a known step.  Where the first half is
+        well formed, that depth is exact.  Every word of a paired-enum file
+        drains the stack; random and paired-lex codes do not come back to the
+        bottom near their middle, and are decoded in one process.
         """
         end = len(word)
         k = self.k
-        if k >= 255:
-            return end
         middle = end // 2
         depth = len(self._stack) - 1 + middle - 2 * word.count(k, 0, middle) - 3 * word.count(k + 1, 0, middle)
         for seam, b in enumerate(word[middle : middle + _SPLIT_LEAD], middle):

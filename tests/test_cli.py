@@ -366,6 +366,7 @@ ONE_PENDING_AT_A_CHUNK = [0, 1, 2, 4, 4, 0]  # the first chunk leaves one symbol
 CODE_OUT_OF_RANGE = coded_file([0, 1, 2, 0, 1, 2])[:-2] + b"\x09\x00"
 STRAY_CHARACTER = b"k=3 role=0\n0120!1\n"
 PLAIN_K2 = streamio.encode_stream([0, 1] * 4, streamio.ROLE_PLAIN, 2)
+CODED_K2 = streamio.encode_stream([0, 1] * 4, streamio.ROLE_CODED, 2)
 
 # command, input file, and the error message of the whole-buffer call ({inp}: the input path)
 LATER_CHUNK_ERRORS = {
@@ -389,6 +390,8 @@ LATER_CHUNK_ERRORS = {
     ),
     "k-mismatch": (["compress", "--k", "3"], PLAIN_K2, "--k 3 does not match the stream alphabet size 2"),
     "role-mismatch": (["decompress"], PLAIN_K2, "{inp} is a role-0 stream, decompress expects role 1"),
+    "k-mismatch-decompress": (["decompress", "--k", "3"], CODED_K2, "--k 3 does not match the stream alphabet size 2"),
+    "role-mismatch-compress": (["compress"], CODED_K2, "{inp} is a role-1 stream, compress expects role 0"),
 }
 
 
@@ -686,6 +689,13 @@ def test_paired_enum_ratio_keeps_its_digest_where_its_segment_splits(tmp_path, m
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digest == "c7deb948240048edf38823974333dbedfd9b22385ae4d4114adaf9d07c62051c"
     assert len(forks) == (1 if may_fork else 0)
+
+
+def test_paired_lex_ratio_keeps_its_digest(tmp_path):
+    csv_path = tmp_path / "lex.csv"
+    assert dispatch("ratio", "--k", "5", "--n-max", "7", "--csv", str(csv_path)) == 0
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == "046b2536a56ea02a9162028a46ce339781e73cbd04a3f58071b433ea110cd633"
 
 
 def test_verify_passes_and_prints_per_property(capsys, monkeypatch):

@@ -1245,7 +1245,8 @@ def test_split_feed_runs_in_one_process_where_a_word_or_its_output_is_not_bytes(
     assert decompress(compress(narrow, 255), 255) == narrow
     plain = bytes([0, 1, 2, 3, 4, 3, 2, 1, 0, 1])  # at k = 255 the pair marker passes a byte
     assert decompress(plain, 255) == plain
-    assert spans == [10, 8, 10, 8, 10]
+    assert decompress(plain, 256) == plain  # bytes codes, but neither marker fits a byte
+    assert spans == [10, 8, 10, 8, 10, 10]
     assert_no_child_left()
 
 
