@@ -61,11 +61,12 @@ before its loop and a bad code's position from the symbols emitted.
 
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
-(``bytes``, or ``array('H')`` past 256 codes) and range-checks its symbols.
-Words are built in :func:`packed_buffer`, which picks the same form from the
-code limit, so the sessions, :func:`compress` and :func:`decompress` return
-their output packed: ``bytes`` while every code of the output alphabet fits
-a byte, else ``array('H')``.
+(``bytes`` or ``bytearray``, or ``array('H')`` past 256 codes) and
+range-checks its symbols.  Words are built in :func:`packed_buffer`, which
+picks the form from the code limit: ``bytearray`` while every code fits a
+byte, else ``array('H')``.  The sessions, :func:`compress`,
+:func:`decompress` and :mod:`pdtcomp.seqgen` return each word as the buffer
+it was built in; nothing freezes it into a ``bytes`` copy.
 
 The engine is imported only by the table builders and :func:`compress_run`,
 so the sessions load without it.
@@ -207,15 +208,11 @@ def packed_buffer(limit: int, size: int = 0) -> bytearray | array:
     """A writable buffer of ``size`` zero symbols, for symbols below ``limit``.
 
     ``bytearray`` when every symbol fits a byte (``limit`` at most 256), else
-    ``array('H')``: the forms :func:`packed` gives, and :func:`frozen` turns
-    a finished ``bytearray`` into its ``bytes``.
+    ``array('H')``: forms :func:`packed` reads in place.  A word is returned
+    as the buffer it was built in; nothing copies it into ``bytes``.  The
+    wide form is repeated from one item, so no temporary of its size is made.
     """
-    return bytearray(size) if limit <= 256 else array("H", bytes(2 * size))
-
-
-def frozen(buffer: bytearray | array) -> bytes | array:
-    """A finished :func:`packed_buffer` as :func:`packed` returns words: ``bytes`` or ``array('H')``."""
-    return bytes(buffer) if isinstance(buffer, bytearray) else buffer
+    return bytearray(size) if limit <= 256 else array("H", [0]) * size
 
 
 _MIRROR_CHUNK = 1 << 15
@@ -427,8 +424,9 @@ class Compressor:
     ``feed`` accepts any iterable of symbols below ``k`` and returns the
     output emitted so far for them; ``consume`` updates the same counters and
     returns nothing (for measurement runs).  ``flush`` ends the
-    session, emitting one odd marker if a pop is pending.  Output is packed
-    for the limit ``k + 2``: ``bytes`` up to k = 254, else ``array('H')``.
+    session, emitting one odd marker if a pop is pending.  Output comes back
+    as the :func:`packed_buffer` it was written to, for the limit ``k + 2``:
+    ``bytearray`` up to k = 254, else ``array('H')``.
 
     The session stores its stack, the symbols read, the length of the pop
     run still open, and the pair markers and clustered pops of the closed
@@ -459,12 +457,12 @@ class Compressor:
         self._clustered = 0
         self._open_run = 0
 
-    def feed(self, word) -> bytes | array:
-        """Compress ``word``; the codes emitted for it, packed."""
-        return frozen(self._walk(self._start_feed(word)))
+    def feed(self, word) -> bytearray | array:
+        """Compress ``word``; the codes emitted for it, in the buffer they were written to."""
+        return self._walk(self._start_feed(word))
 
     def _walk(self, word) -> bytearray | array:
-        """Code the packed ``word`` and count it from its codes; the codes, unfrozen.
+        """Code the packed ``word`` and count it from its codes; returns the codes.
 
         The one route of ``feed`` and of ``consume`` on input it does not
         fold.  A long byte word may be coded on two cores, with the same
@@ -696,7 +694,7 @@ class Compressor:
         push(top)
         return pop_singles, pop_odd, push_singles, push_odd, run, popping
 
-    def flush(self) -> bytes | array:
+    def flush(self) -> bytearray | array:
         """End the session; emit the pending odd marker if there is one.
 
         Returns the emitted codes in the form ``feed`` returns: empty, or the odd marker alone.
@@ -706,7 +704,7 @@ class Compressor:
         self._finished = True
         out = packed_buffer(self.k + 2)
         self._close_run(out)
-        return frozen(out)
+        return out
 
     def _close_run(self, out) -> None:
         """Close the open pop run: count it, and emit its odd marker into ``out`` if it is odd."""
@@ -755,8 +753,8 @@ class Decompressor:
     equal to the stack top would have popped it, and an odd marker closes
     its pop run, so a plain symbol or the end of the stream follows it.
 
-    Output is packed for the limit ``k``: ``bytes`` up to k = 256, else
-    ``array('H')``.
+    Output comes back as the :func:`packed_buffer` it was written to, for the
+    limit ``k``: ``bytearray`` up to k = 256, else ``array('H')``.
 
     Its loop carries only the stack and its top.  A ``MalformedStreamError``
     names a position worked out from the symbols emitted, and ends the
@@ -773,8 +771,8 @@ class Decompressor:
         self._after_odd = False  # whether the last code read was an odd marker
         self._failed = False  # set while decoding; stays set if decoding raised
 
-    def feed(self, word) -> bytes | array:
-        """Decode ``word``; the symbols it stands for, packed.
+    def feed(self, word) -> bytearray | array:
+        """Decode ``word``; the symbols it stands for, in the buffer they were written to.
 
         A long byte word may be decoded on two cores, with the same result
         (:func:`_split_walk`, cut where :meth:`_seam` says): a malformed
@@ -792,7 +790,7 @@ class Decompressor:
         if word:
             self._after_odd = word[-1] == self.k
         self._written += len(out)
-        return frozen(out)
+        return out
 
     def _seam(self, word) -> int:
         """Where :func:`_split_walk` cuts ``word``; the end of ``word`` where it does not.
@@ -904,12 +902,13 @@ class Decompressor:
         return self._written
 
 
-def compress(word, k: int) -> bytes | array:
+def compress(word, k: int) -> bytearray | array:
     """Compress a finite word over ``{0, ..., k-1}``; packed as :meth:`Compressor.feed` packs.
 
     The session is flushed, so a trailing odd pop run ends in its odd marker
-    and the coding is injective on finite words.  The unflushed prefix
-    coding of an unbounded stream is ``Compressor(k).feed(word)``.
+    and the coding is injective on finite words; the marker is appended to
+    the buffer ``feed`` returned, in place.  The unflushed prefix coding of
+    an unbounded stream is ``Compressor(k).feed(word)``.
     """
     session = Compressor(k)
     out = session.feed(word)
@@ -917,7 +916,7 @@ def compress(word, k: int) -> bytes | array:
     return out
 
 
-def decompress(word, k: int) -> bytes | array:
+def decompress(word, k: int) -> bytearray | array:
     """Invert :func:`compress`; packed as :meth:`Decompressor.feed` packs.
 
     Accepts exactly the flushed ``compress`` image.

@@ -25,8 +25,8 @@ def random_words(k: int, count: int, rng, max_len: int) -> Iterator[list[int]]:
 def roundtrip_failures(k: int, words: Iterable[list[int]]) -> int:
     """Words that ``decompress(compress(w))`` does not give back, symbol for symbol.
 
-    Compared as lists: the codec returns ``bytes`` or ``array('H')``, which never
-    equal each other or a list of the same symbols.
+    Compared as lists: the codec returns ``bytearray`` or ``array('H')``, and
+    neither equals a list of the same symbols.
     """
     return sum(list(codec.decompress(codec.compress(w, k), k)) != list(w) for w in words)
 

@@ -8,13 +8,14 @@ at every segment boundary.  A variant pairs each enumerated word with its
 own reversal instead (``u1 r(u1) u2 r(u2) ...``), over a seeded shuffle of
 the words or, with no seed, lexicographic order.
 
-Words are sequences of small non-negative integers, held in the form
-:func:`pdtcomp.codec.packed` picks: ``bytes`` for alphabets of up to 256
-symbols and ``array('H')`` beyond.  Generation packs the alphabet once and
-builds every segment from it by slicing, repetition and joins, writing the
-digit columns of the enumerated words into a
-:func:`pdtcomp.codec.packed_buffer`, so each segment keeps that form;
-:func:`iter_mirrored_segments` holds one segment at a time.
+Words are sequences of small non-negative integers in a
+:func:`pdtcomp.codec.packed_buffer`: ``bytearray`` for alphabets of up to
+256 symbols and ``array('H')`` beyond.  Generation packs the alphabet once,
+builds each digit column of the enumerated words from it by slicing and
+repetition, and writes the columns into one buffer per segment,
+the mirrored half included.  The buffer is returned as it was filled;
+nothing freezes it into a copy, so a segment's build peaks little above
+its size.  :func:`iter_mirrored_segments` holds one segment at a time.
 """
 
 import random
@@ -23,7 +24,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .codec import check_alphabet_size, frozen, packed, packed_buffer
+from .codec import check_alphabet_size, packed, packed_buffer
 
 DEFAULT_BLOCK_CAP = 20_000_000
 """Per-segment budget: generation refuses n with n * k**n above it."""
@@ -49,28 +50,32 @@ def _check_block(k: int, n: int) -> int:
     return size
 
 
-def joined(parts: list) -> Sequence[int]:
-    """Concatenate non-empty ``parts`` held alike, keeping their form.
+def _lex_column(symbols: Sequence[int], run: int, times: int) -> bytearray | array:
+    """Each of ``symbols`` ``run`` times in a row, and that pattern ``times`` times over.
 
-    ``bytes`` or ``bytearray`` parts give ``bytes``; ``array('H')`` parts give ``array('H')``.
+    ``symbols`` is ``range(len(symbols))`` packed.  The pattern grows in a
+    :func:`pdtcomp.codec.packed_buffer` one run at a time, so its runs are
+    not held apart, and the column, a buffer, assigns into a segment's
+    strided slice without the copy that a ``bytes`` column would take.
     """
-    data = b"".join(parts)  # each part's buffer; 16-bit codes stay in native order
-    return array("H", data) if isinstance(parts[0], array) else data
+    pattern = packed_buffer(len(symbols))
+    for a in range(len(symbols)):
+        pattern += symbols[a : a + 1] * run
+    return pattern * times if times > 1 else pattern
 
 
-def _lex_column(symbols: Sequence[int], run: int, times: int) -> Sequence[int]:
-    """Each of ``symbols`` ``run`` times in a row, and that pattern ``times`` times over."""
-    return joined([symbols[a : a + 1] * run for a in range(len(symbols))]) * times
-
-
-def _lex_columns(k: int, n: int) -> Iterator[Sequence[int]]:
+def _lex_columns(k: int, n: int) -> Iterator[bytearray | array]:
     """Digit j of the k**n length-n words in lexicographic order, for j = 0 .. n-1.
 
     Column j holds each symbol k**(n-1-j) times in a row, and that pattern k**j times over.
+    A column is emptied when the next is asked for, so the caller writes it
+    out before then, and only one column is held while the next is built.
     """
     digits = packed(range(k), k, "symbol")
     for j in range(n):
-        yield _lex_column(digits, k ** (n - 1 - j), k**j)
+        column = _lex_column(digits, k ** (n - 1 - j), k**j)
+        yield column
+        del column[:]
 
 
 def _shuffled(size: int, rng: random.Random) -> list[int]:
@@ -124,36 +129,45 @@ def _shuffled_columns(k: int, n: int, seed: int) -> Iterator[Sequence[int]]:
             yield gathered.translate(bytes(v // k**place % k for v in range(256)))
 
 
-def lex_concat(k: int, n: int) -> Sequence[int]:
+def lex_concat(k: int, n: int) -> bytearray | array:
     """All k**n words of length n, in lexicographic order, concatenated.
 
     The result has n * k**n symbols, starts with n zeros and ends with n
     copies of k - 1.  Built a column at a time: digit j lands at offsets j, j + n, ...
+    of one :func:`pdtcomp.codec.packed_buffer`, which is returned as filled.
     """
     check_alphabet_size(k)
     words = packed_buffer(k, _check_block(k, n))
     for j, column in enumerate(_lex_columns(k, n)):
         words[j::n] = column
-    return frozen(words)
+    return words
 
 
-def mirrored_segment(k: int, n: int) -> Sequence[int]:
+def mirrored_segment(k: int, n: int) -> bytearray | array:
     """``lex_concat(k, n)`` followed by its reversal; 2 * n * k**n symbols.
 
     An even-length palindrome: it rewrites to the empty word under
-    adjacent-pair deletion, whatever k and n are.
+    adjacent-pair deletion, whatever k and n are.  Built in one buffer, a
+    column at a time: digit j lands at offsets j, j + n, ... of the first
+    half, and at the mirrored offsets 2·size - 1 - j, 2·size - 1 - j - n, ...
+    of the second, so neither half is built apart or copied.
     """
-    w = lex_concat(k, n)
-    return w + w[::-1]
+    check_alphabet_size(k)
+    size = _check_block(k, n)
+    segment = packed_buffer(k, 2 * size)
+    for j, column in enumerate(_lex_columns(k, n)):
+        segment[j:size:n] = column
+        segment[2 * size - 1 - j : size - 1 : -n] = column
+    return segment
 
 
-def _enum_segment(k: int, n: int, seed: int | None) -> Sequence[int]:
+def _enum_segment(k: int, n: int, seed: int | None) -> bytearray | array:
     """Every length-n word ``u`` as ``u + u[::-1]``, in lexicographic or seeded order.
 
     Built a column at a time like :func:`lex_concat`: digit j of the word in
     slot i lands at offsets 2n·i + j and 2n·i + 2n - 1 - j.  A seed shuffles
     the word indices, and each lexicographic column is read in that order
-    (:func:`_shuffled_columns`).
+    (:func:`_shuffled_columns`).  The buffer is returned as filled.
     """
     check_alphabet_size(k)
     width = 2 * n
@@ -162,7 +176,7 @@ def _enum_segment(k: int, n: int, seed: int | None) -> Sequence[int]:
     for j, column in enumerate(columns):
         pairs[j::width] = column
         pairs[width - 1 - j :: width] = column
-    return frozen(pairs)
+    return pairs
 
 
 def iter_mirrored_segments(
@@ -173,6 +187,9 @@ def iter_mirrored_segments(
     seed: int | None = None,
 ) -> Iterator[tuple[int, Sequence[int]]]:
     """An iterator of ``(n, segment)`` for n = 1 .. n_max, materializing one at a time.
+
+    Each segment is the buffer it was built in: ``bytearray`` up to k = 256,
+    ``array('H')`` beyond.
 
     An ``n_max`` below 1 or past the cap, an unknown variant or a seed for
     the unshuffled paired-lex variant raises here, before any segment is built.

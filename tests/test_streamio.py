@@ -230,7 +230,7 @@ def test_encode_reads_bytes_as_symbols(fmt):
 
 def test_encode_takes_a_generated_segment_directly():
     segment = mirrored_segment(5, 4)
-    assert isinstance(segment, bytes)
+    assert isinstance(segment, bytearray)
     encoded = encode_stream(segment, ROLE_PLAIN, 5, "binary")
     assert as_lists(decode_stream(encoded)) == (list(segment), ROLE_PLAIN, 5)
 
