@@ -192,11 +192,18 @@ def _rho(k: int, read: int, written: int) -> float:
 
 
 def _consumed_segments(k: int, n_max: int, variant: str, seed: int | None):
-    """Yield ``(n, segment, session)`` once one unflushed session has consumed each segment."""
+    """Yield ``(n, segment, session)`` once one unflushed session has consumed each segment.
+
+    The generator drops its reference to segment n when it resumes, before
+    it asks for segment n + 1.  A caller must drop its own (``del`` the loop
+    variable in the loop body) before the next step, so that segment n + 1
+    is built while no other segment is live.
+    """
     session = Compressor(k)
     for n, segment in iter_mirrored_segments(k, n_max, variant=variant, seed=seed):
         session.consume(segment)
         yield n, segment, session
+        del segment
 
 
 def segment_reports(
@@ -219,13 +226,15 @@ def segment_reports(
     prev_clustered = 0
     for n, segment, session in _consumed_segments(k, n_max, variant, seed):
         singletons = block_stats(segment)
+        length = len(segment)
+        del segment
         expected = None
         if variant == PAIRED_LEX and n >= 3:
             expected = expected_singletons(k, n)
         reports.append(
             SegmentReport(
                 block=n,
-                segment_length=len(segment),
+                segment_length=length,
                 prefix_symbols=session.symbols_read,
                 output_symbols=session.symbols_written,
                 rho=_rho(k, session.symbols_read, session.symbols_written),
@@ -252,7 +261,9 @@ def ratio_series(
     Counter-only variant of :func:`segment_reports`: same session, same
     checkpoints, none of the per-segment census work.
     """
-    return [
-        RatioPoint(n, s.symbols_read, s.symbols_written, _rho(k, s.symbols_read, s.symbols_written))
-        for n, _, s in _consumed_segments(k, n_max, variant, seed)
-    ]
+    points = []
+    for n, segment, session in _consumed_segments(k, n_max, variant, seed):
+        del segment
+        read, written = session.symbols_read, session.symbols_written
+        points.append(RatioPoint(n, read, written, _rho(k, read, written)))
+    return points

@@ -2,13 +2,14 @@
 
 import math
 import random
+import tracemalloc
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdtcomp import analysis
+from pdtcomp import analysis, seqgen
 from pdtcomp.analysis import (
     PopRunAccount,
     RatioPoint,
@@ -275,3 +276,28 @@ def test_ratio_series_matches_segment_reports():
             for r in segment_reports(3, 4, variant=variant, seed=seed)
         ]
         assert lean == full
+
+
+@pytest.mark.parametrize("measure", [ratio_series, segment_reports])
+@pytest.mark.parametrize("variant, seed", [("paired-lex", None), ("paired-enum", 1)])
+def test_segment_released_before_next_is_built(monkeypatch, measure, variant, seed):
+    # Segment 6 of k = 5 is 187,500 symbols; when segment 7's build starts,
+    # neither the session's generator nor its caller may still hold it.
+    in_use = {}
+
+    def spy(build):
+        def traced(k, n, *args):
+            in_use[n] = tracemalloc.get_traced_memory()[0]
+            return build(k, n, *args)
+
+        return traced
+
+    monkeypatch.setattr(seqgen, "mirrored_segment", spy(seqgen.mirrored_segment))
+    monkeypatch.setattr(seqgen, "_enum_segment", spy(seqgen._enum_segment))
+    tracemalloc.start()
+    try:
+        measure(5, 7, variant=variant, seed=seed)
+    finally:
+        tracemalloc.stop()
+    assert sorted(in_use) == list(range(1, 8))
+    assert in_use[7] < 187_500 // 2  # half of segment 6
