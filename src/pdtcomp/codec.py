@@ -55,9 +55,10 @@ back to the bare bottom near their middle.  Output, counters and errors
 come out identical either way, and the worker ends before the call returns.
 
 The feed loops carry only what decides the next code: the stack, its top
-and, coding, whether an odd marker is pending.  A feed's counters are then
-counted from its codes, and the decoder finds a marker after an odd marker
-before its loop and a bad code's position from the symbols emitted.
+and whether an odd marker is pending (coding) or was the last code read
+(decoding), with no search before them.  A feed's counters are then
+counted from its codes, and the decoder works out a bad code's position
+from the symbols emitted.
 
 Every word, here and in generation, the census and the stream formats,
 enters through :func:`packed`: the one place that picks its in-memory form
@@ -177,6 +178,9 @@ def build_decompressor(k: int) -> "TransducerSpec":
     return _table(k, range(k + 2), alphabet, ts)
 
 
+_CHUNK = 1 << 15  # symbols per slice where a whole word is read in slices
+
+
 def packed(word, limit: int, what: str):
     """``word`` packed, every symbol checked to lie in ``[0, limit)``.
 
@@ -184,11 +188,14 @@ def packed(word, limit: int, what: str):
     iterable becomes ``bytes`` when every symbol is below 256, else
     ``array('H')``, and a symbol that is not an integer raises ``TypeError``.
     The first symbol out of range raises ``AlphabetError``, named as ``what``.
-    ``bytes`` and ``bytearray`` are checked through a byte table, ``array('H')``
-    by its largest symbol.
+    ``bytes`` and ``bytearray`` are checked through a byte table, a slice of
+    ``_CHUNK`` symbols at a time so that no temporary as long as the word is
+    made; ``array('H')`` by its largest symbol.
     """
     if isinstance(word, (bytes, bytearray)):
-        if limit >= 256 or not word.translate(None, bytes(range(limit))):
+        valid = bytes(range(min(limit, 256)))
+        slices = (word[i : i + _CHUNK] for i in range(0, len(word), _CHUNK))
+        if limit >= 256 or not any(part.translate(None, valid) for part in slices):
             return word
     elif isinstance(word, array) and word.typecode == "H":
         if not word or max(word) < limit:
@@ -215,37 +222,29 @@ def packed_buffer(limit: int, size: int = 0) -> bytearray | array:
     return bytearray(size) if limit <= 256 else array("H", [0]) * size
 
 
-_MIRROR_CHUNK = 1 << 15
-
-
 def _first_repeat(word, start: int, end: int) -> int:
     """First ``i`` in ``[start, end)`` with ``word[i] == word[i - 1]``, else ``end``; ``start >= 1``."""
     view = memoryview(word)
     return next(select(count(start), map(eq, view[start:end], view[start - 1 : end])), end)
 
 
-def _code_pairs(word, first: int, second: int, start: int, end: int):
-    """The indices ``i`` in ``[start, end)`` where ``word`` holds ``first`` and then ``second``.
+def _count_pairs(codes, first: int, second: int) -> int:
+    """How often ``codes`` holds ``first`` directly followed by ``second``, two distinct codes.
 
-    In ``bytes`` and ``bytearray`` the pair is found at C level; in
-    ``array('H')`` each ``first`` is, and the code after it compared.
+    ``bytes`` and ``bytearray`` count the pair at C level; distinct codes
+    cannot overlap, so no match hides another.  In ``array('H')`` each
+    ``first`` is found at C level and the code after it compared.
     """
-    if isinstance(word, array):
-        i = start
-        while i < end - 1:
-            try:
-                i = word.index(first, i, end - 1)
-            except ValueError:
-                return
-            if word[i + 1] == second:
-                yield i
-            i += 1
-    elif first < 256 and second < 256:
-        needle = bytes((first, second))
-        i = word.find(needle, start, end)
-        while i >= 0:
-            yield i
-            i = word.find(needle, i + 1, end)
+    if not isinstance(codes, array):
+        return codes.count(bytes((first, second)))
+    found = 0
+    i = 0
+    try:
+        while True:
+            i = codes.index(first, i, len(codes) - 1) + 1
+            found += codes[i] == second
+    except ValueError:  # no ``first`` left before the last code
+        return found
 
 
 def _part(word, start: int, end: int):
@@ -266,7 +265,7 @@ def mirror_half(word) -> int:
         return 0
     i = 0
     while i < half:
-        j = min(i + _MIRROR_CHUNK, half)
+        j = min(i + _CHUNK, half)
         if word[i:j] != word[end - j : end - i][::-1]:
             return 0
         i = j
@@ -530,7 +529,8 @@ class Compressor:
 
         ``run`` is the pop run open before, ``pending`` the flag after, and
         ``rise`` the change of depth.  ``(length + rise) / 2`` symbols push,
-        and ``written = read - savings - state`` gives the pair markers.  The
+        and ``written = read - savings - state`` gives the pair markers, so
+        the odd markers too: one for each odd pop run the feed closed.  The
         codes after the last push are the open run's pair markers.  A run of
         one pop is an odd marker that follows no pair marker and, as the
         feed's first code, closes no entry run of two pops or more.
@@ -538,22 +538,26 @@ class Compressor:
         odd = self._odd
         pair = self._pair
         pushes = (length + rise) // 2
-        pairs = (run & 1) + length - len(out) - pending
-        odds = len(out) - pushes - pairs
         if not pushes:
             self._open_run = run + length
             return
+        pairs = (run & 1) + length - len(out) - pending
+        odds = len(out) - pushes - pairs
         last = len(out) - 1
         while out[last] == pair:
             last -= 1
         open_run = 2 * (len(out) - 1 - last) + pending
-        if isinstance(out, bytearray):
-            after_pairs = out.count(bytes((pair, odd)))
-        else:
-            after_pairs = sum(1 for _ in _code_pairs(out, pair, odd, 0, len(out)))
-        singles = odds - after_pairs - (out[0] == odd and run >= 2)
-        closed = run + length - pushes - open_run
-        self._pairs += (run >> 1) + pairs - (open_run >> 1)
+        singles = odds - _count_pairs(out, pair, odd) - (out[0] == odd and run >= 2)
+        self._close(run + length - pushes - open_run, odds, singles, open_run)
+
+    def _close(self, closed: int, odd: int, singles: int, open_run: int) -> None:
+        """Count ``closed`` pops of closed pop runs, ``odd`` of the runs odd and ``singles`` one pop long.
+
+        The one step that closes pop runs, for ``feed``, the fold and
+        ``flush``: a run of ``m`` pops codes to ``m // 2`` pair markers and
+        is clustered from two pops.  ``open_run`` is the run left open.
+        """
+        self._pairs += (closed - odd) // 2
         self._clustered += closed - singles
         self._open_run = open_run
 
@@ -586,10 +590,7 @@ class Compressor:
             open_run = _first_repeat(word, 1, half)  # where the leading push run ends
             odd -= open_run & 1
             singles -= open_run == 1
-        closed = entry_run + half - open_run
-        self._open_run = open_run
-        self._pairs += (closed - odd) // 2
-        self._clustered += closed - singles
+        self._close(entry_run + half - open_run, odd, singles, open_run)
         self._read += len(word)
 
     def _fold_census(self, word, half: int, state) -> tuple[int, int]:
@@ -703,18 +704,11 @@ class Compressor:
             raise CodecError("compressor session already flushed")
         self._finished = True
         out = packed_buffer(self.k + 2)
-        self._close_run(out)
-        return out
-
-    def _close_run(self, out) -> None:
-        """Close the open pop run: count it, and emit its odd marker into ``out`` if it is odd."""
         run = self._open_run
-        self._open_run = 0
-        self._pairs += run >> 1
-        if run >= 2:
-            self._clustered += run
+        self._close(run, run & 1, run == 1, 0)
         if run & 1:
             out.append(self._odd)
+        return out
 
     def _start_feed(self, word):
         if self._finished:
@@ -756,11 +750,13 @@ class Decompressor:
     Output comes back as the :func:`packed_buffer` it was written to, for the
     limit ``k``: ``bytearray`` up to k = 256, else ``array('H')``.
 
-    Its loop carries only the stack and its top.  A ``MalformedStreamError``
-    names a position worked out from the symbols emitted, and ends the
-    session: it leaves the stack part way through the rejected call, so every
-    later ``feed`` raises ``CodecError``.  An ``AlphabetError`` is raised
-    before any symbol is decoded and leaves the session usable.
+    Its loop carries only the stack, its top and whether the last code was
+    an odd marker, and checks every code there, with no search before it.
+    A ``MalformedStreamError`` names a position worked out from the symbols
+    emitted, and ends the session: it leaves the stack part way through the
+    rejected call, so every later ``feed`` raises ``CodecError``.  An
+    ``AlphabetError`` is raised before any symbol is decoded and leaves the
+    session usable.
     """
 
     def __init__(self, k: int):
@@ -819,11 +815,14 @@ class Decompressor:
         """Decode ``word[start:end]`` into ``out`` on the session's stack; ``pending`` as it came.
 
         The walk :func:`_split_walk` runs for this session, which never has an
-        odd marker pending: ``pending`` is false.  The loop carries the stack
-        and its top, and stops short of a marker after an odd marker, found
-        before it; a bad code's position follows from the symbols emitted.  The top lives in a local, as in
-        :meth:`Compressor._code`, and is back on the stack when the loop stops,
-        so an error leaves the stack as it was at the bad code.
+        odd marker pending: ``pending`` is false.  The loop carries the stack,
+        its top and whether the last code was an odd marker (before ``start``,
+        the code there, or the last code of the feed before), and stops at the
+        first bad code.  A marker after an odd marker is reported as such, also
+        where the pop it asks for fails.  Its position follows from the symbols
+        emitted.  The top lives in a local, as in :meth:`Compressor._code`, and
+        is back on the stack when the loop stops, so an error leaves the stack
+        as it was at the bad code.
         """
         emit = out.append
         stack = self._stack
@@ -831,20 +830,24 @@ class Decompressor:
         pop = stack.pop
         k = self.k
         emitted = len(out)
-        stop = self._after_odd_marker(word, start, end)
+        after_odd = word[start - 1] == k if start else self._after_odd
         top = pop()
-        for b in _part(word, start, stop):
+        for b in _part(word, start, end):
             if b < k:
                 if top == b:
                     break
                 push(top)
                 top = b
                 emit(b)
+                after_odd = False
+            elif after_odd:
+                break
             elif b == k:
                 if not stack:
                     break
                 emit(top)
                 top = pop()
+                after_odd = True
             elif len(stack) < 2:
                 break
             else:
@@ -853,27 +856,18 @@ class Decompressor:
                 top = pop()
         else:
             push(top)
-            if stop < end:
-                raise MalformedStreamError(
-                    f"marker at position {self._read + stop + 1} directly after an odd marker"
-                )
             return pending
         push(top)
         position = self._position(word, start, len(out) - emitted)
         if b < k:
             raise MalformedStreamError(f"plain symbol {b} at position {position} equals the stack top")
+        if after_odd:
+            raise MalformedStreamError(f"marker at position {position} directly after an odd marker")
         if b == k:
             raise MalformedStreamError(f"odd marker at position {position} with no matched symbol pending")
         raise MalformedStreamError(
             f"pair marker at position {position} with fewer than two matched symbols pending"
         )
-
-    def _after_odd_marker(self, word, start: int, end: int) -> int:
-        """The first index in ``[start, end)`` of a marker after an odd marker, else ``end``."""
-        k = self.k
-        if start < end and word[start] >= k and (word[start - 1] == k if start else self._after_odd):
-            return start
-        return min(next(_code_pairs(word, k, marker, start, end), end - 1) + 1 for marker in (k, k + 1))
 
     def _position(self, word, start: int, emitted: int) -> int:
         """The position, from 1, of the code where a decode from ``start`` stopped after ``emitted`` symbols.
