@@ -5,8 +5,9 @@ and cancels repeats against the stack, coding pop runs with two marker
 symbols; its exact inverse; generators for mirrored lexicographic
 enumeration sequences whose coded form is measurably shorter than the
 input for alphabets of five or more symbols; and the analysis machinery
-quantifying why (run census, savings accounting, ratio series, exact
-sufficiency arithmetic).
+quantifying why (run census, savings accounting, ratio series, and one
+exact integer comparison of coded and plain rates behind every verdict
+that rho is below 1).
 
 ``import pdtcomp`` loads the codec, the generators and the stream formats,
 and exports names from those three modules only.  The

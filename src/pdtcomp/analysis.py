@@ -7,9 +7,11 @@ This module measures what the codec actually does:
 * the savings of a drained engine run and the pops clustered in its pop
   runs (``pop_run_account``, the one function that imports the engine);
 * the compression-ratio series of a streamed sequence, normalized by
-  alphabet sizes (``ratio_series`` / ``segment_reports``), with the
-  closed-form bound ``ratio_bound`` and its exact integer-arithmetic
-  version ``sufficiency_exact``.
+  alphabet sizes (``ratio_series`` / ``segment_reports``), and the
+  closed-form bound ``ratio_bound``;
+* the one exact verdict behind every "rho < 1": ``rate_below`` compares
+  two rates ``written * log(k_out)`` and ``read * log(k_in)`` in small
+  integers, and ``sufficiency_exact`` is its case for ``ratio_bound``.
 
 Both run tallies are counts of byte patterns (``bytes.count``) over one mark
 per adjacent symbol pair or per engine step; no Python loop visits a run.
@@ -18,6 +20,7 @@ Ratio convention: a prefix of ``n`` symbols over a k-symbol alphabet coded
 into ``m`` symbols over a (k+2)-symbol alphabet scores
 ``rho = m * log(k + 2) / (n * log k)``; values below 1 mean the coded
 prefix carries fewer bits' worth of symbols than the plain one.
+``rate_below(k, k + 2, n, m)`` decides in integers whether rho is below 1.
 
 Words are taken in the packed form of :func:`pdtcomp.codec.packed`, which
 makes the ``bytes``/``array('H')`` choice and the range check for the census
@@ -139,19 +142,52 @@ def ratio_bound(k: int) -> float:
     return (1 - (k - 1) ** 2 / (6 * k * k)) * math.log(k + 2) / math.log(k)
 
 
+def rate_below(k_in: int, k_out: int, read: int, written: int) -> tuple[int, int, int]:
+    """The sign of ``written * log(k_out) - read * log(k_in)``, decided in integers.
+
+    Returns ``(sign, p, q)``: the sign is -1 where ``written`` symbols over
+    ``k_out`` carry fewer bits than ``read`` symbols over ``k_in``
+    (``k_out**written < k_in**read``), 0 where they carry as many, and 1
+    where they carry more.  Powers that large are never formed: the
+    Stern–Brocot tree is descended toward theta = log(k_in) / log(k_out),
+    and the descent stops at the first fraction p/q that does not lie
+    strictly on one side of both theta and ``written / read``.  So p/q, the
+    certificate, lies between the two or equals one of them, and comparing
+    ``k_out**p`` with ``k_in**q`` and ``read * p`` with ``written * q``
+    decides the sign.  It is 0 exactly where both comparisons are equal, as
+    at ``(2, 4, 2 * m, m)``, where theta = 1/2.  The descent ends at
+    ``written / read`` at the latest, and is long only where both ratios lie
+    close to one simple fraction.
+
+    Refuses with ``ValueError`` a non-integer argument, an alphabet size
+    below 2, ``read`` below 1 and ``written`` below 0.
+    """
+    for name, value, least in (("k_in", k_in, 2), ("k_out", k_out, 2), ("read", read, 1), ("written", written, 0)):
+        if not isinstance(value, int) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 0
+    while True:
+        p, q = lo_p + hi_p, lo_q + hi_q
+        coded, plain = k_out**p, k_in**q
+        theta_side = (coded > plain) - (coded < plain)  # the sign of p/q - theta
+        rate_side = (read * p > written * q) - (read * p < written * q)  # the sign of p/q - written/read
+        if theta_side != rate_side or not theta_side:
+            return theta_side or -rate_side, p, q
+        if theta_side > 0:
+            hi_p, hi_q = p, q
+        else:
+            lo_p, lo_q = p, q
+
+
 def sufficiency_exact(k: int) -> bool:
     """Exact integer test of ``ratio_bound(k) < 1``; no floating point.
 
-    The bound is below 1 iff ``(k+2)**(6k^2 - (k-1)^2) < k**(6k^2)``.
-    Common exponent factors are cancelled before comparing (for k = 7 the
-    comparison collapses to ``9**43 < 7**49``).
+    The bound is below 1 iff ``(k+2)**(6k^2 - (k-1)^2) < k**(6k^2)``, the
+    case ``read = 6k^2``, ``written = 6k^2 - (k-1)^2`` of :func:`rate_below`.
     """
     if k < 2:
         raise ValueError("alphabet size must be at least 2")
-    e_plain = 6 * k * k
-    e_coded = e_plain - (k - 1) ** 2
-    g = math.gcd(e_plain, e_coded)
-    return (k + 2) ** (e_coded // g) < k ** (e_plain // g)
+    return rate_below(k, k + 2, 6 * k * k, 6 * k * k - (k - 1) ** 2)[0] < 0
 
 
 class RatioPoint(NamedTuple):

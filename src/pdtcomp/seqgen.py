@@ -41,6 +41,9 @@ class HorizonError(ValueError):
 def _check_block(k: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"segment index must be at least 1, got {n}")
+    top = DEFAULT_BLOCK_CAP.bit_length()
+    if n > top:  # k >= 2, so n * k**n > cap once n > top: refused before k**n is formed
+        raise HorizonError(f"segment n={n} is past the cap of {DEFAULT_BLOCK_CAP}: n * k**n exceeds it for every n > {top}")
     size = n * k**n
     if size > DEFAULT_BLOCK_CAP:
         raise HorizonError(

@@ -18,6 +18,7 @@ from pdtcomp.analysis import (
     expected_singletons,
     pop_run_account,
     ratio_bound,
+    rate_below,
     ratio_series,
     segment_reports,
     sufficiency_exact,
@@ -199,11 +200,98 @@ def test_sufficiency_exact_holds_from_seven_up():
     assert not any(sufficiency_exact(k) for k in range(2, 7))
 
 
+def direct_sufficiency(k):
+    """Oracle: ``(k+2)**(6k^2 - (k-1)^2) < k**(6k^2)`` with its common exponent factor cancelled."""
+    e_plain = 6 * k * k
+    e_coded = e_plain - (k - 1) ** 2
+    g = math.gcd(e_plain, e_coded)
+    return (k + 2) ** (e_coded // g) < k ** (e_plain // g)
+
+
+def test_sufficiency_exact_agrees_with_direct_powers():
+    assert all(sufficiency_exact(k) == direct_sufficiency(k) for k in range(2, 65))
+
+
 def test_sufficiency_exact_agrees_with_float_bound():
-    for k in range(2, 220):
+    for k in range(2, 5001):
         bound = ratio_bound(k)
         if abs(bound - 1) > 1e-9:
             assert sufficiency_exact(k) == (bound < 1), k
+
+
+def compare(a, b):
+    return (a > b) - (a < b)
+
+
+def assert_certificate(k_in, k_out, read, written):
+    """The certificate p/q of ``rate_below`` decides its sign, checked in integers."""
+    sign, p, q = rate_below(k_in, k_out, read, written)
+    theta_side = compare(k_out**p, k_in**q)  # p/q against log(k_in) / log(k_out)
+    rate_side = compare(read * p, written * q)  # p/q against written / read
+    if sign == 0:
+        assert theta_side == rate_side == 0
+    else:  # theta lies on one side of p/q, written / read on the other or at it
+        assert theta_side in (sign, 0) and rate_side in (-sign, 0), (sign, theta_side, rate_side)
+        assert (theta_side, rate_side) != (0, 0)
+    return sign
+
+
+def test_rate_below_matches_direct_powers():
+    for k_in in range(2, 12):
+        for k_out in range(2, 14):
+            for read in range(1, 40):
+                plain = k_in**read
+                for written in range(60):
+                    sign = rate_below(k_in, k_out, read, written)[0]
+                    assert sign == compare(k_out**written, plain), (k_in, k_out, read, written)
+
+
+def test_rate_below_certificate_lies_between_the_two_ratios():
+    rng = random.Random(16)
+    for _ in range(2000):
+        k_in, k_out = rng.randrange(2, 70_000), rng.randrange(2, 70_000)
+        read = rng.randrange(1, 10**9)
+        assert_certificate(k_in, k_out, read, rng.randrange(3 * read))
+    for k_in in range(2, 8):
+        for k_out in range(2, 8):
+            for read in range(1, 13):
+                for written in range(30):
+                    assert_certificate(k_in, k_out, read, written)
+
+
+def test_rate_below_is_zero_exactly_on_equal_rates():
+    for k in (2, 5, 256, 65_535):
+        assert rate_below(k, k, 7, 7) == (0, 1, 1)
+        assert rate_below(k, k, 7, 6)[0] == -1 and rate_below(k, k, 7, 8)[0] == 1
+    for read in (2, 10, 2 * 10**12):
+        assert rate_below(2, 4, read, read // 2) == (0, 1, 2)  # log 2 / log 4 = 1/2
+        assert rate_below(2, 4, read, read // 2 - 1)[0] == -1
+        assert rate_below(2, 4, read, read // 2 + 1)[0] == 1
+    assert rate_below(8, 4, 2, 3) == (0, 3, 2)  # log 8 / log 4 = 3/2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 4, 5, 5), (4, 1, 5, 5), (4, 4, 0, 0), (4, 4, 5, -1), (4.0, 4, 5, 5), (4, 4, 5, 2.5), (4, 4, "5", 5)],
+    ids=["k_in-below-2", "k_out-below-2", "read-below-1", "written-below-0", "float-k", "float-count", "str-count"],
+)
+def test_rate_below_refuses_bad_arguments(args):
+    with pytest.raises(ValueError):
+        rate_below(*args)
+
+
+# (symbols read, symbols written) of ratio_series(k, n)[-1] at the headline's n = 9, 8, 7,
+# the largest with n * k**n <= 2e7
+HEADLINE_FINALS = {5: (42_724_610, 34_335_313), 6: (31_442_412, 25_168_826), 7: (13_130_936, 10_370_799)}
+
+
+def test_rate_below_decides_the_headline_finals():
+    certificates = {}
+    for k, (read, written) in HEADLINE_FINALS.items():
+        assert assert_certificate(k, k + 2, read, written) == -1
+        assert written * math.log(k + 2) < read * math.log(k)
+        certificates[k] = rate_below(k, k + 2, read, written)[1:]
+    assert certificates == {5: (9, 11), 6: (5, 6), 7: (4, 5)}
 
 
 def test_ratio_series_small_alphabet_values():

@@ -530,12 +530,18 @@ def test_verify_refuses_a_run_that_would_skip_a_check(argv, message, capsys):
     assert captured.out == ""
 
 
-def test_bound_refuses_alphabets_past_256(capsys):
-    assert dispatch("bound", "--k-min", "256", "--k-max", "256") == 0
-    assert capsys.readouterr().out.splitlines()[1].split()[0] == "256"
-    assert dispatch("bound", "--k-min", "2", "--k-max", "257") == 2
+@pytest.mark.parametrize("k_min,k_max", [(255, 258), (1_000_000, 1_000_000)])
+def test_bound_decides_any_alphabet_at_once(k_min, k_max, capsys):
+    assert dispatch("bound", "--k-min", str(k_min), "--k-max", str(k_max)) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(int(k), verdict) for k, _, verdict in rows] == [(k, "true") for k in range(k_min, k_max + 1)]
+
+
+@pytest.mark.parametrize("k_min,k_max", [(1, 5), (6, 5)], ids=["k-min-below-2", "k-max-below-k-min"])
+def test_bound_refuses_an_empty_or_invalid_range(k_min, k_max, capsys):
+    assert dispatch("bound", "--k-min", str(k_min), "--k-max", str(k_max)) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "256" in captured.err
+    assert captured.err == "error: need 2 <= k-min <= k-max\n"
     assert captured.out == ""
 
 
@@ -578,6 +584,31 @@ def test_console_entry_flushes_its_output_and_exits_with_the_status(tmp_path, ca
     assert done.returncode == 2
     assert done.stdout == "" and not (tmp_path / "plain.pdt").exists()
     assert done.stderr.startswith("error: ") and "alphabet size" in done.stderr
+
+
+@pytest.mark.parametrize("command", [["gen", "--out", "never.pdt"], ["ratio", "--csv", "-"]], ids=["gen", "ratio"])
+def test_n_max_far_past_the_cap_is_refused_at_once(command, tmp_path):
+    # n * k**n > cap for every n > cap.bit_length(): such n is refused before k**n is formed
+    done = subprocess.run(
+        [sys.executable, "-m", "pdtcomp.cli", *command, "--k", "5", "--n-max", "7000"],
+        capture_output=True, text=True, env=_package_env(), timeout=30, cwd=tmp_path,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: segment n=7000 is past the cap of 20000000: n * k**n exceeds it for every n > 25\n"
+    assert not (tmp_path / "never.pdt").exists()
+
+
+def test_verify_grid_stops_at_the_cap_for_any_n_max():
+    # n = 19 is the largest n with n * 2**n <= 2e7; k = 21 stops at n = 4 (5 * 21**5 > 2e7)
+    rows = [
+        subprocess.run(
+            [sys.executable, "-m", "pdtcomp.cli", "verify", "--k-min", "21", "--k-max", "21", "--n-max", n_max, "--words", "1"],
+            capture_output=True, text=True, env=_package_env(), timeout=30,
+        )
+        for n_max in ("19", "1000000")
+    ]
+    assert [done.returncode for done in rows] == [0, 0]
+    assert rows[1].stdout == rows[0].stdout and "n=3..4" in rows[0].stdout
 
 
 FILE_COMMANDS_SCRIPT = """

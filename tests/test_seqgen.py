@@ -71,6 +71,11 @@ def test_horizon_cap(monkeypatch):
         mirrored_segment(201, 1)  # size == cap + 1
     with pytest.raises(HorizonError):
         next(iter_mirrored_segments(201, 1, variant=PAIRED_ENUM))
+    # past cap.bit_length(), n * k**n exceeds the cap for every k >= 2: refused without forming k**n
+    with pytest.raises(HorizonError, match=r"^segment n=9 is past the cap of 200: .* every n > 8$"):
+        mirrored_segment(2, 9)
+    with pytest.raises(HorizonError, match="n=10000000000 is past"):
+        next(iter_mirrored_segments(2, 10**10))
 
 
 @pytest.mark.parametrize("variant", [PAIRED_LEX, PAIRED_ENUM])
