@@ -16,8 +16,13 @@ exit-time collection over every object the imports made.
 differ only by the input role, feed each chunk through one codec session and
 write its output at once.  So ``gen`` holds one segment, and ``compress`` and
 ``decompress`` a chunk and the session's stack, never the file.  An output
-file is replaced only once it is complete (:func:`_write_output`).  The
-``ratio`` CSV's columns are named and filled in one place, :func:`_csv_row`.
+file is replaced only once it is complete (:func:`_write_output`).  ``-``
+names standard input for ``--in`` and standard output for ``--out`` and
+``--csv`` (:func:`_opened`).  The ``ratio`` CSV's columns are named and
+filled in one place, :func:`_csv_row`.  ``ratio``'s summary on standard
+error gives the final rho with its exact verdict against 1 from
+:func:`~pdtcomp.analysis.rate_below`, and the certificate p/q, a fraction
+between out_len/prefix_len and log k / log(k + 2).
 
 ``gen``, ``compress`` and ``decompress`` load only :mod:`~pdtcomp.codec`,
 :mod:`~pdtcomp.seqgen` and :mod:`~pdtcomp.streamio`; the ``ratio``,
@@ -33,6 +38,7 @@ the same, as is the exit status, where this process runs every check itself.
 """
 
 import argparse
+import contextlib
 import gc
 import io
 import os
@@ -76,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a sequence prefix as a plain stream")
     _sequence_options(p, k_help="alphabet size", n_help="last segment index to emit")
-    p.add_argument("--out", required=True, help="output path")
+    p.add_argument("--out", required=True, help="output path, '-' for stdout")
     p.add_argument("--format", choices=_FORMATS, default="binary")
     p.set_defaults(handler=_cmd_gen)
 
@@ -86,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"{name} a {before} stream into a {after} stream")
         p.add_argument("--k", type=int, default=None, help="expected alphabet size (checked against the input header)")
-        p.add_argument("--in", dest="inp", required=True, help=f"input path ({before} stream)")
-        p.add_argument("--out", required=True, help=f"output path ({after} stream)")
+        p.add_argument("--in", dest="inp", required=True, help=f"input path ({before} stream), '-' for stdin")
+        p.add_argument("--out", required=True, help=f"output path ({after} stream), '-' for stdout")
         p.add_argument("--format", choices=_FORMATS, default=None, help="output format (default: same as input)")
         p.set_defaults(handler=_cmd_convert, role=role)
 
@@ -120,28 +126,38 @@ def _sequence_options(p: argparse.ArgumentParser, k_help: str | None = None, n_h
     p.add_argument("--n-max", type=int, required=True, help=n_help)
 
 
+def _opened(path: str, mode: str):
+    """``path`` opened in ``mode``, ``"rb"`` or ``"wb"``; ``-`` is standard input or output, left open."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin.buffer if mode == "rb" else sys.stdout.buffer)
+    return open(path, mode)
+
+
 def _write_output(path: str, chunks, role: int, k: int, fmt: str, count: int | None = None) -> None:
     """Write a stream to ``path`` through :func:`streamio.write_chunks`, pulling ``chunks`` as it goes.
 
     A regular file, or a new one, is written next to ``path`` and replaces it
     only once complete: an error leaves ``path`` as it was, and ``path`` may
-    name the file the chunks are read from.  Any other output, such as a pipe
-    or a terminal, is written directly.  A binary stream with no ``count``
-    writes its count into its header at the end, so there an output that
-    cannot seek back is refused before the first chunk is pulled.
+    name the file the chunks are read from.  Standard output (``-``) and any
+    other output, such as a pipe or a terminal, is written directly.  A
+    binary stream with no ``count`` writes its count into its header at the
+    end, so there an output that cannot seek back is refused before the
+    first chunk is pulled.  Standard output counts as one even where it is
+    a file: one opened to append would take the count at its end.
     """
     try:
-        mode = os.stat(path).st_mode
+        mode = None if path == "-" else os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as fh:
-            if fmt == "binary" and count is None and not fh.seekable():
+    if path == "-" or (mode is not None and not stat.S_ISREG(mode)):
+        with _opened(path, "wb") as fh:
+            if fmt == "binary" and count is None and (path == "-" or not fh.seekable()):
                 raise ValueError(
                     f"{path} is not seekable: a binary stream's symbol count goes into its header "
                     "once the input is read; write to a file or use --format text"
                 )
             streamio.write_chunks(fh, chunks, role, k, fmt, count)
+            fh.flush()
         return
     target = os.path.realpath(path)
     part = f"{target}.{os.urandom(4).hex()}.part"
@@ -167,7 +183,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_convert(args) -> int:
     """``compress`` or ``decompress``: feed each chunk of a stream of role ``args.role`` through one session."""
-    with open(args.inp, "rb") as fh:
+    with _opened(args.inp, "rb") as fh:
         stream = streamio.read_chunks(fh)
         if stream.role != args.role:
             raise streamio.StreamFormatError(
@@ -218,13 +234,12 @@ def _cmd_ratio(args) -> int:
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    if args.csv == "-":
-        sys.stdout.write(buffer.getvalue())
-    else:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(buffer.getvalue())
+    with _opened(args.csv, "wb") as fh:
+        fh.write(buffer.getvalue().encode("ascii"))
     final = reports[-1]
-    summary = f"final rho={final.rho:.6f} at n={final.block}"
+    sign, p, q = analysis.rate_below(args.k, args.k + 2, final.prefix_symbols, final.output_symbols)
+    verdict = ("below", "equal to", "above")[sign + 1]
+    summary = f"final rho={final.rho:.6f} at n={final.block} ({verdict} 1 exactly, certificate {p}/{q})"
     low = min((r.rho for r in reports if r.block >= 3), default=None)
     if low is not None:
         summary += f", min rho (n>=3)={low:.6f}"

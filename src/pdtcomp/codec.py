@@ -36,15 +36,19 @@ Long walks take two cores: the fold walk of ``consume``, and ``feed`` in
 either direction (unmirrored ``consume`` runs ``feed``'s walk).  From
 ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are usable and
 no other thread runs, a forked worker walks the second part of the word
-while the session walks the first (:func:`_fork_join`).  The fold walks a
-byte stack up to k = 253 and a list past it (:func:`_fold_stack`), and its
-worker starts on a fresh one.  Both feeds split through one path,
-:func:`_split_walk`, which runs the session's own loop.  It splits only a
-``bytes`` or ``bytearray`` word, up to k = 254, and its worker
-starts from the bare bottom, at a seam near the middle where the session's
-stack should be bare.  The worker's part counts only when the session's
-stack is bare at the seam; otherwise the session walks the rest itself, as
-it does wherever it cannot fork.  Each session finds its own seam: the
+while the session walks the first (:func:`_fork_join`).  One rule joins
+every split: the worker's part counts only when the session's stack at the
+seam ends with the stack the worker walked on, since above it both walks
+step alike and a worker that would walk below it fails; otherwise the
+session walks the rest itself, as it does wherever it cannot fork.  The
+fold walks a byte stack up to k = 253 and a list past it
+(:func:`_fold_stack`), and its worker walks on the top half of the stack
+that a lead of at least ``_SPLIT_LEAD`` symbols before the seam leaves on a
+fresh one.  Both feeds split through one path, :func:`_split_walk`, which
+runs the session's own loop.  It splits only a ``bytes`` or ``bytearray``
+word, up to k = 254, and its worker starts from the bare bottom, at a seam
+near the middle where the session's stack should be bare: there the rule
+asks for a bare stack.  Each session finds its own seam: the
 decompressor by counting its codes (a plain code pushes one symbol, an odd
 marker pops one and a pair marker two), the compressor from the symbols
 before its middle alone (:func:`_bare_point`).  So both feeds split words
@@ -373,7 +377,8 @@ def _split_walk(session, walk, word, out, pending) -> bool:
     :func:`_may_fork` holds, ``session._seam(word)`` says where to cut.  This
     process walks ``word[:seam]`` while a forked worker walks the rest from
     the bare bottom with no marker pending.  The worker's part is taken only
-    when this process's stack is bare at the seam; its first symbol then
+    when this process's stack ends with the stack the worker walked on, the
+    bare bottom, so only when it is bare at the seam; its first symbol then
     pushes onto the bare bottom, so an odd marker pending at the seam goes in
     front of it, as one process would emit it.  A decoder's worker fails on a
     marker right at the seam, which would pop the bare bottom.  Where the
@@ -598,58 +603,50 @@ class Compressor:
 
         The walk runs on a :func:`_fold_stack` copy of the session's stack.
         From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are
-        usable and no other thread runs, a forked worker
-        (:meth:`_tail_census`) walks the second part while this process
-        walks the first.  A forked worker reads ``word`` in place; a spawned
-        one would have to be sent it.  The seam is the first equal adjacent
-        pair ``_SPLIT_LEAD`` or more symbols after the middle: every walk
-        switches between pushes and pops there, so each part's runs close at
-        it.  The worker starts at the middle on a fresh stack.  From there
-        on, the real stack is the one at the middle with the worker's stack
-        on top, less the ``cancelled`` bottom symbols of the worker's stack
-        and as many top symbols of the real one.  The two walks step alike
-        while the worker's stack stays deeper than ``cancelled``.  So the
-        worker's tallies count only if its walk never came down to half its
-        depth at the seam, where it deleted its stack, and ``cancelled`` is
-        below that depth.  Otherwise, and on any ``OSError``, this process
-        walks the rest itself.
+        usable and no other thread runs, this process walks ``word[:seam]``
+        while a forked worker (:meth:`_tail_census`) walks ``word[seam:half]``.
+        A forked worker reads ``word`` in place; a spawned one would have to
+        be sent it.  The seam is the first equal adjacent pair ``_SPLIT_LEAD``
+        or more symbols after the middle: every walk switches between pushes
+        and pops there, so each part's runs close at it.  The worker's census
+        counts only when this process's stack at the seam ends with the stack
+        the worker walked on, as for every two-core walk: above that stack the
+        two walks step alike, and a worker that would pop it empty fails.
+        Otherwise, and on any ``OSError``, this process walks the rest itself.
         """
         stack = _fold_stack(self.k, self._stack)
-        middle = half // 2
         seam = half
         if half >= _SPLIT_MIN and _may_fork():
-            seam = _first_repeat(word, middle + _SPLIT_LEAD, half)
+            seam = _first_repeat(word, half // 2 + _SPLIT_LEAD, half)
 
         def own():
-            head = self._census(stack, word, 0, middle, state)
-            depth = len(stack)
-            return self._census(stack, word, middle, seam, head), depth
+            return self._census(stack, word, 0, seam, state)
 
-        joined = _fork_join(lambda: self._tail_census(word, middle, seam, half), own) if seam < half else None
+        joined = _fork_join(lambda: self._tail_census(word, seam, half), own) if seam < half else None
         if not joined:
             return _fold_tallies(self._census(stack, word, 0, half, state))
-        (state, depth), reply = joined
+        state, reply = joined
         if reply is not None:
-            *tail, tail_depth = reply
-            cancelled = (depth + tail_depth - len(stack)) // 2
-            if cancelled < tail_depth // 2:
-                ours, theirs = _fold_tallies(state), _fold_tallies(tail)
+            *census, kept = reply
+            if stack[len(stack) - len(kept) :] == kept:
+                ours, theirs = _fold_tallies(state), _fold_tallies(census)
                 return ours[0] + theirs[0], ours[1] + theirs[1]
         return _fold_tallies(self._census(stack, word, seam, half, state))
 
-    def _tail_census(self, word, middle: int, seam: int, half: int) -> tuple:
-        """The worker's walk: ``word[middle:seam]`` on a fresh stack, then ``word[seam:half]``.
+    def _tail_census(self, word, seam: int, half: int) -> tuple:
+        """The worker's walk: the lead from the middle to the seam on a fresh stack, then ``word[seam:half]``.
 
-        Before the second census it deletes its stack up to and including the
-        entry at half the depth, so a walk that comes down to that depth pops
-        an empty stack and raises ``IndexError``, which fails the worker.
-        Returns the second census and the depth at the seam.
+        After the lead it deletes its stack up to and including the entry at
+        half the depth, so a walk that comes down to that depth pops an empty
+        stack and raises ``IndexError``, which fails the worker.  Returns the
+        census of ``word[seam:half]`` and the stack it kept, which the
+        session's stack must end with.
         """
         stack = _fold_stack(self.k, (stack_bottom(self.k),))
-        self._census(stack, word, middle, seam, _CLOSED)
-        depth = len(stack) - 1
-        del stack[: depth // 2 + 1]
-        return (*self._census(stack, word, seam, half, _CLOSED), depth)
+        self._census(stack, word, half // 2, seam, _CLOSED)
+        del stack[: (len(stack) + 1) // 2]
+        kept = stack.copy()
+        return (*self._census(stack, word, seam, half, _CLOSED), kept)
 
     @staticmethod
     def _census(stack, word, start: int, end: int, state) -> tuple[int, int, int, int, int, bool]:

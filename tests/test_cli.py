@@ -462,6 +462,54 @@ def test_text_output_and_binary_gen_go_into_a_pipe(tmp_path):
     )
 
 
+def console_in(cwd, *argv, stdin=b""):
+    """Run the ``pdtcomp`` console script in ``cwd`` with ``stdin`` on its standard input, its output piped."""
+    return subprocess.run(
+        [sys.executable, "-c", "from pdtcomp.cli import main; main()", *argv],
+        input=stdin, capture_output=True, env=_package_env(), timeout=60, cwd=cwd,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_gen_out_dash_prints_the_file(tmp_path, fmt):
+    argv = ["gen", "--k", "3", "--n-max", "3", "--format", fmt]
+    assert dispatch(*argv, "--out", str(tmp_path / "seq")) == 0
+    done = console_in(tmp_path, *argv, "--out", "-")
+    assert (done.returncode, done.stdout, done.stderr) == (0, (tmp_path / "seq").read_bytes(), b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seq"]
+
+
+def test_binary_compress_out_dash_is_refused(tmp_path):
+    # Into a pipe, and into a file opened to append, where patching the header would append it.
+    write_stream(tmp_path / "plain", [0, 1, 1, 0], streamio.ROLE_PLAIN, 2)
+    done = console_in(tmp_path, "compress", "--in", "plain", "--out", "-")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"error: - is not seekable")
+    (tmp_path / "log").write_bytes(b"kept")
+    with open(tmp_path / "log", "ab") as log:
+        appended = subprocess.run(
+            [sys.executable, "-c", "from pdtcomp.cli import main; main()", "compress", "--in", "plain", "--out", "-"],
+            stdout=log, stderr=subprocess.PIPE, env=_package_env(), timeout=60, cwd=tmp_path,
+        )
+    assert appended.returncode == 2 and appended.stderr.startswith(b"error: - is not seekable")
+    assert (tmp_path / "log").read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "plain"]
+
+
+def test_in_dash_reads_stdin(tmp_path):
+    assert dispatch("gen", "--k", "3", "--n-max", "3", "--out", str(tmp_path / "plain")) == 0
+    plain = (tmp_path / "plain").read_bytes()
+    assert dispatch("compress", "--in", str(tmp_path / "plain"), "--out", str(tmp_path / "expected")) == 0
+    done = console_in(tmp_path, "compress", "--in", "-", "--out", "coded", stdin=plain)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert (tmp_path / "coded").read_bytes() == (tmp_path / "expected").read_bytes()
+    coded = (tmp_path / "coded").read_bytes()
+    back = console_in(tmp_path, "decompress", "--in", "-", "--out", "-", "--format", "text", stdin=coded)
+    text = streamio.encode_stream(streamio.decode_stream(plain).symbols, streamio.ROLE_PLAIN, 3, "text")
+    assert (back.returncode, back.stdout, back.stderr) == (0, text, b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coded", "expected", "plain"]
+
+
 def test_file_command_memory_is_bounded_by_a_chunk(tmp_path, monkeypatch):
     """Peak traced memory of compress and decompress is the same for 2 and for 8 chunks of input.
 
@@ -684,14 +732,33 @@ def test_ratio_csv_deterministic_and_audited(tmp_path, capsys):
     assert row3[10] == "true"
     reports = analysis.segment_reports(3, 4)
     low = min(r.rho for r in reports if r.block >= 3)
-    summary = f"final rho={reports[-1].rho:.6f} at n=4, min rho (n>=3)={low:.6f}\n"
+    summary = f"final rho={reports[-1].rho:.6f} at n=4 (above 1 exactly, certificate 3/4), min rho (n>=3)={low:.6f}\n"
     assert capsys.readouterr().err == summary * 2
+
+
+@pytest.mark.parametrize(
+    "k, n_max, verdict",
+    [
+        (5, 7, "below 1 exactly, certificate 9/11"),  # 9/11 lies between out_len/prefix_len and log 5/log 7
+        (3, 4, "above 1 exactly, certificate 3/4"),
+    ],
+    ids=["below", "above"],
+)
+def test_ratio_summary_states_the_exact_verdict_of_the_final_point(capsys, k, n_max, verdict):
+    assert dispatch("ratio", "--k", str(k), "--n-max", str(n_max), "--csv", os.devnull) == 0
+    final = analysis.segment_reports(k, n_max)[-1]
+    read, written = final.prefix_symbols, final.output_symbols
+    p, q = map(int, verdict.rsplit(" ", 1)[1].split("/"))
+    sign = -1 if verdict.startswith("below") else 1
+    assert sign * (written * q - read * p) >= 0 and sign * ((k + 2) ** p - k**q) >= 0
+    assert capsys.readouterr().err.startswith(f"final rho={final.rho:.6f} at n={n_max} ({verdict}), ")
 
 
 def test_ratio_csv_to_stdout(capsys):
     assert dispatch("ratio", "--k", "2", "--n-max", "2", "--csv", "-") == 0
     out, err = capsys.readouterr()
-    assert err == f"final rho={analysis.segment_reports(2, 2)[-1].rho:.6f} at n=2\n"  # no segment 3
+    final = analysis.segment_reports(2, 2)[-1].rho
+    assert err == f"final rho={final:.6f} at n=2 (above 1 exactly, certificate 1/2)\n"  # no segment 3
     assert out.startswith("k,variant,n,")
     rows = out.strip().splitlines()
     assert len(rows) == 3

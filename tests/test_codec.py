@@ -680,9 +680,9 @@ def test_compress_returns_the_buffer_feed_wrote_with_the_flush_appended():
     "k, n, parent_spans",
     [
         # the worker's census of [seam, half) counts: this process walks up to the seam only
-        (4, 4, lambda middle, seam, half: [(0, middle), (middle, seam)]),
+        (4, 4, lambda seam, half: [(0, seam)]),
         # the lead cancels into the entry stack below the worker's cut: this process walks on
-        (2, 6, lambda middle, seam, half: [(0, middle), (middle, seam), (seam, half)]),
+        (2, 6, lambda seam, half: [(0, seam), (seam, half)]),
     ],
     ids=["join", "fallback"],
 )
@@ -690,12 +690,125 @@ def test_split_consume_joins_or_falls_back(monkeypatch, k, n, parent_spans):
     split_early(monkeypatch)
     w = list(lex_concat(k, n))
     half = len(w)
-    middle = half // 2
-    seam = codec._first_repeat(bytes(w), middle + 4, half)
+    seam = codec._first_repeat(bytes(w), half // 2 + 4, half)
     assert seam < half
     spans = census_spans(monkeypatch)
     fed_and_consumed(k, ([1, 0], w + w[::-1]))
-    assert spans == parent_spans(middle, seam, half)
+    assert spans == parent_spans(seam, half)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kept", ["own", "deeper"])
+def test_split_consume_keeps_the_workers_census_only_on_the_stack_it_walked_on(monkeypatch, kept):
+    # The worker's reply is planted with one pop single too many.  With the stack the worker kept, the
+    # session takes that census, so its clustered pops part from feed's.  With one entry more on
+    # top, which the session's stack does not end with, it walks the rest itself and matches feed.
+    split_early(monkeypatch)
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    tail_census = Compressor._tail_census
+
+    def planted(session, word, seam, half):
+        pop_singles, *census, stack = tail_census(session, word, seam, half)
+        return (pop_singles + 1, *census, stack if kept == "own" else stack + stack[-2:-1])
+
+    monkeypatch.setattr(Compressor, "_tail_census", planted)
+    w = bytes(lex_concat(4, 4))
+    half = len(w)
+    seam = codec._first_repeat(w, half // 2 + 4, half)
+    fed, counted = Compressor(4), Compressor(4)
+    spans = census_spans(monkeypatch)
+    for part in (b"\x01\x00", w + w[::-1]):
+        fed.feed(part)
+        counted.consume(part)
+    if kept == "own":
+        assert spans == [(0, seam)]
+        assert counted.clustered_pops == fed.clustered_pops - 1
+    else:
+        assert spans == [(0, seam), (seam, half)]
+        assert snapshot(counted) == snapshot(fed)
+    assert_no_child_left()
+
+
+def parent_joins(k, entry, w, seam) -> bool:
+    """Whether the fold split of ``w + w[::-1]`` at ``seam``, after ``entry``, joined by depth arithmetic.
+
+    The earlier join rule, kept as the oracle: the session's depth at the middle and at the seam and
+    the worker's lead depth give the ``cancelled`` bottom entries of the lead, and the worker's census
+    counted when its walk stayed above its cut and ``cancelled`` lay below half the lead depth.
+    """
+    half = len(w)
+    middle = half // 2
+    session = Compressor(k)
+    session.feed(entry)
+    stack = codec._fold_stack(k, session._stack)
+    Compressor._census(stack, w, 0, middle, codec._CLOSED)
+    depth = len(stack)
+    Compressor._census(stack, w, middle, seam, codec._CLOSED)
+    lead = codec._fold_stack(k, (stack_bottom(k),))
+    Compressor._census(lead, w, middle, seam, codec._CLOSED)
+    tail_depth = len(lead) - 1
+    del lead[: tail_depth // 2 + 1]
+    try:
+        Compressor._census(lead, w, seam, half, codec._CLOSED)
+    except IndexError:
+        return False
+    cancelled = (depth + tail_depth - len(stack)) // 2
+    return cancelled < tail_depth // 2
+
+
+def test_the_stack_test_joins_every_split_the_depth_arithmetic_joins(monkeypatch):
+    # Seeded lex halves, walks of paired pieces and random words, after random entry words, with a
+    # lead of 8 symbols; the session's census spans show whether it took the worker's census.
+    rng = random.Random(32)
+    cases = []
+    for k in (2, 3, 4, 5, 7, 300):
+        symbols = [0, 1, k - 2, k - 1]
+        for _ in range(12):
+            entry = [rng.choice(symbols) for _ in range(rng.randrange(12))]
+            pieces = [[rng.choice(symbols) for _ in range(rng.randrange(1, 6))] for _ in range(12)]
+            cases += [
+                (k, entry, [a for u in pieces for a in u + u[::-1]]),
+                (k, entry, [rng.choice(symbols) for _ in range(rng.randrange(24, 120))]),
+            ]
+        cases += [(k, [1, 0], list(lex_concat(k, n))) for n in range(2, 7) if 24 <= n * k**n <= 2000]
+    kind = lambda k, part: bytes(part) if k < 256 else array("H", part)
+    monkeypatch.setattr(codec, "_SPLIT_MIN", 8)
+    monkeypatch.setattr(codec, "_SPLIT_LEAD", 8)
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    split = joined = by_depth = 0
+    for k, entry, w in cases:
+        w = kind(k, w)
+        seam = codec._first_repeat(w, len(w) // 2 + 8, len(w))
+        if seam == len(w):
+            continue
+        split += 1
+        expected = parent_joins(k, kind(k, entry), w, seam)
+        with pytest.MonkeyPatch.context() as mp:
+            spans = census_spans(mp)
+            fed_and_consumed(k, (entry, w + w[::-1]), lambda part: kind(k, part))
+        joins = (seam, len(w)) not in spans
+        assert joins or not expected, (k, entry, list(w))
+        joined += joins
+        by_depth += expected
+    assert_no_child_left()
+    assert split > 100 and 0 < by_depth <= joined < split
+
+
+@pytest.mark.parametrize("k, n", [(5, 7), (6, 6), (7, 6), (10, 5), (20, 4)])
+def test_consume_forks_once_and_joins_on_each_headline_segment(monkeypatch, k, n):
+    # The real thresholds: each segment's half is at least _SPLIT_MIN symbols, and its worker's census
+    # counts, so this process walks up to the seam only and never the rest.
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
+    w = mirrored_segment(k, n)
+    half = len(w) // 2
+    assert half >= codec._SPLIT_MIN
+    forks = []
+    fork_join = codec._fork_join
+    monkeypatch.setattr(codec, "_fork_join", lambda work, own: forks.append(work) or fork_join(work, own))
+    spans = census_spans(monkeypatch)
+    Compressor(k).consume(w)
+    assert len(forks) == 1
+    assert spans == [(0, codec._first_repeat(w, half // 2 + codec._SPLIT_LEAD, half))]
     assert_no_child_left()
 
 
