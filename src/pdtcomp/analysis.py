@@ -5,7 +5,8 @@ This module measures what the codec actually does:
 * h, the count of length-1 symbol runs of a word (``block_stats``), and
   its closed form for a mirrored segment (``expected_singletons``);
 * the savings of a drained engine run and the pops clustered in its pop
-  runs (``pop_run_account``, the one function that imports the engine);
+  runs, from the run's step kinds and its written count
+  (``pop_run_account``, the one function that imports the engine);
 * the compression-ratio series of a streamed sequence, normalized by
   alphabet sizes (``ratio_series`` / ``segment_reports``), and the
   closed-form bound ``ratio_bound``;
@@ -28,13 +29,10 @@ as for every other layer.
 """
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import Compressor, mirror_half, packed
 from .seqgen import PAIRED_LEX, iter_mirrored_segments
-
-if TYPE_CHECKING:
-    from .engine import RunTrace
 
 
 _CENSUS_CHUNK = 1 << 16
@@ -117,17 +115,18 @@ class PopRunAccount(NamedTuple):
     clustered_pops: int
 
 
-def pop_run_account(trace: "RunTrace") -> PopRunAccount:
-    """Savings and clustered pops of ``trace``, counted as step-kind patterns.
+def pop_run_account(trace: bytearray, written: int) -> PopRunAccount:
+    """Savings and clustered pops of a run that read one symbol per step kind in ``trace`` and wrote ``written``.
 
-    Behind one leading ``PUSH``, every pop run starts at a ``PUSH POP`` and
-    every run of two or more pops at a ``PUSH POP POP``.
+    The clustered pops are counted as step-kind patterns: behind one leading
+    ``PUSH``, every pop run starts at a ``PUSH POP`` and every run of two or
+    more pops at a ``PUSH POP POP``.
     """
     from .engine import POP, PUSH
 
-    kinds = bytes((PUSH,)) + trace.kinds
+    kinds = bytes((PUSH,)) + trace
     singles = kinds.count(bytes((PUSH, POP))) - kinds.count(bytes((PUSH, POP, POP)))
-    return PopRunAccount(len(trace) - trace.symbols_written, kinds.count(POP) - singles)
+    return PopRunAccount(len(trace) - written, kinds.count(POP) - singles)
 
 
 def ratio_bound(k: int) -> float:
@@ -209,7 +208,6 @@ class SegmentReport(NamedTuple):
     """
 
     block: int
-    segment_length: int
     prefix_symbols: int
     output_symbols: int
     rho: float
@@ -262,7 +260,6 @@ def segment_reports(
     prev_clustered = 0
     for n, segment, session in _consumed_segments(k, n_max, variant, seed):
         singletons = block_stats(segment)
-        length = len(segment)
         del segment
         expected = None
         if variant == PAIRED_LEX and n >= 3:
@@ -270,7 +267,6 @@ def segment_reports(
         reports.append(
             SegmentReport(
                 block=n,
-                segment_length=length,
                 prefix_symbols=session.symbols_read,
                 output_symbols=session.symbols_written,
                 rho=_rho(k, session.symbols_read, session.symbols_written),

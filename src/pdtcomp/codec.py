@@ -16,7 +16,7 @@ coding of an unbounded stream (``[0]`` and ``[0, 0]`` both feed to ``[0]``).
 
 Both directions exist twice: as explicit transducer tables executed by
 :mod:`pdtcomp.engine` (the reference semantics; :func:`compress_run` keeps
-the run's push/pop kinds and symbol counts), and as the streaming sessions
+the run's push/pop kinds, one per symbol read), and as the streaming sessions
 :class:`Compressor` / :class:`Decompressor` used on hot paths.  The test
 suite pins the two routes to each other.
 
@@ -88,7 +88,7 @@ from operator import eq
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .engine import Configuration, RunTrace, TransducerSpec
+    from .engine import Configuration, TransducerSpec
 
 K_MIN = 2
 K_MAX = 65534  # pair marker k + 1 must fit a 16-bit stream code
@@ -921,12 +921,12 @@ def decompress(word, k: int) -> bytearray | array:
     return Decompressor(k).feed(word)
 
 
-def compress_run(word, k: int) -> tuple[list[int], "Configuration", "RunTrace"]:
-    """Compress through the transducer table, keeping the run trace; always flushed.
+def compress_run(word, k: int) -> tuple[list[int], "Configuration", bytearray]:
+    """Compress through the transducer table, keeping the run's step kinds; always flushed.
 
     Slower than :func:`compress` but exposes the per-position push/pop
     kinds read by :func:`pdtcomp.analysis.pop_run_account`.  A flushed odd
-    marker counts in the trace's ``symbols_written``.
+    marker is appended to the output, so ``len(out)`` counts it.
     """
     from . import engine
     from .engine import Configuration
@@ -936,6 +936,5 @@ def compress_run(word, k: int) -> tuple[list[int], "Configuration", "RunTrace"]:
     out = list(out)
     if config.state == 1:
         out.append(odd_marker(k))
-        trace.symbols_written += 1
         config = Configuration(0, config.stack)
     return out, config, trace

@@ -157,36 +157,16 @@ class TransducerSpec:
 
 
 class RunResult(NamedTuple):
-    output: tuple[int, ...]
-    config: Configuration
-    trace: "RunTrace"
+    """Output, final configuration and step kinds of a run.
 
-
-class RunTrace:
-    """Step kinds and written count of a run.
-
-    ``kinds[i]`` is the kind (``PUSH`` or ``POP``) of the transition that
+    ``trace[i]`` is the kind (``PUSH`` or ``POP``) of the transition that
     consumed input position ``i + 1``, so ``len(trace)`` counts the symbols
-    read; ``symbols_written`` counts every output symbol, those of
-    input-free moves included.  Two traces are equal when both fields are.
+    read and ``len(output)`` the symbols written.
     """
 
-    __slots__ = ("kinds", "symbols_written")
-
-    def __init__(self, kinds: bytearray | None = None, symbols_written: int = 0):
-        self.kinds = bytearray() if kinds is None else kinds
-        self.symbols_written = symbols_written
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kinds == other.kinds and self.symbols_written == other.symbols_written
-
-    def __repr__(self) -> str:
-        return f"RunTrace(kinds={self.kinds!r}, symbols_written={self.symbols_written!r})"
+    output: tuple[int, ...]
+    config: Configuration
+    trace: bytearray
 
 
 def validate(spec: TransducerSpec) -> list[str]:
@@ -292,8 +272,8 @@ def run(spec: TransducerSpec, word: Iterable[int]) -> RunResult:
     eps = spec._eps
     out: list[int] = []
     emit = out.extend
-    tr = RunTrace()
-    mark = tr.kinds.append
+    trace = bytearray()
+    mark = trace.append
     position = 0
 
     def drain() -> None:
@@ -327,5 +307,4 @@ def run(spec: TransducerSpec, word: Iterable[int]) -> RunResult:
             drain()
         mark(kind)
 
-    tr.symbols_written = len(out)
-    return RunResult(tuple(out), Configuration(state, tuple(stack)), tr)
+    return RunResult(tuple(out), Configuration(state, tuple(stack)), trace)

@@ -66,8 +66,8 @@ class SegmentCensus(NamedTuple):
 def segment_census(k: int, n: int) -> SegmentCensus:
     """Census of one segment: generated once, run once through the table and ``block_stats``."""
     segment = seqgen.mirrored_segment(k, n)
-    _, _, trace = codec.compress_run(segment, k)
-    savings, clustered = analysis.pop_run_account(trace)
+    out, _, trace = codec.compress_run(segment, k)
+    savings, clustered = analysis.pop_run_account(trace, len(out))
     singletons = analysis.block_stats(segment)
     return SegmentCensus(singletons, analysis.expected_singletons(k, n), savings, clustered)
 

@@ -179,14 +179,6 @@ def encode_stream(symbols: Iterable[int], role: int, k: int, fmt: str = "binary"
     return out.getvalue()
 
 
-def detect_format(data: bytes) -> str:
-    if data[:4] == MAGIC:
-        return "binary"
-    if data[:2] == b"k=":
-        return "text"
-    raise BadMagicError("data starts with neither the binary magic nor a text header")
-
-
 def read_chunks(fh) -> ChunkedStream:
     """Read the header of the stream in the binary file ``fh``, in either format.
 
@@ -196,25 +188,27 @@ def read_chunks(fh) -> ChunkedStream:
     header raises here; a malformed body raises from the chunk that reaches
     the fault, so a truncated or overlong body is found at its end.
     """
-    return _read(fh, "auto", _CHUNK)
+    return _read(fh, _CHUNK)
 
 
-def decode_stream(data: bytes, fmt: str = "auto") -> DecodedStream:
-    """Parse a serialized stream; exact inverse of :func:`encode_stream`.
+def decode_stream(data: bytes) -> DecodedStream:
+    """Parse a serialized stream in either format; exact inverse of :func:`encode_stream`.
 
     The header and one body chunk of the readers :func:`read_chunks` uses.
     """
-    if fmt not in ("auto", "binary", "text"):
-        raise ValueError(f"unknown format {fmt!r}, expected 'binary', 'text' or 'auto'")
-    stream = _read(io.BytesIO(data), fmt, max(len(data), 1))
+    stream = _read(io.BytesIO(data), max(len(data), 1))
     chunks = list(stream.chunks)  # at most one: the body fits a chunk of len(data) symbols
     return DecodedStream(chunks[0] if chunks else b"", stream.role, stream.k)
 
 
-def _read(fh, fmt: str, size: int) -> ChunkedStream:
-    """The header of the stream in ``fh`` and its chunk reader, for chunks of at most ``size`` symbols."""
-    lead = b"" if fmt == "text" else fh.read(2)
-    if fmt == "text" or (fmt == "auto" and lead == b"k="):
+def _read(fh, size: int) -> ChunkedStream:
+    """The header of the stream in ``fh`` and its chunk reader, for chunks of at most ``size`` symbols.
+
+    A stream names its format by its first bytes: ``k=`` starts a text
+    header, and anything else is read as a binary header.
+    """
+    lead = fh.read(2)
+    if lead == b"k=":
         line = lead + fh.readline(_TEXT_HEADER_MAX - len(lead))
         if not line.isascii():
             raise BadMagicError("text stream is not ASCII")
@@ -225,8 +219,6 @@ def _read(fh, fmt: str, size: int) -> ChunkedStream:
         role, k = _text_header(line[:-1].decode("ascii"))
         return ChunkedStream("text", role, k, _text_chunks(fh, role, k, size))
     head = lead + fh.read(HEADER.size - len(lead))
-    if fmt == "auto":
-        detect_format(head)
     role, k, count = _binary_header(head)
     return ChunkedStream("binary", role, k, _binary_chunks(fh, role, k, count, size))
 
@@ -234,7 +226,7 @@ def _read(fh, fmt: str, size: int) -> ChunkedStream:
 def _binary_header(head: bytes) -> tuple[int, int, int]:
     """Role, alphabet size and symbol count from the first ``HEADER.size`` bytes of a binary stream."""
     if len(head) < 4 or head[:4] != MAGIC:
-        raise BadMagicError("missing PDT1 magic")
+        raise BadMagicError("data starts with neither the binary magic nor a text header")
     if len(head) < HEADER.size:
         raise TruncatedStreamError(f"header needs {HEADER.size} bytes, got {len(head)}")
     _, version, role, k, count = HEADER.unpack(head)

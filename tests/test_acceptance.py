@@ -174,7 +174,7 @@ def test_criterion_10_format_round_trip():
         nonlocal streams, failures
         streams += 1
         encoded = encode_stream(symbols, role, k, fmt)
-        decoded = decode_stream(encoded, fmt)
+        decoded = decode_stream(encoded)
         if (list(decoded.symbols), decoded.role, decoded.k) != (list(symbols), role, k):
             failures += 1
 

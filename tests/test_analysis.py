@@ -24,7 +24,7 @@ from pdtcomp.analysis import (
     sufficiency_exact,
 )
 from pdtcomp.codec import Compressor, compress_run
-from pdtcomp.engine import POP, PUSH, RunTrace
+from pdtcomp.engine import POP, PUSH
 from pdtcomp.seqgen import iter_mirrored_segments, lex_concat, mirrored_segment
 
 
@@ -119,31 +119,31 @@ def test_segment_singletons_double_the_half_segment(k, n):
 
 
 def test_pop_run_account_examples():
-    _, _, trace = compress_run([0, 1, 1, 0], 2)
-    assert pop_run_account(trace) == PopRunAccount(1, 2)
-    _, _, trace = compress_run([0, 0], 2)
-    assert pop_run_account(trace) == PopRunAccount(0, 0)
+    out, _, trace = compress_run([0, 1, 1, 0], 2)
+    assert pop_run_account(trace, len(out)) == PopRunAccount(1, 2)
+    out, _, trace = compress_run([0, 0], 2)
+    assert pop_run_account(trace, len(out)) == PopRunAccount(0, 0)
     seg = mirrored_segment(3, 3)
-    _, _, trace = compress_run(seg, 3)
-    account = pop_run_account(trace)
+    out, _, trace = compress_run(seg, 3)
+    account = pop_run_account(trace, len(out))
     assert account.savings >= expected_singletons(3, 3) // 6 == 12
 
 
 def test_pop_run_account_pop_runs_at_both_ends():
     kinds = [POP, POP, PUSH, POP, PUSH, PUSH, POP, POP, POP]
-    assert pop_run_account(RunTrace(bytearray(kinds), 5)) == PopRunAccount(4, 5)
+    assert pop_run_account(bytearray(kinds), 5) == PopRunAccount(4, 5)
     kinds = [POP, PUSH, POP, POP, PUSH, POP]
-    assert pop_run_account(RunTrace(bytearray(kinds), 4)) == PopRunAccount(2, 2)
-    assert pop_run_account(RunTrace(bytearray([POP]), 1)) == PopRunAccount(0, 0)
-    assert pop_run_account(RunTrace(bytearray([POP, POP]), 1)) == PopRunAccount(1, 2)
-    assert pop_run_account(RunTrace()) == PopRunAccount(0, 0)
+    assert pop_run_account(bytearray(kinds), 4) == PopRunAccount(2, 2)
+    assert pop_run_account(bytearray([POP]), 1) == PopRunAccount(0, 0)
+    assert pop_run_account(bytearray([POP, POP]), 1) == PopRunAccount(1, 2)
+    assert pop_run_account(bytearray(), 0) == PopRunAccount(0, 0)
 
 
 def test_report_rows_are_named_tuples():
     point = RatioPoint(3, 10, 8, 0.5)
     assert point == (3, 10, 8, 0.5)
     assert repr(point) == "RatioPoint(block=3, symbols_read=10, symbols_written=8, rho=0.5)"
-    row = SegmentReport(3, 6, 10, 8, 0.5, 12, None, 2, 0)
+    row = SegmentReport(3, 10, 8, 0.5, 12, None, 2, 0)
     assert row.singletons == 12 and row.savings == 2
     assert row.bound_ok  # 6 * 2 >= 12
     assert not row._replace(savings=1).bound_ok
@@ -157,7 +157,8 @@ def test_pop_run_account_matches_the_session(k, raw):
     session = Compressor(k)
     session.feed(word)
     session.flush()
-    account = pop_run_account(compress_run(word, k)[2])
+    out, _, trace = compress_run(word, k)
+    account = pop_run_account(trace, len(out))
     assert account == PopRunAccount(session.savings, session.clustered_pops)
 
 
@@ -165,8 +166,8 @@ def test_pop_run_account_matches_the_session(k, raw):
 def test_savings_bound_chain_small_grid(k):
     for n in (3, 4):
         seg = mirrored_segment(k, n)
-        _, _, trace = compress_run(seg, k)
-        savings, clustered = pop_run_account(trace)
+        out, _, trace = compress_run(seg, k)
+        savings, clustered = pop_run_account(trace, len(out))
         singles = block_stats(seg)
         assert 3 * savings >= clustered
         assert 2 * clustered >= singles
@@ -328,9 +329,8 @@ def test_segment_reports_match_trace_accounting():
         reports = segment_reports(k, 4)
         for r in reports:
             seg = mirrored_segment(k, r.block)
-            assert r.segment_length == len(seg)
-            _, _, trace = compress_run(seg, k)
-            account = pop_run_account(trace)
+            out, _, trace = compress_run(seg, k)
+            account = pop_run_account(trace, len(out))
             assert r.savings == account.savings
             assert r.clustered_pops == account.clustered_pops
             assert r.singletons == block_stats(seg)

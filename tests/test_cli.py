@@ -291,6 +291,15 @@ def test_missing_input_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compress", "decompress"])
+def test_a_stream_with_no_known_header_is_refused(tmp_path, capsys, command):
+    inp, out = tmp_path / "image.gif", tmp_path / "out.pdt"
+    inp.write_bytes(b"GIF89a" + bytes(32))
+    assert dispatch(command, "--in", str(inp), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: data starts with neither the binary magic nor a text header\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["image.gif"]
+
+
 def test_malformed_stream_is_a_data_error(tmp_path, capsys):
     coded = tmp_path / "coded.pdt"
     out = tmp_path / "out.pdt"

@@ -336,8 +336,8 @@ def test_mirrored_input_drains_the_stack(k, data):
 def test_output_length_equals_pushes_plus_run_codings(k, data):
     w = data.draw(words(k))
     out, _, trace = compress_run(w, k)
-    pushes = trace.kinds.count(engine.PUSH)
-    pop_runs = [len(list(run)) for kind, run in groupby(trace.kinds) if kind == engine.POP]
+    pushes = trace.count(engine.PUSH)
+    pop_runs = [len(list(run)) for kind, run in groupby(trace) if kind == engine.POP]
     assert len(out) == pushes + sum((m + 1) // 2 for m in pop_runs)
     assert sum(a < k for a in out) == pushes  # the rest are the run codings' markers
 

@@ -22,7 +22,6 @@ from pdtcomp.engine import (
     EmptyStackError,
     InvalidSpecError,
     NoTransitionError,
-    RunTrace,
     Transition,
     TransducerSpec,
     run,
@@ -166,14 +165,13 @@ def test_run_empty_input():
     assert out == ()
     assert config == Configuration(spec.initial_state, (spec.start_symbol,))
     assert len(trace) == 0
-    assert trace.symbols_written == 0
 
 
 def test_run_mirrored_word():
     out, config, trace = run(build_compressor(2), [0, 1, 1, 0])
     assert out == (0, 1, pair_marker(2))
     assert config == Configuration(0, (stack_bottom(2),))
-    assert bytes(trace.kinds) == bytes([PUSH, PUSH, POP, POP])
+    assert trace == bytes([PUSH, PUSH, POP, POP])
 
 
 def test_run_all_pushes():
@@ -181,8 +179,7 @@ def test_run_all_pushes():
     out, config, trace = run(build_compressor(2), [0, 1, 0])
     assert out == (0, 1, 0)
     assert config == Configuration(0, (bottom, 0, 1, 0))
-    assert bytes(trace.kinds) == bytes([PUSH, PUSH, PUSH])
-    assert trace.symbols_written == 3
+    assert trace == bytes([PUSH, PUSH, PUSH])
 
 
 def test_run_reports_offending_position():
@@ -221,7 +218,6 @@ def test_run_drains_epsilon_before_first_read():
     assert out == (5,)
     assert config == Configuration(1, (8,))
     assert len(trace) == 0
-    assert trace.symbols_written == 1
 
 
 def test_run_guards_against_epsilon_loops():
@@ -277,9 +273,8 @@ def test_trace_totals_match_step_sums(k, raw):
     word = [a % k for a in raw]
     out, _, trace = run(build_compressor(k), word)
     assert len(trace) == len(word)
-    assert trace.symbols_written == len(out)
     # every push echoes its symbol; pops emit only markers
-    assert trace.kinds.count(PUSH) == sum(b < k for b in out)
+    assert trace.count(PUSH) == sum(b < k for b in out)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,9 +334,9 @@ def assert_run_matches_reference(spec, word):
     result = run(spec, word)
     assert result.output == tuple(out)
     assert result.config == config
-    assert list(result.trace.kinds) == kinds
+    assert type(result.trace) is bytearray
+    assert list(result.trace) == kinds
     assert len(result.trace) == len(word)
-    assert result.trace.symbols_written == len(out)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -390,8 +385,7 @@ def test_run_drains_chained_input_free_moves_after_each_read():
     out, config, trace = run(spec, [0, 0])
     assert out == (1, 2, 2, 2) * 2
     assert config == Configuration(1, (9,))
-    assert trace.symbols_written == 8
-    assert bytes(trace.kinds) == bytes([PUSH, PUSH])
+    assert trace == bytes([PUSH, PUSH])
     assert_run_matches_reference(spec, [0, 0, 0])
 
 
@@ -415,17 +409,6 @@ def test_transition_and_configuration_are_tuples_of_tuples():
     assert c != Configuration(0, (9, 0))
     assert repr(c) == "Configuration(state=1, stack=(9, 0))"
     assert c._replace(stack=[9]).stack == (9,)
-
-
-def test_run_trace_defaults_length_and_equality():
-    first, second = RunTrace(), RunTrace()
-    assert (first.kinds, first.symbols_written, len(first)) == (bytearray(), 0, 0)
-    assert first == second and first.kinds is not second.kinds
-    first.kinds.append(PUSH)
-    assert len(first) == 1 and first != second
-    assert first == RunTrace(bytearray([PUSH])) != RunTrace(bytearray([PUSH]), 1)
-    assert first != (bytearray([PUSH]), 0)
-    assert repr(first) == "RunTrace(kinds=bytearray(b'\\x00'), symbols_written=0)"
 
 
 def test_spec_builds_its_step_table_once_and_keeps_its_verdict():

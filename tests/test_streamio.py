@@ -24,7 +24,6 @@ from pdtcomp.streamio import (
     TruncatedStreamError,
     code_limit,
     decode_stream,
-    detect_format,
     encode_stream,
     read_chunks,
     write_chunks,
@@ -89,18 +88,17 @@ def test_encode_rejects_out_of_range_codes():
 def test_decode_auto_detects_format():
     binary = encode_stream([0, 1], ROLE_PLAIN, 2, "binary")
     text = encode_stream([0, 1], ROLE_PLAIN, 2, "text")
-    assert detect_format(binary) == "binary"
-    assert detect_format(text) == "text"
-    assert decode_stream(binary) == decode_stream(text)
-    with pytest.raises(BadMagicError):
-        detect_format(b"GIF89a...")
+    assert binary[:4] == MAGIC and text[:2] == b"k="
+    assert decode_stream(binary) == decode_stream(text) == (b"\x00\x01", ROLE_PLAIN, 2)
+    with pytest.raises(BadMagicError, match="^data starts with neither the binary magic nor a text header$"):
+        decode_stream(b"GIF89a...")
 
 
 def test_decode_bad_magic():
     with pytest.raises(BadMagicError):
-        decode_stream(b"NOPE" + bytes(12), "binary")
+        decode_stream(b"NOPE" + bytes(12))
     with pytest.raises(BadMagicError):
-        decode_stream(b"", "auto")
+        decode_stream(b"")
 
 
 def test_decode_bad_version():
@@ -134,21 +132,21 @@ def test_decode_code_out_of_range():
 
 def test_decode_text_errors():
     with pytest.raises(BadMagicError):
-        decode_stream(b"k=x role=0\n01\n", "text")
+        decode_stream(b"k=x role=0\n01\n")
     with pytest.raises(TruncatedStreamError):
-        decode_stream(b"k=2 role=0", "text")
+        decode_stream(b"k=2 role=0")
     with pytest.raises(CodeOutOfRangeError):
-        decode_stream(b"k=2 role=0\n0!\n", "text")
+        decode_stream(b"k=2 role=0\n0!\n")
     with pytest.raises(CodeOutOfRangeError):
-        decode_stream(b"k=2 role=0\n02\n", "text")
+        decode_stream(b"k=2 role=0\n02\n")
     with pytest.raises(CodeOutOfRangeError):
-        decode_stream(b"k=2 role=0\n0+\n", "text")
+        decode_stream(b"k=2 role=0\n0+\n")
     with pytest.raises(StreamFormatError):
-        decode_stream(b"k=2 role=0\n01\n01\n", "text")
+        decode_stream(b"k=2 role=0\n01\n01\n")
     with pytest.raises(StreamFormatError):
-        decode_stream(b"k=2 role=7\n01\n", "text")
+        decode_stream(b"k=2 role=7\n01\n")
     with pytest.raises(BadMagicError):
-        decode_stream("k=2 role=0\né\n".encode("utf-8"), "text")
+        decode_stream("k=2 role=0\né\n".encode("utf-8"))
 
 
 @pytest.mark.parametrize("k, role", [(5, ROLE_PLAIN), (254, ROLE_CODED)])
@@ -162,13 +160,13 @@ def test_binary_high_byte_names_the_full_code(k, role):
 @pytest.mark.parametrize("char", ["A", "-", "\r", "+"], ids=["letter", "dash", "return", "marker"])
 def test_text_plain_stream_refuses_stray_characters(char):
     with pytest.raises(CodeOutOfRangeError):
-        decode_stream(f"k=5 role=0\n01{char}2\n".encode("ascii"), "text")
+        decode_stream(f"k=5 role=0\n01{char}2\n".encode("ascii"))
 
 
 def test_text_digit_past_the_alphabet_is_not_a_marker():
     # code 2 is the odd marker at k = 2, but its character is "+", not "2"
     with pytest.raises(CodeOutOfRangeError, match="'2' is not a symbol"):
-        decode_stream(b"k=2 role=1\n02\n", "text")
+        decode_stream(b"k=2 role=1\n02\n")
 
 
 def test_decoded_symbols_are_packed():
@@ -182,7 +180,7 @@ def test_text_empty_stream():
     data = encode_stream([], ROLE_PLAIN, 5, "text")
     assert list(decode_stream(data).symbols) == []
     # a missing symbol line after the header also decodes as empty
-    assert list(decode_stream(b"k=5 role=0\n", "text").symbols) == []
+    assert list(decode_stream(b"k=5 role=0\n").symbols) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,8 +191,7 @@ def test_binary_roundtrip(data):
     limit = code_limit(role, k)
     symbols = data.draw(st.lists(st.integers(0, limit - 1), max_size=64))
     encoded = encode_stream(symbols, role, k, "binary")
-    assert as_lists(decode_stream(encoded, "binary")) == (symbols, role, k)
-    assert as_lists(decode_stream(encoded, "auto")) == (symbols, role, k)
+    assert as_lists(decode_stream(encoded)) == (symbols, role, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,8 +202,7 @@ def test_text_roundtrip(data):
     limit = code_limit(role, k)
     symbols = data.draw(st.lists(st.integers(0, limit - 1), max_size=64))
     encoded = encode_stream(symbols, role, k, "text")
-    assert as_lists(decode_stream(encoded, "text")) == (symbols, role, k)
-    assert as_lists(decode_stream(encoded, "auto")) == (symbols, role, k)
+    assert as_lists(decode_stream(encoded)) == (symbols, role, k)
 
 
 def test_maximal_codes_roundtrip():
