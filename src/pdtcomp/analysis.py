@@ -184,8 +184,6 @@ def sufficiency_exact(k: int) -> bool:
     The bound is below 1 iff ``(k+2)**(6k^2 - (k-1)^2) < k**(6k^2)``, the
     case ``read = 6k^2``, ``written = 6k^2 - (k-1)^2`` of :func:`rate_below`.
     """
-    if k < 2:
-        raise ValueError("alphabet size must be at least 2")
     return rate_below(k, k + 2, 6 * k * k, 6 * k * k - (k - 1) ** 2)[0] < 0
 
 

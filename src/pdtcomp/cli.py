@@ -30,11 +30,11 @@ between out_len/prefix_len and log k / log(k + 2).
 :mod:`~pdtcomp.properties` when they run, and call them through their module
 attributes.  Of all commands only ``verify`` loads :mod:`~pdtcomp.engine`.
 
-``verify`` takes two cores where the codec's walks do
-(:func:`~pdtcomp.codec._may_fork`): the census rows run in the calling
-process while a forked worker (:func:`~pdtcomp.codec._fork_join`) runs the
-sampled and exhaustive checks.  Its rows print once both are done, and are
-the same, as is the exit status, where this process runs every check itself.
+``verify`` takes two cores where the codec's walks do: the census rows run
+in the calling process while a forked worker runs the sampled and
+exhaustive checks, and :func:`~pdtcomp.codec._fork_join` decides whether
+the worker starts.  Its rows print once both are done, and are the same, as
+is the exit status, where this process runs every check itself.
 """
 
 import argparse
@@ -263,11 +263,10 @@ def _cmd_verify(args) -> int:
         raise ValueError("need 2 <= k-min <= k-max")
     if args.n_max < 3:
         raise ValueError("need n-max >= 3: the segment checks start at n = 3")
-    if 3 * args.k_max**3 > seqgen.DEFAULT_BLOCK_CAP:
-        raise ValueError(
-            f"k-max {args.k_max} is too large: its n = 3 segment holds {6 * args.k_max**3} symbols "
-            f"(twice 3 * k-max**3 = {3 * args.k_max**3}, above the cap of {seqgen.DEFAULT_BLOCK_CAP})"
-        )
+    try:
+        seqgen._check_block(args.k_max, 3)
+    except ValueError as exc:  # the cap, or past K_MAX the alphabet size
+        raise ValueError(f"k-max {args.k_max} is too large: {exc}") from None
     if args.words < 1:
         raise ValueError("need words >= 1")
     ok = True
@@ -285,9 +284,10 @@ def _verification_results(k_range, n_max: int, words: int, seed: int) -> list[tu
 
     The census rows (segment census, savings bounds) are computed in this
     process while a forked worker computes the sampled and exhaustive rows,
-    where :func:`codec._may_fork` holds.  Where it does not, or the fork or
-    the worker fails, this process computes the worker's rows itself after
-    its own: the rows come out the same, and a check that raises raises here.
+    where :func:`codec._fork_join` starts one.  Wherever no worker replied,
+    because none could start or it failed, this process computes the
+    worker's rows itself after its own: the rows come out the same, and a
+    check that raises raises here.
     """
     from . import properties
 
@@ -323,8 +323,7 @@ def _verification_results(k_range, n_max: int, words: int, seed: int) -> list[tu
         detail = f"joins on {checked} reducible words, length <= 6, k <= 3"
         return rows, ("pair-confluence", "-", bad == 0, detail)
 
-    joined = codec._fork_join(sampled, census) if codec._may_fork() else None
-    census_rows, sampled_rows = joined or (census(), None)
+    census_rows, sampled_rows = codec._fork_join(sampled, census)
     per_k, confluence = sampled_rows or sampled()
     rows = []
     for (round_trip, stack, cyclic), (segment, bounds) in zip(per_k, census_rows):

@@ -34,13 +34,15 @@ the fold, and ``feed``'s, the only one that emits output.
 
 Long walks take two cores: the fold walk of ``consume``, and ``feed`` in
 either direction (unmirrored ``consume`` runs ``feed``'s walk).  From
-``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are usable and
-no other thread runs, a forked worker walks the second part of the word
-while the session walks the first (:func:`_fork_join`).  One rule joins
-every split: the worker's part counts only when the session's stack at the
-seam ends with the stack the worker walked on, since above it both walks
-step alike and a worker that would walk below it fails; otherwise the
-session walks the rest itself, as it does wherever it cannot fork.  The
+``_SPLIT_MIN`` symbols, a forked worker walks the second part of the word
+while the session walks the first.  One function, :func:`_fork_join`,
+decides every fork: it forks only where ``os.fork`` exists, two CPUs are
+usable, no other thread runs and the pipe and the fork can be made, and
+otherwise runs the session's part alone.  One rule joins every split: the
+worker's part counts only when the session's stack at the seam ends with
+the stack the worker walked on, since above it both walks step alike and a
+worker that would walk below it fails.  Wherever the worker's part does not
+count or never came, the session walks the rest itself.  The
 fold walks a byte stack up to k = 253 and a list past it
 (:func:`_fold_stack`), and its worker walks on the top half of the stack
 that a lead of at least ``_SPLIT_LEAD`` symbols before the seam leaves on a
@@ -323,24 +325,29 @@ def _bare_point(word, start: int, end: int) -> tuple[int, int]:
 
 
 def _fork_join(work, own):
-    """Run ``work`` in a forked worker while this process runs ``own``: both results.
+    """``(own(), reply)``: ``own`` runs here, and ``work`` in a forked worker where one can start.
 
-    The worker sends what ``work`` returns, marshalled, and writes all of
-    it; its result is None when ``work`` raised or the worker did not exit
-    cleanly.  The worker is killed when ``own`` or the read raises, and
-    always reaped before this returns.  None, and ``own`` not run, when the
-    pipe or the fork cannot be made.
+    The one place that decides whether a walk takes a second core.  It forks
+    only when ``work`` is not None, :func:`_may_fork` holds and the pipe and
+    the fork can be made; otherwise ``own`` runs here alone and ``reply`` is
+    None.  The worker sends what ``work`` returns, marshalled, and writes all
+    of it; ``reply`` is None too when ``work`` raised or the worker did not
+    exit cleanly.  So a caller has one fallback for every reply that is
+    None: it does the worker's part itself.  The worker is killed when
+    ``own`` or the read raises, and always reaped before this returns.
     """
+    if work is None or not _may_fork():
+        return own(), None
     try:
         reader, writer = os.pipe()
     except OSError:
-        return None
+        return own(), None
     try:
         pid = os.fork()
     except OSError:
         os.close(reader)
         os.close(writer)
-        return None
+        return own(), None
     if pid == 0:
         status = 1
         try:
@@ -374,17 +381,18 @@ def _split_walk(session, walk, word, out, pending) -> bool:
     an odd marker is pending after it, which only the compressor's loop sets.
     From ``_SPLIT_MIN`` symbols of a ``bytes`` or ``bytearray`` word, up to
     k = 254 (where the codes, and so both outputs, fit a byte) and where
-    :func:`_may_fork` holds, ``session._seam(word)`` says where to cut.  This
-    process walks ``word[:seam]`` while a forked worker walks the rest from
-    the bare bottom with no marker pending.  The worker's part is taken only
-    when this process's stack ends with the stack the worker walked on, the
-    bare bottom, so only when it is bare at the seam; its first symbol then
-    pushes onto the bare bottom, so an odd marker pending at the seam goes in
-    front of it, as one process would emit it.  A decoder's worker fails on a
-    marker right at the seam, which would pop the bare bottom.  Where the
-    stack is not bare at the seam, and where the worker fails or cannot start,
-    this process walks the rest itself, so a decoding error is raised here, as
-    one process raises it.
+    :func:`_may_fork` holds, ``session._seam(word)`` says where to cut; only
+    there is a worker offered to :func:`_fork_join`.  This process walks
+    ``word[:seam]`` while a forked worker walks the rest from the bare bottom
+    with no marker pending.  The worker's part is taken only when this
+    process's stack ends with the stack the worker walked on, the bare
+    bottom, so only when it is bare at the seam; its first symbol then pushes
+    onto the bare bottom, so an odd marker pending at the seam goes in front
+    of it, as one process would emit it.  A decoder's worker fails on a
+    marker right at the seam, which would pop the bare bottom.  Otherwise,
+    whether the stack is not bare at the seam or no worker replied, this
+    process walks the rest itself, if any is left, so a decoding error is
+    raised here, as one process raises it.
     """
     end = len(word)
     seam = end
@@ -396,12 +404,9 @@ def _split_walk(session, walk, word, out, pending) -> bool:
         part = bytearray()
         return part, walk(part, word, seam, end, False), bytes(session._stack[1:])
 
-    joined = _fork_join(tail, lambda: walk(out, word, 0, seam, pending)) if seam < end else None
-    if not joined:
-        return walk(out, word, 0, end, pending)
-    pending, reply = joined
+    pending, reply = _fork_join(tail if seam < end else None, lambda: walk(out, word, 0, seam, pending))
     if reply is None or len(session._stack) > 1:
-        return walk(out, word, seam, end, pending)
+        return walk(out, word, seam, end, pending) if seam < end else pending
     part, pending_after, stack = reply
     if pending:
         out.append(session._odd)
@@ -602,36 +607,31 @@ class Compressor:
         """Runs of length 1 and runs of odd length, push and pop alike, of the walk of ``word[:half]``.
 
         The walk runs on a :func:`_fold_stack` copy of the session's stack.
-        From ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, two CPUs are
-        usable and no other thread runs, this process walks ``word[:seam]``
-        while a forked worker (:meth:`_tail_census`) walks ``word[seam:half]``.
-        A forked worker reads ``word`` in place; a spawned one would have to
-        be sent it.  The seam is the first equal adjacent pair ``_SPLIT_LEAD``
-        or more symbols after the middle: every walk switches between pushes
-        and pops there, so each part's runs close at it.  The worker's census
+        From ``_SPLIT_MIN`` symbols, where :func:`_may_fork` holds, it is cut
+        at a seam, and :func:`_fork_join` walks ``word[:seam]`` here while a
+        forked worker (:meth:`_tail_census`) walks ``word[seam:half]``.  A
+        forked worker reads ``word`` in place; a spawned one would have to be
+        sent it.  The seam is the first equal adjacent pair ``_SPLIT_LEAD`` or
+        more symbols after the middle: every walk switches between pushes and
+        pops there, so each part's runs close at it.  The worker's census
         counts only when this process's stack at the seam ends with the stack
         the worker walked on, as for every two-core walk: above that stack the
         two walks step alike, and a worker that would pop it empty fails.
-        Otherwise, and on any ``OSError``, this process walks the rest itself.
+        Otherwise, and wherever no worker replied, this process walks the rest
+        itself.
         """
         stack = _fold_stack(self.k, self._stack)
         seam = half
         if half >= _SPLIT_MIN and _may_fork():
             seam = _first_repeat(word, half // 2 + _SPLIT_LEAD, half)
-
-        def own():
-            return self._census(stack, word, 0, seam, state)
-
-        joined = _fork_join(lambda: self._tail_census(word, seam, half), own) if seam < half else None
-        if not joined:
-            return _fold_tallies(self._census(stack, word, 0, half, state))
-        state, reply = joined
+        work = (lambda: self._tail_census(word, seam, half)) if seam < half else None
+        head, reply = _fork_join(work, lambda: self._census(stack, word, 0, seam, state))
         if reply is not None:
             *census, kept = reply
             if stack[len(stack) - len(kept) :] == kept:
-                ours, theirs = _fold_tallies(state), _fold_tallies(census)
+                ours, theirs = _fold_tallies(head), _fold_tallies(census)
                 return ours[0] + theirs[0], ours[1] + theirs[1]
-        return _fold_tallies(self._census(stack, word, seam, half, state))
+        return _fold_tallies(self._census(stack, word, seam, half, head) if seam < half else head)
 
     def _tail_census(self, word, seam: int, half: int) -> tuple:
         """The worker's walk: the lead from the middle to the seam on a fresh stack, then ``word[seam:half]``.

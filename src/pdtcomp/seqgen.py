@@ -39,6 +39,8 @@ class HorizonError(ValueError):
 
 
 def _check_block(k: int, n: int) -> int:
+    """``n * k**n``, the size of half of segment n; checks the alphabet, then n, then the cap, in that order."""
+    check_alphabet_size(k)
     if n < 1:
         raise ValueError(f"segment index must be at least 1, got {n}")
     top = DEFAULT_BLOCK_CAP.bit_length()
@@ -139,7 +141,6 @@ def lex_concat(k: int, n: int) -> bytearray | array:
     copies of k - 1.  Built a column at a time: digit j lands at offsets j, j + n, ...
     of one :func:`pdtcomp.codec.packed_buffer`, which is returned as filled.
     """
-    check_alphabet_size(k)
     words = packed_buffer(k, _check_block(k, n))
     for j, column in enumerate(_lex_columns(k, n)):
         words[j::n] = column
@@ -155,7 +156,6 @@ def mirrored_segment(k: int, n: int) -> bytearray | array:
     half, and at the mirrored offsets 2·size - 1 - j, 2·size - 1 - j - n, ...
     of the second, so neither half is built apart or copied.
     """
-    check_alphabet_size(k)
     size = _check_block(k, n)
     segment = packed_buffer(k, 2 * size)
     for j, column in enumerate(_lex_columns(k, n)):
@@ -172,7 +172,6 @@ def _enum_segment(k: int, n: int, seed: int | None) -> bytearray | array:
     the word indices, and each lexicographic column is read in that order
     (:func:`_shuffled_columns`).  The buffer is returned as filled.
     """
-    check_alphabet_size(k)
     width = 2 * n
     pairs = packed_buffer(k, 2 * _check_block(k, n))
     columns = _lex_columns(k, n) if seed is None else _shuffled_columns(k, n, seed)
@@ -203,7 +202,7 @@ def iter_mirrored_segments(
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == PAIRED_LEX and seed is not None:
         raise ValueError(f"a seed orders only the {PAIRED_ENUM} variant, not {PAIRED_LEX}")
-    _check_block(check_alphabet_size(k), n_max)  # n * k**n grows with n: covers every segment
+    _check_block(k, n_max)  # n * k**n grows with n: covers every segment
     if variant == PAIRED_LEX:
         return ((n, mirrored_segment(k, n)) for n in range(1, n_max + 1))
     return ((n, _enum_segment(k, n, seed)) for n in range(1, n_max + 1))

@@ -90,9 +90,12 @@ def code_limit(role: int, k: int) -> int:
     return k if role == ROLE_PLAIN else k + 2
 
 
-def _header_k(k: int) -> int:
+def _header(role: int, k: int) -> tuple[int, int]:
+    """A header's role and alphabet size, each checked, for both formats."""
+    if role not in (ROLE_PLAIN, ROLE_CODED):
+        raise StreamFormatError(f"unknown role {role}")
     try:
-        return check_alphabet_size(k)
+        return role, check_alphabet_size(k)
     except ValueError as exc:
         raise StreamFormatError(f"header: {exc}") from None
 
@@ -232,9 +235,7 @@ def _binary_header(head: bytes) -> tuple[int, int, int]:
     _, version, role, k, count = HEADER.unpack(head)
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    if role not in (ROLE_PLAIN, ROLE_CODED):
-        raise StreamFormatError(f"unknown role byte {role}")
-    return role, _header_k(k), count
+    return (*_header(role, k), count)
 
 
 def _binary_chunks(fh, role: int, k: int, count: int, size: int) -> Iterator[Sequence[int]]:
@@ -274,9 +275,7 @@ def _text_header(head: str) -> tuple[int, int]:
         role = int(parts[1][5:])
     except ValueError:
         raise BadMagicError(f"malformed text header {head!r}") from None
-    if role not in (ROLE_PLAIN, ROLE_CODED):
-        raise StreamFormatError(f"unknown role {role}")
-    _header_k(k)
+    _header(role, k)
     if k > TEXT_K_MAX:
         raise StreamFormatError(f"text alphabet size {k} above the limit of {TEXT_K_MAX}")
     return role, k

@@ -194,6 +194,8 @@ def test_sufficiency_exact_reference_points():
     assert ((6 + 2) ** (6 * 36 - 25) < 6 ** (6 * 36)) is False
     assert sufficiency_exact(6) is False
     assert sufficiency_exact(2) is False
+    with pytest.raises(ValueError):
+        sufficiency_exact(1)
 
 
 def test_sufficiency_exact_holds_from_seven_up():

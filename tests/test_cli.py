@@ -115,7 +115,7 @@ def test_gen_and_compress_bytes_are_pinned(tmp_path, name):
 
 @pytest.fixture
 def split_feeds(monkeypatch):
-    """Feeds of 8 codes and more split between two processes; lists each worker started.
+    """Feeds of 8 codes and more split between two processes; lists the pid of each worker forked.
 
     A compressor's feed forks at the point its bare-point finder picks, however rarely that point's
     stack recurs.
@@ -126,15 +126,7 @@ def split_feeds(monkeypatch):
     monkeypatch.setattr(
         codec, "_bare_point", lambda word, start, end: (bare_point(word, start, end)[0], end - start)
     )
-    started = []
-    fork_join = codec._fork_join
-
-    def counted(work, own):
-        started.append(work)
-        return fork_join(work, own)
-
-    monkeypatch.setattr(codec, "_fork_join", counted)
-    return started
+    return counted_forks(monkeypatch)
 
 
 @pytest.mark.parametrize("name", GOLDEN_STREAMS)
@@ -220,10 +212,8 @@ def test_file_roundtrip_feeds_split_every_long_chunk_and_take_every_part(tmp_pat
     gen = ["gen", "--k", "5", "--n-max", "7", "--variant", "paired-enum", "--seed", "1"]
     assert dispatch(*gen, "--out", str(plain)) == 0
     monkeypatch.setattr(codec, "_may_fork", lambda: True)
-    forks = []
+    forks = counted_forks(monkeypatch)
     walks = []  # (start, whether the walk ends short of the chunk, the chunk's length)
-    fork_join = codec._fork_join
-    monkeypatch.setattr(codec, "_fork_join", lambda work, own: forks.append(work) or fork_join(work, own))
     for session, name in ((codec.Compressor, "_code"), (codec.Decompressor, "_decode")):
 
         def spy(self, out, word, start, end, pending, walk=getattr(session, name)):
@@ -584,6 +574,22 @@ def test_verify_refuses_a_run_that_would_skip_a_check(argv, message, capsys):
     assert dispatch("verify", "--k-min", "2", "--k-max", "2", *argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "k_max, reason",
+    [
+        (300, "segment n=3 holds 162000000 symbols (twice n * k**n = 81000000, above the cap of 20000000)"),
+        (70000, "alphabet size must be an integer in [2, 65534], got 70000"),
+    ],
+    ids=["past-the-cap", "past-k-max"],
+)
+def test_verify_names_why_a_large_k_max_is_refused(k_max, reason, capsys):
+    # The reason is seqgen's own refusal of the k-max's n = 3 segment, after the k-max it names.
+    assert dispatch("verify", "--k-min", "2", "--k-max", str(k_max)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: k-max {k_max} is too large: {reason}\n"
     assert captured.out == ""
 
 

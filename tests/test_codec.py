@@ -562,6 +562,21 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of every worker this process forks from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def fed_and_consumed(k, parts, kind=bytes):
     fed = Compressor(k)
     counted = Compressor(k)
@@ -802,9 +817,7 @@ def test_consume_forks_once_and_joins_on_each_headline_segment(monkeypatch, k, n
     w = mirrored_segment(k, n)
     half = len(w) // 2
     assert half >= codec._SPLIT_MIN
-    forks = []
-    fork_join = codec._fork_join
-    monkeypatch.setattr(codec, "_fork_join", lambda work, own: forks.append(work) or fork_join(work, own))
+    forks = counted_forks(monkeypatch)
     spans = census_spans(monkeypatch)
     Compressor(k).consume(w)
     assert len(forks) == 1
@@ -836,30 +849,41 @@ def no_fork_expected():
     raise AssertionError("forked while another thread runs")
 
 
+# Each host that cannot fork, and whether a walk still finds its seam there: it does where
+# _may_fork holds and only the pipe or the fork fails, and then walks up to the seam and on from it.
 cannot_fork = pytest.mark.parametrize(
-    "host",
+    "host, cuts",
     [
-        lambda mp: mp.delattr(os, "fork"),
-        lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}),
-        lambda mp: mp.setattr(os, "fork", os_error),
-        lambda mp: mp.setattr(os, "pipe", os_error),
+        (lambda mp: mp.delattr(os, "fork"), False),
+        (lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}), False),
+        (lambda mp: mp.setattr(os, "fork", os_error), True),
+        (lambda mp: mp.setattr(os, "pipe", os_error), True),
     ],
     ids=["no-fork", "one-cpu", "fork-fails", "pipe-fails"],
 )
 
 
 @cannot_fork
-def test_split_consume_walks_in_one_process_where_it_cannot_fork(monkeypatch, host):
-    # The fold's census, and feed's walk of the unmirrored paired-enum segment, fed and consumed.
+def test_split_consume_walks_in_one_process_where_it_cannot_fork(monkeypatch, host, cuts):
+    # The fold's census, and feed's walk of the palindrome and of the unmirrored paired-enum segment,
+    # fed and consumed.
     split_early(monkeypatch)
-    host(monkeypatch)
     w = list(lex_concat(4, 4))
     enum = paired_enum(4, 3)
+    half = len(w)
+    seam = codec._first_repeat(bytes(w), half // 2 + 4, half)
+    lex_seam, enum_seam = coding_seam(4, bytes(w + w[::-1]))[0], coding_seam(4, enum)[0]
+    host(monkeypatch)
     spans = census_spans(monkeypatch)
     codes = feed_spans(monkeypatch)
     fed_and_consumed(4, (w + w[::-1], enum))
-    assert spans == [(0, len(w))]
-    assert codes == [2 * len(w), len(enum), len(enum)]
+    if cuts:
+        assert spans == [(0, seam), (seam, half)]
+        enum_codes = [enum_seam, len(enum) - enum_seam]
+        assert codes == [lex_seam, 2 * half - lex_seam, *enum_codes, *enum_codes]
+    else:
+        assert spans == [(0, half)]
+        assert codes == [2 * half, len(enum), len(enum)]
     assert_no_child_left()
 
 
@@ -874,9 +898,7 @@ def test_unmirrored_consume_codes_on_two_cores_like_feed(monkeypatch):
         fed.feed(part)
     seam = coding_seam(3, word, prefix)[0]
     split_early(monkeypatch)
-    forks = []
-    fork_join = codec._fork_join
-    monkeypatch.setattr(codec, "_fork_join", lambda work, own: forks.append(work) or fork_join(work, own))
+    forks = counted_forks(monkeypatch)
     spans = feed_spans(monkeypatch)
     counted = Compressor(3)
     for part in (prefix, word):
@@ -1359,14 +1381,18 @@ def test_split_feed_reaps_its_worker_when_this_process_raises(monkeypatch, sessi
 
 
 @cannot_fork
-def test_split_feed_runs_in_one_process_where_it_cannot_fork(monkeypatch, host):
+def test_split_feed_runs_in_one_process_where_it_cannot_fork(monkeypatch, host, cuts):
     word = paired_enum(3, 3)
     coded = compress(word, 3)
     split_early(monkeypatch)
+    coding, decoding = coding_seam(3, word)[0], bare_seam(3, coded)
     host(monkeypatch)
     spans = feed_spans(monkeypatch)
     assert decompress(compress(word, 3), 3) == word
-    assert spans == [len(word), len(coded)]
+    if cuts:
+        assert spans == [coding, len(word) - coding, decoding, len(coded) - decoding]
+    else:
+        assert spans == [len(word), len(coded)]
     assert_no_child_left()
 
 
@@ -1402,10 +1428,49 @@ def test_split_feed_runs_in_one_process_where_a_word_or_its_output_is_not_bytes(
     assert_no_child_left()
 
 
-def test_fork_join_reads_a_reply_past_the_pipe_buffer_whole():
+def test_fork_join_reads_a_reply_past_the_pipe_buffer_whole(monkeypatch):
+    monkeypatch.setattr(codec, "_may_fork", lambda: True)
     reply = bytes(range(256)) * 4096  # 1 MiB
     assert codec._fork_join(lambda: reply, lambda: "ours") == ("ours", reply)
     assert codec._fork_join(lambda: 1 // 0, lambda: "ours") == ("ours", None)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["work-none", "no-fork", "other-thread", "pipe-fails", "fork-fails"])
+def test_fork_join_runs_own_alone_where_it_does_not_fork(monkeypatch, case):
+    # Two CPUs in every case, so only the case itself keeps the worker from starting.  A pipe made
+    # before a fork that fails is closed again.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    forks = counted_forks(monkeypatch)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "other-thread":
+        monkeypatch.setattr(os, "fork", no_fork_expected)
+    elif case == "pipe-fails":
+        monkeypatch.setattr(os, "pipe", os_error)
+    elif case == "fork-fails":
+        monkeypatch.setattr(os, "fork", os_error)
+    runs = []
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    if case == "other-thread":
+        other.start()
+    try:
+        work = None if case == "work-none" else lambda: "theirs"
+        assert codec._fork_join(work, lambda: runs.append(case) or "ours") == ("ours", None)
+    finally:
+        done.set()
+        if case == "other-thread":
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert runs == [case] and forks == []
+    assert len(pipes) == (case == "fork-fails")
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError):
+            os.fstat(fd)
     assert_no_child_left()
 
 

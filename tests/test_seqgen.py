@@ -78,6 +78,22 @@ def test_horizon_cap(monkeypatch):
         next(iter_mirrored_segments(2, 10**10))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lex_concat,
+        mirrored_segment,
+        lambda k, n: next(iter_mirrored_segments(k, n)),
+        lambda k, n: next(iter_mirrored_segments(k, n, variant=PAIRED_ENUM, seed=1)),
+    ],
+    ids=["lex-concat", "mirrored-segment", "paired-lex", "paired-enum"],
+)
+def test_an_alphabet_of_one_is_refused_before_the_cap(build):
+    # n = 30 is past the cap for every alphabet of two or more; an alphabet of one is named first.
+    with pytest.raises(ValueError, match="^alphabet size must be an integer in"):
+        build(1, 30)
+
+
 @pytest.mark.parametrize("variant", [PAIRED_LEX, PAIRED_ENUM])
 def test_n_max_past_the_cap_is_an_error_before_the_first(variant, monkeypatch):
     built = []

@@ -149,6 +149,14 @@ def test_decode_text_errors():
         decode_stream("k=2 role=0\né\n".encode("utf-8"))
 
 
+def test_an_unknown_role_is_named_alike_in_both_formats():
+    binary = bytearray(encode_stream([0, 1], ROLE_PLAIN, 3, "binary"))
+    binary[5] = 7
+    for data in (bytes(binary), b"k=3 role=7\n01\n"):
+        with pytest.raises(StreamFormatError, match="^unknown role 7$"):
+            decode_stream(data)
+
+
 @pytest.mark.parametrize("k, role", [(5, ROLE_PLAIN), (254, ROLE_CODED)])
 def test_binary_high_byte_names_the_full_code(k, role):
     data = bytearray(encode_stream([0, 1, 2], role, k, "binary"))
